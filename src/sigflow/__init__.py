@@ -24,7 +24,6 @@ from .lagrangian import (
     MassField,
     advance_characteristics,
     estimate_breakdown_time,
-    invert_initial_map,
     reconstruct_physical,
     to_mass_coordinates,
 )
@@ -35,14 +34,11 @@ from .orchestrator import (
     mass_balance_report,
     merge,
     run,
-    run_first_model,
-    run_second_model,
     split_at,
 )
 from .parabolic import (
     MovingDomain,
     ParabolicBoundary,
-    rescale_to_unit,
     solve_parabolic,
     step_viscous,
 )

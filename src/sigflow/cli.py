@@ -106,7 +106,7 @@ def _oracle_errors(scenario, n_cells: int):
     t_end = s.timing.t0 - s.timing.tau0
     init = initial_state(s)
 
-    t_star = lag.estimate_breakdown_time(init, s.force)
+    t_star = lag.estimate_breakdown_time(init)
     if t_end >= 0.5 * t_star:
         raise ValueError(
             f"horizon {t_end} is past half the characteristic-crossing estimate "

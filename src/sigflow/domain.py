@@ -9,14 +9,10 @@ throughout (m, s, veh/m).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 import numpy as np
-
-# Tolerance for the braking-velocity compatibility check at the start of
-# the prohibitive phase (the handoff velocity is a computed quantity).
-COMPAT_TOL = 1e-6
 
 # Cells with less mass than this are treated as vacuum (v := 0).
 VACUUM_RHO = 1e-12
@@ -59,6 +55,10 @@ class RoadGrid:
     @property
     def faces(self) -> np.ndarray:
         return self.x_min + np.arange(self.n_cells + 1) * self.dx
+
+    def face_index(self, x: float) -> int:
+        """Index of the cell face nearest x."""
+        return int(round((x - self.x_min) / self.dx))
 
 
 @dataclass(frozen=True)
@@ -264,6 +264,14 @@ def validate_scenario(s: Scenario, oracle_requested: bool = False) -> list[str]:
             f"timing.x0/h: braking zone start x0 - h = {tm.x0 - tm.h} must lie "
             f"inside the grid (x_min = {g.x_min})"
         )
+    else:
+        i = g.face_index(tm.x0 - tm.h)
+        if i < 4 or g.n_cells - i < 4:
+            out.append(
+                f"timing.x0/h: braking zone start x0 - h = {tm.x0 - tm.h} snaps to "
+                f"face {i} of {g.n_cells}; the road is split there and each side "
+                f"needs at least 4 cells"
+            )
     if not tm.x0 < g.x_max:
         out.append(f"timing.x0: light position {tm.x0} must lie below x_max = {g.x_max}")
 
@@ -325,8 +333,3 @@ def _check_braking(b: BrakingProfile, tm: SignalTiming) -> list[str]:
             )
             break
     return out
-
-
-def with_numerics(s: Scenario, **kw) -> Scenario:
-    """Copy of the scenario with replaced fields (grid refinement etc.)."""
-    return replace(s, **kw)

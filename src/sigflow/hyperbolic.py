@@ -11,7 +11,7 @@ uniform acceleration is integrated exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -111,7 +111,8 @@ class MassLedger:
 
 @dataclass
 class SolveResult:
-    """Snapshots plus the mass ledger for one solver run."""
+    """Snapshots plus the mass ledger for one solver run; `name` labels the
+    phase of a signal cycle the run belongs to."""
 
     snapshots: list
     ledger: list
@@ -119,10 +120,83 @@ class SolveResult:
     outflux: float
     clamped: float
     metadata: dict = field(default_factory=dict)
+    name: str = ""
+
+    @property
+    def solver(self) -> str:
+        return self.metadata["solver"]
+
+    @property
+    def t_start(self) -> float:
+        return self.snapshots[0].t
+
+    @property
+    def t_end(self) -> float:
+        return self.snapshots[-1].t
+
+    @property
+    def initial(self) -> FlowState:
+        return self.snapshots[0]
 
     @property
     def final(self) -> FlowState:
         return self.snapshots[-1]
+
+
+def march(
+    state,
+    t_start: float,
+    t_end: float,
+    snapshot_interval: Optional[float],
+    max_dt: Callable,
+    advance: Callable,
+    snapshot: Callable,
+    mass: Callable,
+    metadata: dict,
+) -> SolveResult:
+    """Advance a solver state from t_start to t_end, recording snapshots and
+    the mass ledger.
+
+    advance(state, t, dt) returns (state, StepReport) for one step of at
+    most max_dt(state).  Steps are shortened to land exactly on every
+    snapshot time and on t_end, where snapshot(state, t) gives the
+    FlowState and mass(state, t) the total mass for the ledger.
+    """
+    if t_end < t_start:
+        raise ValueError(f"t_end = {t_end} precedes t_start = {t_start}")
+    ledger = MassLedger()
+    snapshots = [snapshot(state, t_start)]
+    ledger.record(t_start, mass(state, t_start))
+
+    horizon = t_end - t_start
+    if snapshot_interval is None or snapshot_interval <= 0:
+        snapshot_interval = horizon if horizon > 0 else 1.0
+
+    t = t_start
+    k_snap = 1
+    while t < t_end - 1e-13:
+        t_next = t_start + k_snap * snapshot_interval
+        if t_next >= t_end - 1e-13:
+            t_next = t_end  # the last snapshot sits at t_end exactly
+        dt = min(max_dt(state), t_next - t)
+        state, report = advance(state, t, dt)
+        t = t + dt
+        ledger.absorb(report)
+        if t >= t_next - 1e-13:
+            # land exactly on the snapshot time so phase handoffs compare equal
+            t = t_next
+            snapshots.append(snapshot(state, t))
+            ledger.record(t, mass(state, t))
+            k_snap += 1
+
+    return SolveResult(
+        snapshots=snapshots,
+        ledger=ledger.records,
+        influx=ledger.inflow_cum,
+        outflux=ledger.outflow_cum,
+        clamped=ledger.clamped_cum,
+        metadata=metadata,
+    )
 
 
 def numerical_flux(rho_l, v_l, rho_r, v_r):
@@ -223,36 +297,18 @@ def solve_hyperbolic(
     final step is shortened to land there).  Each snapshot carries a mass
     ledger entry with cumulative boundary fluxes.
     """
-    if t_end < initial.t:
-        raise ValueError(f"t_end = {t_end} precedes initial time {initial.t}")
-    state = ConservedState.from_flow_state(initial)
-    ledger = MassLedger()
-    snapshots = [state.to_flow_state()]
-    ledger.record(state.t, state.total_mass)
+    grid = initial.grid
 
-    horizon = t_end - initial.t
-    if snapshot_interval is None or snapshot_interval <= 0:
-        snapshot_interval = horizon if horizon > 0 else 1.0
+    def at(state: ConservedState, t: float) -> ConservedState:
+        # each step starts at the loop's time, which lands exactly on the
+        # snapshot times; the inflow data is sampled there
+        return ConservedState(grid, state.m, state.q, t)
 
-    t_start = initial.t
-    k_snap = 1
-    while state.t < t_end - 1e-13:
-        t_next = min(t_start + k_snap * snapshot_interval, t_end)
-        dt = min(cfl_dt(state.to_flow_state(), cfl), t_next - state.t)
-        state, report = step(state, dt, boundary, force)
-        ledger.absorb(report)
-        if state.t >= t_next - 1e-13:
-            # land exactly on the snapshot time so phase handoffs compare equal
-            state = ConservedState(state.grid, state.m, state.q, t_next)
-            snapshots.append(state.to_flow_state())
-            ledger.record(state.t, state.total_mass)
-            k_snap += 1
-
-    return SolveResult(
-        snapshots=snapshots,
-        ledger=ledger.records,
-        influx=ledger.inflow_cum,
-        outflux=ledger.outflow_cum,
-        clamped=ledger.clamped_cum,
+    return march(
+        ConservedState.from_flow_state(initial), initial.t, t_end, snapshot_interval,
+        max_dt=lambda state: cfl_dt(state.to_flow_state(), cfl),
+        advance=lambda state, t, dt: step(at(state, t), dt, boundary, force),
+        snapshot=lambda state, t: at(state, t).to_flow_state(),
+        mass=lambda state, t: state.total_mass,
         metadata={"solver": "hyperbolic", "cfl": cfl},
     )

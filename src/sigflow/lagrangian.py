@@ -13,11 +13,11 @@ physical characteristics have not crossed and the density stays positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .domain import BoundaryData, FlowState, ForceLaw, RoadGrid, sample_profile
+from .domain import BoundaryData, FlowState, ForceLaw, RoadGrid
 
 # Densities at or below this are treated as a breakdown of the smooth solution.
 RHO_FLOOR = 1e-12
@@ -94,21 +94,6 @@ def _positions(field: MassField) -> np.ndarray:
     x[0] = field.x_origin + field.xi[0] / rho[0]
     x[1:] = x[0] + np.cumsum(dx)
     return x
-
-
-def invert_initial_map(field: MassField) -> Callable[[float], float]:
-    """Monotone piecewise-linear inverse x = gamma0(xi) of the mass map."""
-    x = _positions(field)
-    xi = field.xi
-
-    def gamma0(z: float) -> float:
-        if z < xi[0] - 1e-12 or z > xi[-1] + 1e-12:
-            raise ValueError(
-                f"mass coordinate {z} outside the mapped range [{xi[0]}, {xi[-1]}]"
-            )
-        return float(np.interp(z, xi, x))
-
-    return gamma0
 
 
 def reconstruct_physical(field: MassField, grid: RoadGrid) -> FlowState:
@@ -195,13 +180,12 @@ def advance_characteristics(
     )
 
 
-def estimate_breakdown_time(state: FlowState, force: Optional[ForceLaw] = None) -> float:
+def estimate_breakdown_time(state: FlowState) -> float:
     """First crossing time of the physical characteristics, or infinity.
 
     With a velocity-independent force the characteristics are vertical
     translates of each other, so they first cross at t = -1/min(v0') when
-    the initial velocity has a decreasing stretch.  The `force` argument
-    documents the regime assumption; it does not enter the formula.
+    the initial velocity has a decreasing stretch.
     """
     slope = np.gradient(state.v, state.grid.centers)
     m = float(np.min(slope))

@@ -1,24 +1,26 @@
 """Full signal-cycle runs: free flow, flashing-green split, red-phase dual
 flows, green-light merge, and resume.
 
-The first model runs the hyperbolic solver outside the braking region and
-the viscous solver upstream of the light; the second model runs the
-viscous solver everywhere (with the driver force switched off upstream of
-the light during the red phase).  The upstream and downstream red-phase
-flows are independent sub-problems on overlapping strips; the merge
-assigns the upstream solution below the light and the downstream solution
-above it, which resolves the overlap.
+`run` holds the phase plan, which is the same for both models.  The first
+model runs the hyperbolic solver outside the braking region and the viscous
+solver upstream of the light; the second model runs the viscous solver
+everywhere (with the driver force switched off upstream of the light during
+the red phase).  A small adapter per model supplies what differs: the
+free-flow start, the handoff at the split, the released-flow solver, the
+merge grid, and the open-road solver.  The upstream and downstream
+red-phase flows are independent sub-problems on overlapping strips; the
+merge assigns the upstream solution below the light and the downstream
+solution above it, which resolves the overlap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .domain import (
-    BoundaryData,
     FlowState,
     RoadGrid,
     Scenario,
@@ -29,6 +31,7 @@ from .domain import (
 )
 from . import hyperbolic as hyp
 from . import parabolic as par
+from .hyperbolic import SolveResult
 
 
 class ScenarioError(ValueError):
@@ -49,30 +52,6 @@ class PhaseError(RuntimeError):
 
 
 @dataclass
-class Phase:
-    """One solved phase of the cycle, with its snapshots and mass ledger."""
-
-    name: str
-    solver: str
-    t_start: float
-    t_end: float
-    snapshots: list
-    ledger: list
-    influx: float
-    outflux: float
-    clamped: float
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def initial(self) -> FlowState:
-        return self.snapshots[0]
-
-    @property
-    def final(self) -> FlowState:
-        return self.snapshots[-1]
-
-
-@dataclass
 class Trajectory:
     """All phases of one run plus the cross-phase bookkeeping."""
 
@@ -83,7 +62,7 @@ class Trajectory:
     light_shift: float
     handoff_adjustments: dict
 
-    def phase(self, name: str) -> Phase:
+    def phase(self, name: str) -> SolveResult:
         for p in self.phases:
             if p.name == name:
                 return p
@@ -110,7 +89,7 @@ def split_at(state: FlowState, x_split: float) -> tuple[FlowState, FlowState, fl
     masses sum to the original total exactly.
     """
     grid = state.grid
-    i = int(round((x_split - grid.x_min) / grid.dx))
+    i = grid.face_index(x_split)
     face = grid.x_min + i * grid.dx
     shift = face - x_split
     if i < 4 or grid.n_cells - i < 4:
@@ -177,217 +156,151 @@ def _resample(xt: np.ndarray, xs: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return np.interp(xt, xs, vals)
 
 
-def _phase(name: str, solver: str, t0: float, t1: float, res) -> Phase:
-    return Phase(
-        name=name,
-        solver=solver,
-        t_start=t0,
-        t_end=t1,
-        snapshots=res.snapshots,
-        ledger=res.ledger,
-        influx=res.influx,
-        outflux=res.outflux,
-        clamped=res.clamped,
-        metadata=res.metadata,
-    )
+def run(s: Scenario) -> Trajectory:
+    """Run one signal cycle of the scenario's model.
 
-
-def _snapped_geometry(s: Scenario):
-    grid = s.grid
+    Free flow up to the flashing green; a split at the braking-zone start;
+    the upstream braking flow and the downstream released flow through the
+    red phase; a merge at the green light; free flow again up to t_end.
+    """
+    violations = validate_scenario(s)
+    if violations:
+        raise ScenarioError(violations)
     tm = s.timing
-    i_split = int(round((tm.x0 - tm.h - grid.x_min) / grid.dx))
-    i_light = int(round((tm.x0 - grid.x_min) / grid.dx))
+    grid = s.grid
+    i_split = grid.face_index(tm.x0 - tm.h)
     x_split = grid.x_min + i_split * grid.dx
-    x_light = grid.x_min + i_light * grid.dx
-    return x_split, x_light, x_split - (tm.x0 - tm.h), x_light - tm.x0
-
-
-def _braking(s: Scenario, v_handoff: float):
-    if s.braking is not None:
-        return s.braking
-    x_split, x_light, _, _ = _snapped_geometry(s)
-    snapped = type(s.timing)(
-        x0=x_light, t0=s.timing.t0, tau0=s.timing.tau0, tau1=s.timing.tau1,
-        h=x_light - x_split,
-    )
-    return default_braking_profile(snapped, v_handoff)
-
-
-def run_first_model(s: Scenario) -> Trajectory:
-    """Hyperbolic free flow and downstream release, viscous braking flow."""
-    violations = validate_scenario(s)
-    if violations:
-        raise ScenarioError(violations)
-    tm = s.timing
-    grid = s.grid
-    x_split, x_light, split_shift, light_shift = _snapped_geometry(s)
+    x_light = grid.x_min + grid.face_index(tm.x0) * grid.dx
     t_brake = tm.t0 - tm.tau0
     t_green = tm.t0 + tm.tau1
+    if s.model == "second":
+        model = _SecondModel(s, x_split, grid.n_cells - i_split)
+    else:
+        model = _FirstModel(s, x_split)
 
-    open_bc = hyp.HyperbolicBoundary(left=hyp.INFLOW, right=hyp.OUTFLOW, inflow=s.inflow)
+    free = _run_phase("free_flow", model.free_flow, t_brake)
+    v_handoff, source, released = model.split(free.final)
+    braking = s.braking
+    if braking is None:
+        snapped = replace(tm, x0=x_light, h=x_light - x_split)
+        braking = default_braking_profile(snapped, v_handoff)
+    upstream = _run_phase(
+        "upstream_braking", _braking_flow, s, braking, source, i_split, t_brake, t_green
+    )
+    downstream = _run_phase("downstream_release", model.release, released, t_green)
+    merged = merge(upstream.final, downstream.final, model.merge_grid, x_light, t_green)
+    resume = _run_phase("resume", model.open_road, merged, s.t_end)
 
-    # Phase 1: free flow on the full road up to the flashing green.
+    return Trajectory(
+        scenario=s,
+        phases=[free, upstream, downstream, resume],
+        compatibility_residual=upstream.metadata.get("compatibility_residual"),
+        split_shift=x_split - (tm.x0 - tm.h),
+        light_shift=x_light - tm.x0,
+        handoff_adjustments=_adjustments(free, upstream, downstream, resume),
+    )
+
+
+def _run_phase(name: str, solve, *args) -> SolveResult:
+    """Call one phase's solver and name its result; a failure names the phase."""
     try:
-        free = hyp.solve_hyperbolic(
-            initial_state(s), open_bc, s.force, t_brake,
-            cfl=s.cfl, snapshot_interval=s.snapshot_interval,
-        )
+        result = solve(*args)
     except Exception as e:  # noqa: BLE001 - annotate the failing phase
-        raise PhaseError("free_flow", e) from e
-    phases = [_phase("free_flow", "hyperbolic", 0.0, t_brake, free)]
+        raise PhaseError(name, e) from e
+    return replace(result, name=name)
 
-    up0, down0, _ = split_at(free.final, x_split)
-    v_handoff = float(up0.v[-1])
-    braking = _braking(s, v_handoff)
 
-    # Phase 2a: braking flow upstream of the light, moving right boundary.
-    domain = par.MovingDomain(left=grid.x_min, right_of_t=braking.gamma,
-                              n_cells=up0.grid.n_cells)
-    rho_b, v_b = _to_nodes(up0, domain, t_brake)
-    pb = par.ParabolicBoundary(
-        left_v=s.inflow.v_in, left_rho=s.inflow.rho_in, right_v=braking.V
-    )
-    try:
-        upstream = par.solve_parabolic(
-            rho_b, v_b, domain, pb, s.mu, None, t_brake, t_green,
-            dt=s.parabolic_dt, snapshot_interval=s.snapshot_interval,
-        )
-    except Exception as e:  # noqa: BLE001
-        raise PhaseError("upstream_braking", e) from e
-    phases.append(_phase("upstream_braking", "parabolic", t_brake, t_green, upstream))
-
-    # Phase 2b: released flow downstream, no traffic through the split point.
-    vac_bc = hyp.HyperbolicBoundary(left=hyp.VACUUM, right=hyp.OUTFLOW)
-    try:
-        downstream = hyp.solve_hyperbolic(
-            down0, vac_bc, s.force, t_green,
-            cfl=s.cfl, snapshot_interval=s.snapshot_interval,
-        )
-    except Exception as e:  # noqa: BLE001
-        raise PhaseError("downstream_release", e) from e
-    phases.append(
-        _phase("downstream_release", "hyperbolic", t_brake, t_green, downstream)
-    )
-
-    merged = merge(upstream.snapshots[-1], downstream.final, grid, x_light, t_green)
-
-    # Phase 3: resume free flow on the full road.
-    try:
-        resume = hyp.solve_hyperbolic(
-            merged, open_bc, s.force, s.t_end,
-            cfl=s.cfl, snapshot_interval=s.snapshot_interval,
-        )
-    except Exception as e:  # noqa: BLE001
-        raise PhaseError("resume", e) from e
-    phases.append(_phase("resume", "hyperbolic", t_green, s.t_end, resume))
-
-    adjustments = _adjustments(free, upstream, downstream, resume)
-    return Trajectory(
-        scenario=s,
-        phases=phases,
-        compatibility_residual=upstream.metadata.get("compatibility_residual"),
-        split_shift=split_shift,
-        light_shift=light_shift,
-        handoff_adjustments=adjustments,
+def _viscous(s: Scenario, domain, boundary, force, rho, v, t_start, t_end):
+    return par.solve_parabolic(
+        rho, v, domain, boundary, s.mu, force, t_start, t_end,
+        dt=s.parabolic_dt, snapshot_interval=s.snapshot_interval,
     )
 
 
-def run_second_model(s: Scenario) -> Trajectory:
-    """Viscous equations on every phase; force off upstream during the red."""
-    violations = validate_scenario(s)
-    if violations:
-        raise ScenarioError(violations)
-    tm = s.timing
-    grid = s.grid
-    x_split, x_light, split_shift, light_shift = _snapped_geometry(s)
-    t_brake = tm.t0 - tm.tau0
-    t_green = tm.t0 + tm.tau1
-
-    full = par.MovingDomain(left=grid.x_min, right_of_t=grid.x_max,
-                            n_cells=grid.n_cells)
-    open_bc = par.ParabolicBoundary.from_inflow(s.inflow)
-
-    nodes0 = full.nodes(0.0)
-    rho0 = sample_profile(s.rho0, nodes0)
-    v0 = sample_profile(s.v0, nodes0)
-    try:
-        free = par.solve_parabolic(
-            rho0, v0, full, open_bc, s.mu, s.force, 0.0, t_brake,
-            dt=s.parabolic_dt, snapshot_interval=s.snapshot_interval,
-        )
-    except Exception as e:  # noqa: BLE001
-        raise PhaseError("free_flow", e) from e
-    phases = [_phase("free_flow", "parabolic", 0.0, t_brake, free)]
-
-    free_x = free.final.grid.centers
-    v_handoff = float(np.interp(x_split, free_x, free.final.v))
-    braking = _braking(s, v_handoff)
-
-    # Upstream braking flow (force off, moving boundary).
-    n_up = max(4, int(round((x_split - grid.x_min) / grid.dx)))
-    dom_up = par.MovingDomain(left=grid.x_min, right_of_t=braking.gamma, n_cells=n_up)
-    up_nodes = dom_up.nodes(t_brake)
-    rho_b = _resample(up_nodes, free_x, free.final.rho)
-    v_b = _resample(up_nodes, free_x, free.final.v)
-    pb = par.ParabolicBoundary(
-        left_v=s.inflow.v_in, left_rho=s.inflow.rho_in, right_v=braking.V
-    )
-    try:
-        upstream = par.solve_parabolic(
-            rho_b, v_b, dom_up, pb, s.mu, None, t_brake, t_green,
-            dt=s.parabolic_dt, snapshot_interval=s.snapshot_interval,
-        )
-    except Exception as e:  # noqa: BLE001
-        raise PhaseError("upstream_braking", e) from e
-    phases.append(_phase("upstream_braking", "parabolic", t_brake, t_green, upstream))
-
-    # Downstream released flow: sealed left boundary (no traffic through it).
-    n_down = max(4, grid.n_cells - int(round((x_split - grid.x_min) / grid.dx)))
-    dom_down = par.MovingDomain(left=x_split, right_of_t=grid.x_max, n_cells=n_down)
-    down_nodes = dom_down.nodes(t_brake)
-    rho_c = _resample(down_nodes, free_x, free.final.rho)
-    v_c = _resample(down_nodes, free_x, free.final.v)
-    sealed = par.ParabolicBoundary(left_v=lambda t: 0.0, left_rho=lambda t: 0.0)
-    try:
-        downstream = par.solve_parabolic(
-            rho_c, v_c, dom_down, sealed, s.mu, s.force, t_brake, t_green,
-            dt=s.parabolic_dt, snapshot_interval=s.snapshot_interval,
-        )
-    except Exception as e:  # noqa: BLE001
-        raise PhaseError("downstream_release", e) from e
-    phases.append(
-        _phase("downstream_release", "parabolic", t_brake, t_green, downstream)
-    )
-
-    merged = merge(
-        upstream.snapshots[-1], downstream.snapshots[-1],
-        par.node_grid(grid.x_min, grid.x_max, grid.n_cells), x_light, t_green,
-    )
-
-    try:
-        resume = par.solve_parabolic(
-            merged.rho, merged.v, full, open_bc, s.mu, s.force, t_green, s.t_end,
-            dt=s.parabolic_dt, snapshot_interval=s.snapshot_interval,
-        )
-    except Exception as e:  # noqa: BLE001
-        raise PhaseError("resume", e) from e
-    phases.append(_phase("resume", "parabolic", t_green, s.t_end, resume))
-
-    adjustments = _adjustments(free, upstream, downstream, resume)
-    return Trajectory(
-        scenario=s,
-        phases=phases,
-        compatibility_residual=upstream.metadata.get("compatibility_residual"),
-        split_shift=split_shift,
-        light_shift=light_shift,
-        handoff_adjustments=adjustments,
-    )
-
-
-def _to_nodes(cells: FlowState, domain: par.MovingDomain, t: float):
+def _to_nodes(source: FlowState, domain: par.MovingDomain, t: float):
     nodes = domain.nodes(t)
-    xc = cells.grid.centers
-    return _resample(nodes, xc, cells.rho), _resample(nodes, xc, cells.v)
+    xs = source.grid.centers
+    return _resample(nodes, xs, source.rho), _resample(nodes, xs, source.v)
+
+
+def _braking_flow(s: Scenario, braking, source: FlowState, n_cells: int,
+                  t_start: float, t_end: float) -> SolveResult:
+    """Viscous flow upstream of the light against the moving braking
+    boundary, driver force off; the same in both models."""
+    domain = par.MovingDomain(left=s.grid.x_min, right_of_t=braking.gamma,
+                              n_cells=n_cells)
+    boundary = par.ParabolicBoundary(
+        left_v=s.inflow.v_in, left_rho=s.inflow.rho_in, right_v=braking.V
+    )
+    return _viscous(s, domain, boundary, None, *_to_nodes(source, domain, t_start),
+                    t_start, t_end)
+
+
+class _FirstModel:
+    """Hyperbolic flow on the cell grid outside the braking zone."""
+
+    def __init__(self, s: Scenario, x_split: float):
+        self.s = s
+        self.x_split = x_split
+        self.merge_grid = s.grid
+        self.open_bc = hyp.HyperbolicBoundary(
+            left=hyp.INFLOW, right=hyp.OUTFLOW, inflow=s.inflow
+        )
+
+    def _solve(self, state: FlowState, boundary, t_end: float) -> SolveResult:
+        return hyp.solve_hyperbolic(
+            state, boundary, self.s.force, t_end,
+            cfl=self.s.cfl, snapshot_interval=self.s.snapshot_interval,
+        )
+
+    def free_flow(self, t_end: float) -> SolveResult:
+        return self.open_road(initial_state(self.s), t_end)
+
+    def split(self, free: FlowState):
+        """(handoff velocity, braking-flow source, released-flow start)."""
+        up, down, _ = split_at(free, self.x_split)
+        return float(up.v[-1]), up, down
+
+    def release(self, down: FlowState, t_end: float) -> SolveResult:
+        # no traffic enters through the split point
+        vacuum = hyp.HyperbolicBoundary(left=hyp.VACUUM, right=hyp.OUTFLOW)
+        return self._solve(down, vacuum, t_end)
+
+    def open_road(self, state: FlowState, t_end: float) -> SolveResult:
+        return self._solve(state, self.open_bc, t_end)
+
+
+class _SecondModel:
+    """Viscous flow on the node grid in every phase; the released flow runs on
+    the strip above the split with its upstream end sealed."""
+
+    def __init__(self, s: Scenario, x_split: float, n_strip: int):
+        g = s.grid
+        self.s = s
+        self.x_split = x_split
+        self.merge_grid = par.node_grid(g.x_min, g.x_max, g.n_cells)
+        self.road = par.MovingDomain(left=g.x_min, right_of_t=g.x_max, n_cells=g.n_cells)
+        self.strip = par.MovingDomain(left=x_split, right_of_t=g.x_max, n_cells=n_strip)
+        self.open_bc = par.ParabolicBoundary(left_v=s.inflow.v_in, left_rho=s.inflow.rho_in)
+
+    def free_flow(self, t_end: float) -> SolveResult:
+        nodes = self.road.nodes(0.0)
+        rho0 = sample_profile(self.s.rho0, nodes)
+        v0 = sample_profile(self.s.v0, nodes)
+        return _viscous(self.s, self.road, self.open_bc, self.s.force, rho0, v0, 0.0, t_end)
+
+    def split(self, free: FlowState):
+        """(handoff velocity, braking-flow source, released-flow start)."""
+        return float(np.interp(self.x_split, free.grid.centers, free.v)), free, free
+
+    def release(self, free: FlowState, t_end: float) -> SolveResult:
+        sealed = par.ParabolicBoundary(left_v=lambda t: 0.0, left_rho=lambda t: 0.0)
+        return _viscous(self.s, self.strip, sealed, self.s.force,
+                        *_to_nodes(free, self.strip, free.t), free.t, t_end)
+
+    def open_road(self, state: FlowState, t_end: float) -> SolveResult:
+        return _viscous(self.s, self.road, self.open_bc, self.s.force,
+                        state.rho, state.v, state.t, t_end)
 
 
 def _adjustments(free, upstream, downstream, resume) -> dict:
@@ -402,12 +315,6 @@ def _adjustments(free, upstream, downstream, resume) -> dict:
         upstream.ledger[-1]["total_mass"] + downstream.ledger[-1]["total_mass"]
     )
     return {"split": split_adj, "merge": merge_adj}
-
-
-def run(s: Scenario) -> Trajectory:
-    if s.model == "second":
-        return run_second_model(s)
-    return run_first_model(s)
 
 
 def mass_balance_report(traj: Trajectory) -> dict:

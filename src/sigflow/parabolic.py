@@ -16,14 +16,14 @@ the mesh nodes (the boundary values are then part of the snapshot).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .domain import BoundaryData, FlowState, ForceLaw, RoadGrid
-from .hyperbolic import MassLedger, SolveResult, StepReport
+from .domain import FlowState, ForceLaw, RoadGrid
+from .hyperbolic import SolveResult, StepReport, march
 
 # Floor applied to the density in the diffusion coefficient mu/rho only;
 # a numerical guard, not a modeling choice.
@@ -69,29 +69,6 @@ class ParabolicBoundary:
     left_v: Callable[[float], float]
     left_rho: Callable[[float], float]
     right_v: Union[Callable[[float], float], str] = EXTRAPOLATE
-    right_rho: str = EXTRAPOLATE
-
-    @staticmethod
-    def from_inflow(inflow: BoundaryData, right_v=EXTRAPOLATE) -> "ParabolicBoundary":
-        return ParabolicBoundary(
-            left_v=inflow.v_in, left_rho=inflow.rho_in, right_v=right_v
-        )
-
-
-def rescale_to_unit(
-    x: np.ndarray, values: np.ndarray, left: float, right: float, n_nodes: int
-):
-    """Resample values given at positions x onto n_nodes equally spaced
-    points of [0, 1] representing [left, right]; returns (y, resampled)."""
-    if right <= left:
-        raise ValueError(f"right ({right}) must exceed left ({left})")
-    y = np.arange(n_nodes) / (n_nodes - 1)
-    phys = left + y * (right - left)
-    return y, np.interp(phys, x, values)
-
-
-def unit_to_physical(y: np.ndarray, left: float, right: float) -> np.ndarray:
-    return left + np.asarray(y) * (right - left)
 
 
 def node_grid(left: float, right: float, n_intervals: int) -> RoadGrid:
@@ -202,9 +179,7 @@ def step_viscous(
     clamped = 0.0
     if np.any(rho_new < 0):
         # upwinding with CFL <= 1 keeps density non-negative up to roundoff
-        w = np.full_like(rho_new, dy)
-        w[0] = w[-1] = 0.5 * dy
-        clamped = float(-L_new * np.sum(w * np.minimum(rho_new, 0.0)))
+        clamped = -_trapezoid_mass(np.minimum(rho_new, 0.0), L_new, dy)
         rho_new = np.maximum(rho_new, 0.0)
 
     report = StepReport(
@@ -231,8 +206,6 @@ def solve_parabolic(
     coordinates; the run metadata reports the residual between the
     prescribed downstream velocity and the handed-off velocity there.
     """
-    if t_end < t_start:
-        raise ValueError(f"t_end = {t_end} precedes t_start = {t_start}")
     n = domain.n_cells
     dy = 1.0 / n
     rho = np.array(initial_rho, dtype=float)
@@ -248,36 +221,18 @@ def solve_parabolic(
     else:
         compat_residual = None
 
-    ledger = MassLedger()
-    snapshots = [node_state(domain, t_start, rho, v)]
-    L0 = domain.right(t_start) - domain.left
-    ledger.record(t_start, _trapezoid_mass(rho, L0, dy))
+    def advance(state, t: float, h: float):
+        v, rho, report = step_viscous(*state, t, h, mu, boundary, domain, force)
+        return (v, rho), report
 
-    horizon = t_end - t_start
-    if snapshot_interval is None or snapshot_interval <= 0:
-        snapshot_interval = horizon if horizon > 0 else 1.0
-
-    t = t_start
-    k_snap = 1
-    while t < t_end - 1e-13:
-        t_next = min(t_start + k_snap * snapshot_interval, t_end)
-        h = min(dt, t_next - t)
-        v, rho, report = step_viscous(v, rho, t, h, mu, boundary, domain, force)
-        t = t + h
-        ledger.absorb(report)
-        if t >= t_next - 1e-13:
-            t = t_next  # land exactly on the snapshot time
-            snapshots.append(node_state(domain, t, rho, v))
-            L = domain.right(t) - domain.left
-            ledger.record(t, _trapezoid_mass(rho, L, dy))
-            k_snap += 1
-
-    return SolveResult(
-        snapshots=snapshots,
-        ledger=ledger.records,
-        influx=ledger.inflow_cum,
-        outflux=ledger.outflow_cum,
-        clamped=ledger.clamped_cum,
+    return march(
+        (v, rho), t_start, t_end, snapshot_interval,
+        max_dt=lambda state: dt,
+        advance=advance,
+        snapshot=lambda state, t: node_state(domain, t, state[1], state[0]),
+        mass=lambda state, t: _trapezoid_mass(
+            state[1], domain.right(t) - domain.left, dy
+        ),
         metadata={
             "solver": "parabolic",
             "dt": dt,

@@ -1,7 +1,7 @@
 """Named analytic profiles for initial and boundary data.
 
 Scenario files describe rho0/v0/inflow either as a call-style preset
-string, e.g. ``sine_density(base=0.1, amp=0.05, wavelength=200)``, or as
+string, e.g. ``sine(base=0.1, amp=0.05, wavelength=200)``, or as
 an inline sampled table.  Every preset builds a vectorized callable.
 """
 
@@ -67,8 +67,6 @@ PRESETS = {
     "constant": constant,
     "linear_ramp": linear_ramp,
     "sine": sine,
-    "sine_density": sine,
-    "sine_velocity": sine,
     "plateau": plateau,
 }
 

@@ -66,13 +66,13 @@ def stationary_scenario(model="first", n_cells=120):
 
 @pytest.fixture(scope="session")
 def first_model_trajectory():
-    from sigflow import run_first_model
+    from sigflow import run
 
-    return run_first_model(reference_scenario("first"))
+    return run(reference_scenario("first"))
 
 
 @pytest.fixture(scope="session")
 def second_model_trajectory():
-    from sigflow import run_second_model
+    from sigflow import run
 
-    return run_second_model(reference_scenario("second"))
+    return run(reference_scenario("second"))

@@ -26,8 +26,6 @@ from sigflow import (
     merge,
     reconstruct_physical,
     run,
-    run_first_model,
-    run_second_model,
     solve_hyperbolic,
     solve_parabolic,
     split_at,
@@ -291,13 +289,13 @@ class TestCriterion9Stationarity:
         devs = {}
         s1 = stationary_scenario("first")
         ref1 = initial_state(s1)
-        f1 = run_first_model(s1).final
+        f1 = run(s1).final
         devs["first"] = max(
             float(np.max(np.abs(f1.rho - ref1.rho))), float(np.max(np.abs(f1.v)))
         )
 
         s2 = stationary_scenario("second")
-        f2 = run_second_model(s2).final
+        f2 = run(s2).final
         from sigflow.domain import sample_profile
 
         rho_ref = sample_profile(s2.rho0, f2.grid.centers)

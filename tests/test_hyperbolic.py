@@ -143,6 +143,15 @@ class TestSolve:
         )
         assert [s.t for s in res.snapshots] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
+    def test_last_snapshot_lands_on_t_end_exactly(self):
+        # 3 * 0.7 rounds to just below 2.1; the run must still end at 2.1
+        res = solve_hyperbolic(
+            uniform_state(), HyperbolicBoundary(left=VACUUM, right=OUTFLOW), None,
+            2.1, snapshot_interval=0.7,
+        )
+        assert len(res.snapshots) == 4
+        assert res.final.t == res.ledger[-1]["t"] == 2.1
+
     def test_vacuum_left_boundary_mass_never_increases(self):
         g = RoadGrid(0.0, 200.0, 80)
         rho = np.full(80, 0.12)

@@ -9,7 +9,6 @@ from sigflow import (
     RoadGrid,
     advance_characteristics,
     estimate_breakdown_time,
-    invert_initial_map,
     reconstruct_physical,
     to_mass_coordinates,
 )
@@ -54,13 +53,6 @@ class TestToMassCoordinates:
 
 
 class TestInverseMap:
-    def test_constant_density_inverse(self):
-        s = state_from(lambda x: np.full_like(x, 0.1), lambda x: np.full_like(x, 5.0))
-        gamma0 = invert_initial_map(to_mass_coordinates(s))
-        assert gamma0(0.0) == pytest.approx(0.0)
-        assert gamma0(1.0) == pytest.approx(10.0)
-        assert gamma0(5.0) == pytest.approx(50.0)
-
     def test_positions_invert_the_forward_map_exactly(self):
         rng = np.random.default_rng(9)
         s = state_from(lambda x: 0.05 + 0.1 * np.abs(np.cos(x / 11.0)) + 0.02,
@@ -70,14 +62,6 @@ class TestInverseMap:
         np.testing.assert_allclose(
             x, np.concatenate(([0.0], s.grid.centers)), rtol=0, atol=1e-10
         )
-
-    def test_out_of_range_rejected(self):
-        s = state_from(lambda x: np.full_like(x, 0.1), lambda x: np.zeros_like(x))
-        gamma0 = invert_initial_map(to_mass_coordinates(s))
-        with pytest.raises(ValueError):
-            gamma0(-1.0)
-        with pytest.raises(ValueError):
-            gamma0(1e6)
 
 
 class TestAdvance:

@@ -13,12 +13,11 @@ from sigflow import (
     mass_balance_report,
     merge,
     run,
-    run_first_model,
     solve_hyperbolic,
     split_at,
 )
 from sigflow.hyperbolic import INFLOW, OUTFLOW, VACUUM
-from sigflow.orchestrator import Trajectory, _phase
+from sigflow.orchestrator import Trajectory
 from tests.conftest import reference_scenario
 
 
@@ -135,7 +134,7 @@ class TestRunFirstModel:
             s, rho0=zero, v0=zero,
             inflow=BoundaryData(rho_in=lambda t: 0.0, v_in=lambda t: 0.0),
         )
-        traj = run_first_model(s)
+        traj = run(s)
         for snap in traj.snapshots:
             assert np.all(snap.rho == 0.0)
             assert np.all(snap.v == 0.0)
@@ -143,23 +142,39 @@ class TestRunFirstModel:
     def test_invalid_scenario_raises_with_violations(self):
         s = dataclasses.replace(reference_scenario(), mu=-1.0)
         with pytest.raises(ScenarioError) as exc:
-            run_first_model(s)
+            run(s)
         assert any("mu" in v for v in exc.value.violations)
-
-    def test_phase_failures_are_annotated(self):
-        # a step far beyond the advective mesh CFL fails inside the braking phase
-        s = dataclasses.replace(reference_scenario(), parabolic_dt=0.5)
-        with pytest.raises(PhaseError) as exc:
-            run_first_model(s)
-        assert exc.value.phase == "upstream_braking"
 
     def test_determinism(self):
         s = reference_scenario(n_cells=80)
-        a = run_first_model(s)
-        b = run_first_model(s)
+        a = run(s)
+        b = run(s)
         np.testing.assert_array_equal(a.final.rho, b.final.rho)
         np.testing.assert_array_equal(a.final.v, b.final.v)
         assert mass_balance_report(a) == mass_balance_report(b)
+
+
+class TestRun:
+    @pytest.mark.parametrize("model, phase", [
+        ("first", "upstream_braking"),  # viscous only in the braking phase
+        ("second", "free_flow"),
+    ])
+    def test_phase_failures_are_annotated(self, model, phase):
+        # a step far beyond the advective mesh CFL fails in the first viscous phase
+        s = dataclasses.replace(reference_scenario(model), parabolic_dt=0.5)
+        with pytest.raises(PhaseError) as exc:
+            run(s)
+        assert exc.value.phase == phase
+
+    @pytest.mark.parametrize("model", ["first", "second"])
+    @pytest.mark.parametrize("x0, h", [(70.0, 65.0), (598.0, 2.0)])
+    def test_split_near_a_road_end_is_rejected(self, model, x0, h):
+        # dx = 4: x0 - h snaps to face 1 (near x_min) or face 149 (near x_max)
+        timing = dataclasses.replace(reference_scenario().timing, x0=x0, h=h)
+        s = dataclasses.replace(reference_scenario(model), timing=timing)
+        with pytest.raises(ScenarioError) as exc:
+            run(s)
+        assert any(v.startswith("timing.x0/h") for v in exc.value.violations)
 
 
 class TestRunSecondModel:
@@ -186,7 +201,7 @@ class TestRunSecondModel:
             s1 = reference_scenario("first", n_cells=100, mu=mu, force=None,
                                     v0_amp=2.0, t_end=20.0)
             s2 = dataclasses.replace(s1, model="second")
-            f1 = run_first_model(s1).final
+            f1 = run(s1).final
             f2 = run(s2).final
             v2 = np.interp(f1.grid.centers, f2.grid.centers, f2.v)
             r2 = np.interp(f1.grid.centers, f2.grid.centers, f2.rho)
@@ -216,7 +231,7 @@ class TestMassBalanceReport:
             snapshot_interval=1.0,
         )
         traj = Trajectory(
-            scenario=None, phases=[_phase("only", "hyperbolic", 0.0, 5.0, res)],
+            scenario=None, phases=[dataclasses.replace(res, name="only")],
             compatibility_residual=None, split_shift=0.0, light_shift=0.0,
             handoff_adjustments={},
         )

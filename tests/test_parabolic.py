@@ -5,11 +5,10 @@ from sigflow import (
     ForceLaw,
     MovingDomain,
     ParabolicBoundary,
-    rescale_to_unit,
     solve_parabolic,
     step_viscous,
 )
-from sigflow.parabolic import _trapezoid_mass, node_grid, node_state, unit_to_physical
+from sigflow.parabolic import _trapezoid_mass, node_grid, node_state
 
 
 def fixed_domain(n=40, left=0.0, right=100.0):
@@ -23,26 +22,6 @@ def const_boundary(v, rho, right_v="extrapolate"):
 
 
 class TestGeometry:
-    def test_rescale_identity_on_uniform(self):
-        x = np.linspace(0.0, 100.0, 21)
-        y, vals = rescale_to_unit(x, np.full(21, 3.0), 0.0, 100.0, 21)
-        np.testing.assert_allclose(vals, 3.0)
-        assert y[0] == 0.0 and y[-1] == 1.0
-
-    def test_rescale_linear_profile(self):
-        x = np.linspace(0.0, 100.0, 201)
-        vals = 2.0 + 0.05 * x
-        y, out = rescale_to_unit(x, vals, 0.0, 100.0, 11)
-        np.testing.assert_allclose(out, 2.0 + 5.0 * y)
-
-    def test_unit_round_trip(self):
-        y = np.linspace(0.0, 1.0, 9)
-        np.testing.assert_allclose(unit_to_physical(y, 10.0, 50.0), 10.0 + 40.0 * y)
-
-    def test_rejects_degenerate_interval(self):
-        with pytest.raises(ValueError):
-            rescale_to_unit(np.arange(4.0), np.arange(4.0), 5.0, 5.0, 4)
-
     def test_node_grid_centers_are_nodes(self):
         g = node_grid(0.0, 100.0, 20)
         np.testing.assert_allclose(g.centers, np.linspace(0.0, 100.0, 21))
