@@ -1,6 +1,7 @@
 """sigflow: 1-D macroscopic traffic flow through a signalized intersection."""
 
 from .domain import (
+    CLOSED,
     BoundaryData,
     BrakingProfile,
     FlowState,
@@ -15,7 +16,6 @@ from .domain import (
 )
 from .hyperbolic import (
     ConservedState,
-    HyperbolicBoundary,
     cfl_dt,
     numerical_flux,
     solve_hyperbolic,
@@ -38,7 +38,6 @@ from .orchestrator import (
 )
 from .parabolic import (
     MovingDomain,
-    ParabolicBoundary,
     solve_parabolic,
     step_viscous,
 )

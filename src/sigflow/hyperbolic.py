@@ -20,30 +20,6 @@ from .domain import VACUUM_RHO, BoundaryData, FlowState, ForceLaw, RoadGrid
 # Wave-speed floor used for the CFL step when everything is stopped.
 SPEED_FLOOR = 1e-8
 
-INFLOW = "inflow"
-OUTFLOW = "outflow"
-VACUUM = "vacuum"
-
-
-@dataclass(frozen=True)
-class HyperbolicBoundary:
-    """Boundary closure tags: left is inflow or vacuum, right is outflow or vacuum."""
-
-    left: str = INFLOW
-    right: str = OUTFLOW
-    inflow: Optional[BoundaryData] = None
-
-    def __post_init__(self):
-        if self.left not in (INFLOW, VACUUM):
-            raise ValueError(f"left boundary must be inflow or vacuum, got {self.left!r}")
-        if self.right not in (OUTFLOW, VACUUM):
-            raise ValueError(
-                f"right boundary must be outflow or vacuum, got {self.right!r}"
-            )
-        if self.left == INFLOW and self.inflow is None:
-            raise ValueError("inflow boundary requires BoundaryData")
-
-
 @dataclass(frozen=True)
 class ConservedState:
     """Cell-averaged mass and momentum at one time instant."""
@@ -225,32 +201,25 @@ def cfl_dt(state: FlowState, cfl: float) -> float:
     return cfl * state.grid.dx / vmax
 
 
-def _ghosts(state: ConservedState, boundary: HyperbolicBoundary, t: float):
-    v = state.velocities()
-    if boundary.left == INFLOW:
-        # Sampled at the step start: the interior data also represents time t
-        # (the force source has already been applied), so this keeps spatially
-        # uniform accelerating states exactly uniform.
-        lg = (float(boundary.inflow.rho_in(t)), float(boundary.inflow.v_in(t)))
-    else:
-        lg = (0.0, 0.0)
-    if boundary.right == OUTFLOW:
-        rg = (float(state.m[-1]), float(v[-1]))
-    else:
-        rg = (0.0, 0.0)
-    return lg, rg, v
-
-
 def step(
     state: ConservedState,
     dt: float,
-    boundary: HyperbolicBoundary,
+    inflow: BoundaryData,
     force: Optional[ForceLaw],
 ) -> tuple[ConservedState, StepReport]:
-    """One first-order finite-volume update: transport, then force source."""
+    """One first-order finite-volume update: transport, then force source.
+
+    The left ghost cell carries the inflow data; the right ghost copies the
+    last cell (zero-gradient outflow).
+    """
     grid = state.grid
     dx = grid.dx
-    (rho_lg, v_lg), (rho_rg, v_rg), v = _ghosts(state, boundary, state.t)
+    v = state.velocities()
+    # Sampled at the step start: the interior data also represents time t
+    # (the force source has already been applied), so this keeps spatially
+    # uniform accelerating states exactly uniform.
+    rho_lg, v_lg = float(inflow.rho_in(state.t)), float(inflow.v_in(state.t))
+    rho_rg, v_rg = float(state.m[-1]), float(v[-1])
 
     smax = max(float(np.max(np.abs(v))), abs(v_lg), abs(v_rg))
     if smax > 0 and dt * smax / dx > 1.01:
@@ -285,7 +254,7 @@ def step(
 
 def solve_hyperbolic(
     initial: FlowState,
-    boundary: HyperbolicBoundary,
+    inflow: BoundaryData,
     force: Optional[ForceLaw],
     t_end: float,
     cfl: float = 0.5,
@@ -307,7 +276,7 @@ def solve_hyperbolic(
     return march(
         ConservedState.from_flow_state(initial), initial.t, t_end, snapshot_interval,
         max_dt=lambda state: cfl_dt(state.to_flow_state(), cfl),
-        advance=lambda state, t, dt: step(at(state, t), dt, boundary, force),
+        advance=lambda state, t, dt: step(at(state, t), dt, inflow, force),
         snapshot=lambda state, t: at(state, t).to_flow_state(),
         mass=lambda state, t: state.total_mass,
         metadata={"solver": "hyperbolic", "cfl": cfl},

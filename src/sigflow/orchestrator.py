@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .domain import (
+    CLOSED,
     FlowState,
     RoadGrid,
     Scenario,
@@ -32,6 +33,8 @@ from .domain import (
 from . import hyperbolic as hyp
 from . import parabolic as par
 from .hyperbolic import SolveResult
+
+REPORT_SCHEMA_VERSION = 1
 
 
 class ScenarioError(ValueError):
@@ -180,10 +183,8 @@ def run(s: Scenario) -> Trajectory:
 
     free = _run_phase("free_flow", model.free_flow, t_brake)
     v_handoff, source, released = model.split(free.final)
-    braking = s.braking
-    if braking is None:
-        snapped = replace(tm, x0=x_light, h=x_light - x_split)
-        braking = default_braking_profile(snapped, v_handoff)
+    snapped = replace(tm, x0=x_light, h=x_light - x_split)
+    braking = default_braking_profile(snapped, v_handoff)
     upstream = _run_phase(
         "upstream_braking", _braking_flow, s, braking, source, i_split, t_brake, t_green
     )
@@ -210,10 +211,11 @@ def _run_phase(name: str, solve, *args) -> SolveResult:
     return replace(result, name=name)
 
 
-def _viscous(s: Scenario, domain, boundary, force, rho, v, t_start, t_end):
+def _viscous(s: Scenario, domain, inflow, force, rho, v, t_start, t_end,
+             right_v=None):
     return par.solve_parabolic(
-        rho, v, domain, boundary, s.mu, force, t_start, t_end,
-        dt=s.parabolic_dt, snapshot_interval=s.snapshot_interval,
+        rho, v, domain, inflow, s.mu, force, t_start, t_end,
+        dt=s.parabolic_dt, snapshot_interval=s.snapshot_interval, right_v=right_v,
     )
 
 
@@ -229,11 +231,8 @@ def _braking_flow(s: Scenario, braking, source: FlowState, n_cells: int,
     boundary, driver force off; the same in both models."""
     domain = par.MovingDomain(left=s.grid.x_min, right_of_t=braking.gamma,
                               n_cells=n_cells)
-    boundary = par.ParabolicBoundary(
-        left_v=s.inflow.v_in, left_rho=s.inflow.rho_in, right_v=braking.V
-    )
-    return _viscous(s, domain, boundary, None, *_to_nodes(source, domain, t_start),
-                    t_start, t_end)
+    return _viscous(s, domain, s.inflow, None, *_to_nodes(source, domain, t_start),
+                    t_start, t_end, right_v=braking.V)
 
 
 class _FirstModel:
@@ -243,13 +242,10 @@ class _FirstModel:
         self.s = s
         self.x_split = x_split
         self.merge_grid = s.grid
-        self.open_bc = hyp.HyperbolicBoundary(
-            left=hyp.INFLOW, right=hyp.OUTFLOW, inflow=s.inflow
-        )
 
-    def _solve(self, state: FlowState, boundary, t_end: float) -> SolveResult:
+    def _solve(self, state: FlowState, inflow, t_end: float) -> SolveResult:
         return hyp.solve_hyperbolic(
-            state, boundary, self.s.force, t_end,
+            state, inflow, self.s.force, t_end,
             cfl=self.s.cfl, snapshot_interval=self.s.snapshot_interval,
         )
 
@@ -263,11 +259,10 @@ class _FirstModel:
 
     def release(self, down: FlowState, t_end: float) -> SolveResult:
         # no traffic enters through the split point
-        vacuum = hyp.HyperbolicBoundary(left=hyp.VACUUM, right=hyp.OUTFLOW)
-        return self._solve(down, vacuum, t_end)
+        return self._solve(down, CLOSED, t_end)
 
     def open_road(self, state: FlowState, t_end: float) -> SolveResult:
-        return self._solve(state, self.open_bc, t_end)
+        return self._solve(state, self.s.inflow, t_end)
 
 
 class _SecondModel:
@@ -281,25 +276,23 @@ class _SecondModel:
         self.merge_grid = par.node_grid(g.x_min, g.x_max, g.n_cells)
         self.road = par.MovingDomain(left=g.x_min, right_of_t=g.x_max, n_cells=g.n_cells)
         self.strip = par.MovingDomain(left=x_split, right_of_t=g.x_max, n_cells=n_strip)
-        self.open_bc = par.ParabolicBoundary(left_v=s.inflow.v_in, left_rho=s.inflow.rho_in)
 
     def free_flow(self, t_end: float) -> SolveResult:
         nodes = self.road.nodes(0.0)
         rho0 = sample_profile(self.s.rho0, nodes)
         v0 = sample_profile(self.s.v0, nodes)
-        return _viscous(self.s, self.road, self.open_bc, self.s.force, rho0, v0, 0.0, t_end)
+        return _viscous(self.s, self.road, self.s.inflow, self.s.force, rho0, v0, 0.0, t_end)
 
     def split(self, free: FlowState):
         """(handoff velocity, braking-flow source, released-flow start)."""
         return float(np.interp(self.x_split, free.grid.centers, free.v)), free, free
 
     def release(self, free: FlowState, t_end: float) -> SolveResult:
-        sealed = par.ParabolicBoundary(left_v=lambda t: 0.0, left_rho=lambda t: 0.0)
-        return _viscous(self.s, self.strip, sealed, self.s.force,
+        return _viscous(self.s, self.strip, CLOSED, self.s.force,
                         *_to_nodes(free, self.strip, free.t), free.t, t_end)
 
     def open_road(self, state: FlowState, t_end: float) -> SolveResult:
-        return _viscous(self.s, self.road, self.open_bc, self.s.force,
+        return _viscous(self.s, self.road, self.s.inflow, self.s.force,
                         state.rho, state.v, state.t, t_end)
 
 
@@ -349,7 +342,7 @@ def mass_balance_report(traj: Trajectory) -> dict:
     adjustments = sum(traj.handoff_adjustments.values())
     global_residual = (m_end - m_start) - net_flux - adjustments
     return {
-        "schema_version": 1,
+        "schema_version": REPORT_SCHEMA_VERSION,
         "phases": phases,
         "handoff_adjustments": dict(traj.handoff_adjustments),
         "global": {

@@ -9,9 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .domain import FlowState
-from .orchestrator import Trajectory, mass_balance_report
-
-REPORT_SCHEMA_VERSION = 1
+from .orchestrator import REPORT_SCHEMA_VERSION, Trajectory, mass_balance_report
 
 
 def _fmt(x: float) -> str:

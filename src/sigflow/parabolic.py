@@ -22,14 +22,12 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .domain import FlowState, ForceLaw, RoadGrid
+from .domain import BoundaryData, FlowState, ForceLaw, RoadGrid
 from .hyperbolic import SolveResult, StepReport, march
 
 # Floor applied to the density in the diffusion coefficient mu/rho only;
 # a numerical guard, not a modeling choice.
 RHO_COEFF_FLOOR = 1e-9
-
-EXTRAPOLATE = "extrapolate"
 
 
 @dataclass(frozen=True)
@@ -61,16 +59,6 @@ class MovingDomain:
         ) / self.n_cells
 
 
-@dataclass(frozen=True)
-class ParabolicBoundary:
-    """Dirichlet data at the upstream end; prescribed velocity (or a
-    zero-gradient tag) at the downstream end; density extrapolated there."""
-
-    left_v: Callable[[float], float]
-    left_rho: Callable[[float], float]
-    right_v: Union[Callable[[float], float], str] = EXTRAPOLATE
-
-
 def node_grid(left: float, right: float, n_intervals: int) -> RoadGrid:
     """Grid whose cell centers are the n_intervals+1 mesh nodes of [left, right]."""
     s = (right - left) / n_intervals
@@ -96,11 +84,17 @@ def step_viscous(
     t: float,
     dt: float,
     mu: float,
-    boundary: ParabolicBoundary,
+    inflow: BoundaryData,
     domain: MovingDomain,
     force: Optional[ForceLaw],
+    right_v: Optional[Callable[[float], float]] = None,
 ) -> tuple[np.ndarray, np.ndarray, StepReport]:
-    """One semi-implicit update from t to t + dt; returns (v, rho, report)."""
+    """One semi-implicit update from t to t + dt; returns (v, rho, report).
+
+    The upstream node takes the inflow data; the downstream node takes the
+    prescribed velocity right_v, or a zero-gradient closure when it is None.
+    Density is extrapolated at the downstream end.
+    """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     n = domain.n_cells
@@ -139,9 +133,9 @@ def step_viscous(
     sub[1:-1] = -lam[1:-1]
     sup[1:-1] = -lam[1:-1]
 
-    b[0] = float(boundary.left_v(t + dt))
-    if callable(boundary.right_v):
-        b[-1] = float(boundary.right_v(t + dt))
+    b[0] = float(inflow.v_in(t + dt))
+    if right_v is not None:
+        b[-1] = float(right_v(t + dt))
     else:
         # zero-gradient closure: v_n - v_{n-1} = 0
         sub[-1] = -1.0
@@ -152,7 +146,7 @@ def step_viscous(
     ab[1, :] = diag
     ab[2, :-1] = sub[1:]
     v_new = solve_banded((1, 1), ab, b)
-    if callable(boundary.right_v):
+    if right_v is not None:
         v_new[-1] = b[-1]  # keep the Dirichlet value exact
     v_new[0] = b[0]
 
@@ -173,7 +167,7 @@ def step_viscous(
     ) / L_new
     # upstream node: Dirichlet density; the boundary flux is the residual that
     # closes its half control volume, so the mass ledger is exact
-    rho_new[0] = float(boundary.left_rho(t + dt))
+    rho_new[0] = float(inflow.rho_in(t + dt))
     flux_left = flux_mid[0] + (0.5 * dy / dt) * (L_new * rho_new[0] - L_old * rho[0])
 
     clamped = 0.0
@@ -192,19 +186,21 @@ def solve_parabolic(
     initial_rho: np.ndarray,
     initial_v: np.ndarray,
     domain: MovingDomain,
-    boundary: ParabolicBoundary,
+    inflow: BoundaryData,
     mu: float,
     force: Optional[ForceLaw],
     t_start: float,
     t_end: float,
     dt: float,
     snapshot_interval: Optional[float] = None,
+    right_v: Optional[Callable[[float], float]] = None,
 ) -> SolveResult:
     """Advance the viscous system with a fixed time step.
 
     Snapshots are FlowStates on the node mesh mapped back to physical
-    coordinates; the run metadata reports the residual between the
-    prescribed downstream velocity and the handed-off velocity there.
+    coordinates.  right_v prescribes the downstream velocity (None: the
+    zero-gradient closure); the run metadata reports the residual between
+    it and the handed-off velocity there.
     """
     n = domain.n_cells
     dy = 1.0 / n
@@ -216,13 +212,13 @@ def solve_parabolic(
             f"{rho.shape} and {v.shape}"
         )
 
-    if callable(boundary.right_v):
-        compat_residual = abs(float(boundary.right_v(t_start)) - float(v[-1]))
+    if right_v is not None:
+        compat_residual = abs(float(right_v(t_start)) - float(v[-1]))
     else:
         compat_residual = None
 
     def advance(state, t: float, h: float):
-        v, rho, report = step_viscous(*state, t, h, mu, boundary, domain, force)
+        v, rho, report = step_viscous(*state, t, h, mu, inflow, domain, force, right_v)
         return (v, rho), report
 
     return march(

@@ -14,9 +14,7 @@ from sigflow import (
     BoundaryData,
     FlowState,
     ForceLaw,
-    HyperbolicBoundary,
     MovingDomain,
-    ParabolicBoundary,
     RoadGrid,
     SignalTiming,
     advance_characteristics,
@@ -31,7 +29,6 @@ from sigflow import (
     split_at,
     to_mass_coordinates,
 )
-from sigflow.hyperbolic import INFLOW, OUTFLOW
 from tests.conftest import reference_scenario, stationary_scenario
 
 
@@ -48,8 +45,7 @@ class TestCriterion1OracleEquivalence:
         rho0 = lambda x: 0.1 + 0.02 * np.sin(2 * np.pi * np.asarray(x, float) / 200.0)
         inflow = BoundaryData(rho_in=lambda t: 0.1, v_in=lambda t: 10.0)
         init = FlowState(g, rho0(g.centers), np.full(n, 10.0), 0.0)
-        bc = HyperbolicBoundary(left=INFLOW, right=OUTFLOW, inflow=inflow)
-        fv = solve_hyperbolic(init, bc, None, 8.0, cfl=0.5)
+        fv = solve_hyperbolic(init, inflow, None, 8.0, cfl=0.5)
 
         fine = RoadGrid(0.0, 400.0, 4 * n)
         field = to_mass_coordinates(
@@ -84,18 +80,15 @@ class TestCriterion2UniformAcceleration:
 
         g = RoadGrid(0.0, 200.0, 100)
         init = FlowState(g, np.full(100, 0.1), np.full(100, 5.0), 0.0)
-        bc = HyperbolicBoundary(
-            left=INFLOW, right=OUTFLOW,
-            inflow=BoundaryData(rho_in=lambda t: 0.1, v_in=lambda t: 5.0 + 1.5 * t),
-        )
+        bc = BoundaryData(rho_in=lambda t: 0.1, v_in=lambda t: 5.0 + 1.5 * t)
         hyp_dev = float(np.max(np.abs(
             solve_hyperbolic(init, bc, force, 2.0).final.v - 8.0)))
 
         dom = MovingDomain(left=0.0, right_of_t=100.0, n_cells=30)
         ramp = lambda t: 5.0 + 1.5 * t
-        pbc = ParabolicBoundary(left_v=ramp, left_rho=lambda t: 0.1, right_v=ramp)
+        pbc = BoundaryData(rho_in=lambda t: 0.1, v_in=ramp)
         res = solve_parabolic(np.full(31, 0.1), np.full(31, 5.0), dom, pbc,
-                              2.0, force, 0.0, 2.0, 1e-3)
+                              2.0, force, 0.0, 2.0, 1e-3, right_v=ramp)
         par_dev = float(np.max(np.abs(res.final.v - 8.0)))
 
         field = to_mass_coordinates(init)
@@ -195,8 +188,7 @@ class TestCriterion6MaximumPrinciple:
             om = rng.uniform(0.5, 6.0)
             left_v = lambda t, a0=a0, a1=a1, om=om: a0 + a1 * np.sin(om * t)
             rho = np.full(41, rng.uniform(0.05, 0.2))
-            bc = ParabolicBoundary(left_v=left_v,
-                                   left_rho=lambda t, r=rho: float(r[0]))
+            bc = BoundaryData(rho_in=lambda t, r=rho: float(r[0]), v_in=left_v)
             res = solve_parabolic(rho, v0, dom, bc, rng.uniform(0.5, 4.0), None,
                                   0.0, t_end, dt, snapshot_interval=0.05)
             for snap in res.snapshots[1:]:
@@ -321,12 +313,12 @@ class TestCriterion10ParabolicTimeConvergence:
         nodes = dom.nodes(8.0)
         rho = 0.1 + 0.02 * np.sin(2 * np.pi * nodes / 300.0)
         v = 12.0 - 2.0 * np.sin(np.pi * nodes / 340.0)
-        bc = ParabolicBoundary(left_v=lambda t: 12.0, left_rho=lambda t: float(rho[0]),
-                               right_v=braking.V)
+        bc = BoundaryData(rho_in=lambda t: float(rho[0]), v_in=lambda t: 12.0)
 
         finals = []
         for dt in (4e-3, 2e-3, 1e-3, 5e-4):
-            res = solve_parabolic(rho, v, dom, bc, 2.0, None, 8.0, 20.0, dt)
+            res = solve_parabolic(rho, v, dom, bc, 2.0, None, 8.0, 20.0, dt,
+                                  right_v=braking.V)
             finals.append(res.final)
 
         def dist(a, b):

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from sigflow import (
     BoundaryData,
-    BrakingProfile,
     FlowState,
     ForceLaw,
     RoadGrid,
@@ -113,6 +112,8 @@ class TestDefaultBrakingProfile:
         assert b.V(6.0) == 12.0
         assert b.V(10.0) == 0.0
         assert b.V(8.0) == pytest.approx(6.0)
+        gamma = [b.gamma(t) for t in np.linspace(6.0, 15.0, 128)]
+        assert np.all(np.diff(gamma) >= 0.0)
 
     def test_stopped_after_red_onset(self):
         b = default_braking_profile(self.tm, v_handoff=12.0)
@@ -129,12 +130,6 @@ class TestDefaultBrakingProfile:
     def test_rejects_negative_handoff(self):
         with pytest.raises(ValueError):
             default_braking_profile(self.tm, v_handoff=-1.0)
-
-    def test_passes_validation(self):
-        b = default_braking_profile(self.tm, v_handoff=12.0)
-        from sigflow.domain import _check_braking
-
-        assert _check_braking(b, self.tm) == []
 
 
 class TestValidateScenario:
@@ -162,16 +157,6 @@ class TestValidateScenario:
         s = type(s)(**{**s.__dict__, "inflow": BoundaryData(lambda t: -0.1, lambda t: 10.0)})
         msgs = validate_scenario(s)
         assert any("rho_in" in m for m in msgs)
-
-    def test_flags_moving_boundary_after_red(self):
-        s = reference_scenario()
-        bad = BrakingProfile(
-            gamma=lambda t: 340.0 + 5.0 * max(t - 8.0, 0.0),
-            V=lambda t: max(12.0 - 1.5 * (t - 8.0), 0.0),
-        )
-        s = type(s)(**{**s.__dict__, "braking": bad})
-        msgs = validate_scenario(s)
-        assert any("braking" in m for m in msgs)
 
     def test_collects_multiple_violations(self):
         s = reference_scenario()

@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from sigflow import (
+    CLOSED,
     BoundaryData,
     ConservedState,
     FlowState,
     ForceLaw,
-    HyperbolicBoundary,
     RoadGrid,
     cfl_dt,
     numerical_flux,
     solve_hyperbolic,
 )
-from sigflow.hyperbolic import INFLOW, OUTFLOW, VACUUM, step
+from sigflow.hyperbolic import step
 
 
 def uniform_state(n=50, rho=0.1, v=10.0, x_max=100.0, t=0.0):
@@ -67,7 +67,7 @@ class TestCflDt:
 class TestStep:
     def test_uniform_state_is_exactly_preserved(self):
         state = ConservedState.from_flow_state(uniform_state(rho=0.1, v=10.0))
-        bc = HyperbolicBoundary(left=INFLOW, right=OUTFLOW, inflow=inflow_const(0.1, 10.0))
+        bc = inflow_const(0.1, 10.0)
         out, rep = step(state, 0.05, bc, None)
         np.testing.assert_array_equal(out.m, state.m)
         np.testing.assert_array_equal(out.q, state.q)
@@ -76,13 +76,13 @@ class TestStep:
 
     def test_source_is_pointwise(self):
         state = ConservedState.from_flow_state(uniform_state(rho=0.1, v=5.0))
-        bc = HyperbolicBoundary(left=INFLOW, right=OUTFLOW, inflow=inflow_const(0.1, 5.0))
+        bc = inflow_const(0.1, 5.0)
         out, _ = step(state, 0.1, bc, ForceLaw(1.5, 16.0, 4.0))
         np.testing.assert_allclose(out.velocities(), 5.15, rtol=0, atol=1e-13)
 
     def test_rejects_cfl_violation(self):
         state = ConservedState.from_flow_state(uniform_state(v=10.0, n=100))
-        bc = HyperbolicBoundary(left=VACUUM, right=OUTFLOW)
+        bc = CLOSED
         with pytest.raises(ValueError):
             step(state, 1.0, bc, None)  # dx/smax = 0.1
 
@@ -93,7 +93,7 @@ class TestStep:
         v = np.zeros(50)
         v[30:] = 8.0
         state = ConservedState.from_flow_state(FlowState(g, rho, v, 0.0))
-        bc = HyperbolicBoundary(left=VACUUM, right=OUTFLOW)
+        bc = CLOSED
         out, rep = step(state, 0.05, bc, None)
         assert np.all(out.m[:30] == 0.0)
         assert np.all(out.q[:30] == 0.0)
@@ -105,18 +105,14 @@ class TestSolve:
         g = RoadGrid(0.0, 100.0, 50)
         rho = 0.1 + 0.05 * np.sin(2 * np.pi * g.centers / 50.0)
         init = FlowState(g, rho, np.zeros(50), 0.0)
-        bc = HyperbolicBoundary(left=INFLOW, right=OUTFLOW, inflow=inflow_const(0.1, 0.0))
+        bc = inflow_const(0.1, 0.0)
         res = solve_hyperbolic(init, bc, None, 5.0, snapshot_interval=1.0)
         np.testing.assert_array_equal(res.final.rho, rho)
         np.testing.assert_array_equal(res.final.v, np.zeros(50))
 
     def test_uniform_acceleration_with_matched_inflow(self):
         init = uniform_state(rho=0.1, v=5.0)
-        bc = HyperbolicBoundary(
-            left=INFLOW,
-            right=OUTFLOW,
-            inflow=BoundaryData(rho_in=lambda t: 0.1, v_in=lambda t: 5.0 + 1.5 * t),
-        )
+        bc = BoundaryData(rho_in=lambda t: 0.1, v_in=lambda t: 5.0 + 1.5 * t)
         res = solve_hyperbolic(init, bc, ForceLaw(1.5, 16.0, 4.0), 2.0)
         np.testing.assert_allclose(res.final.v, 8.0, rtol=0, atol=1e-10)
         np.testing.assert_allclose(res.final.rho, 0.1, rtol=0, atol=1e-10)
@@ -126,7 +122,7 @@ class TestSolve:
         rho = 0.1 + 0.03 * np.sin(2 * np.pi * g.centers / 100.0)
         v = np.full(80, 9.0)
         init = FlowState(g, rho, v, 0.0)
-        bc = HyperbolicBoundary(left=INFLOW, right=OUTFLOW, inflow=inflow_const(0.1, 9.0))
+        bc = inflow_const(0.1, 9.0)
         res = solve_hyperbolic(init, bc, None, 10.0, snapshot_interval=2.0)
         m0 = res.ledger[0]["total_mass"]
         m1 = res.ledger[-1]["total_mass"]
@@ -136,7 +132,7 @@ class TestSolve:
     def test_snapshots_land_on_cadence(self):
         res = solve_hyperbolic(
             uniform_state(v=10.0),
-            HyperbolicBoundary(left=INFLOW, right=OUTFLOW, inflow=inflow_const(0.1, 10.0)),
+            inflow_const(0.1, 10.0),
             None,
             5.0,
             snapshot_interval=1.0,
@@ -146,7 +142,7 @@ class TestSolve:
     def test_last_snapshot_lands_on_t_end_exactly(self):
         # 3 * 0.7 rounds to just below 2.1; the run must still end at 2.1
         res = solve_hyperbolic(
-            uniform_state(), HyperbolicBoundary(left=VACUUM, right=OUTFLOW), None,
+            uniform_state(), CLOSED, None,
             2.1, snapshot_interval=0.7,
         )
         assert len(res.snapshots) == 4
@@ -157,7 +153,7 @@ class TestSolve:
         rho = np.full(80, 0.12)
         v = np.full(80, 8.0)
         init = FlowState(g, rho, v, 0.0)
-        bc = HyperbolicBoundary(left=VACUUM, right=OUTFLOW)
+        bc = CLOSED
         res = solve_hyperbolic(init, bc, None, 10.0, snapshot_interval=1.0)
         masses = [rec["total_mass"] for rec in res.ledger]
         assert all(b - a <= 1e-12 for a, b in zip(masses, masses[1:]))
@@ -167,19 +163,8 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_hyperbolic(
                 uniform_state(t=5.0),
-                HyperbolicBoundary(left=VACUUM, right=OUTFLOW),
+                CLOSED,
                 None,
                 1.0,
             )
 
-
-class TestBoundaryTags:
-    def test_inflow_requires_data(self):
-        with pytest.raises(ValueError):
-            HyperbolicBoundary(left=INFLOW, right=OUTFLOW, inflow=None)
-
-    def test_rejects_unknown_tags(self):
-        with pytest.raises(ValueError):
-            HyperbolicBoundary(left="periodic", right=OUTFLOW)
-        with pytest.raises(ValueError):
-            HyperbolicBoundary(left=VACUUM, right="inflow")

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from sigflow import (
+    CLOSED,
     BoundaryData,
     FlowState,
-    HyperbolicBoundary,
     PhaseError,
     RoadGrid,
     ScenarioError,
@@ -16,7 +16,6 @@ from sigflow import (
     solve_hyperbolic,
     split_at,
 )
-from sigflow.hyperbolic import INFLOW, OUTFLOW, VACUUM
 from sigflow.orchestrator import Trajectory
 from tests.conftest import reference_scenario
 
@@ -132,7 +131,7 @@ class TestRunFirstModel:
         zero = lambda x: np.zeros_like(np.asarray(x, float))
         s = dataclasses.replace(
             s, rho0=zero, v0=zero,
-            inflow=BoundaryData(rho_in=lambda t: 0.0, v_in=lambda t: 0.0),
+            inflow=CLOSED,
         )
         traj = run(s)
         for snap in traj.snapshots:
@@ -172,6 +171,20 @@ class TestRun:
         # dx = 4: x0 - h snaps to face 1 (near x_min) or face 149 (near x_max)
         timing = dataclasses.replace(reference_scenario().timing, x0=x0, h=h)
         s = dataclasses.replace(reference_scenario(model), timing=timing)
+        with pytest.raises(ScenarioError) as exc:
+            run(s)
+        assert any(v.startswith("timing.x0/h") for v in exc.value.violations)
+
+    @pytest.mark.parametrize("model", ["first", "second"])
+    @pytest.mark.parametrize("x_min, n_cells, h", [(0.0, 150, 1.0), (-100.0, 175, 399.0)])
+    def test_braking_zone_that_snaps_empty_is_rejected(self, model, x_min, n_cells, h):
+        # dx = 4, x0 = 400: x0 - h snaps to the light's face, or to the face at
+        # x = 0, so the rebuilt timing would break 0 < h < x0
+        s = reference_scenario(model)
+        s = dataclasses.replace(
+            s, grid=RoadGrid(x_min, 600.0, n_cells),
+            timing=dataclasses.replace(s.timing, h=h),
+        )
         with pytest.raises(ScenarioError) as exc:
             run(s)
         assert any(v.startswith("timing.x0/h") for v in exc.value.violations)
@@ -227,7 +240,7 @@ class TestMassBalanceReport:
         g = RoadGrid(0.0, 100.0, 40)
         init = FlowState(g, np.full(40, 0.1), np.zeros(40), 0.0)
         res = solve_hyperbolic(
-            init, HyperbolicBoundary(left=VACUUM, right=OUTFLOW), None, 5.0,
+            init, CLOSED, None, 5.0,
             snapshot_interval=1.0,
         )
         traj = Trajectory(
@@ -245,10 +258,7 @@ class TestMassBalanceReport:
         rho = np.where(g.centers < 100.0, 0.1, 0.0)
         v = np.where(g.centers < 100.0, 5.0, 0.0)
         init = FlowState(g, rho, v, 0.0)
-        bc = HyperbolicBoundary(
-            left=INFLOW, right=OUTFLOW,
-            inflow=BoundaryData(rho_in=lambda t: 0.1, v_in=lambda t: 5.0),
-        )
+        bc = BoundaryData(rho_in=lambda t: 0.1, v_in=lambda t: 5.0)
         res = solve_hyperbolic(init, bc, None, 5.0, snapshot_interval=1.0)
         assert res.outflux == 0.0
         m0 = res.ledger[0]["total_mass"]

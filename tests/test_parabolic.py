@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from sigflow import (
+    BoundaryData,
     ForceLaw,
     MovingDomain,
-    ParabolicBoundary,
     solve_parabolic,
     step_viscous,
 )
@@ -15,10 +15,8 @@ def fixed_domain(n=40, left=0.0, right=100.0):
     return MovingDomain(left=left, right_of_t=right, n_cells=n)
 
 
-def const_boundary(v, rho, right_v="extrapolate"):
-    return ParabolicBoundary(
-        left_v=lambda t: v, left_rho=lambda t: rho, right_v=right_v
-    )
+def const_inflow(v, rho):
+    return BoundaryData(rho_in=lambda t: rho, v_in=lambda t: v)
 
 
 class TestGeometry:
@@ -42,8 +40,8 @@ class TestStepViscous:
         n = dom.n_cells
         v = np.full(n + 1, 8.0)
         rho = np.full(n + 1, 0.1)
-        bc = const_boundary(8.0, 0.1, right_v=lambda t: 8.0)
-        v1, rho1, rep = step_viscous(v, rho, 0.0, 1e-3, 2.0, bc, dom, None)
+        v1, rho1, rep = step_viscous(v, rho, 0.0, 1e-3, 2.0, const_inflow(8.0, 0.1),
+                                     dom, None, right_v=lambda t: 8.0)
         np.testing.assert_allclose(v1, 8.0, rtol=0, atol=1e-13)
         np.testing.assert_allclose(rho1, 0.1, rtol=0, atol=1e-15)
         assert rep.clamped == 0.0
@@ -54,8 +52,8 @@ class TestStepViscous:
         rng = np.random.default_rng(7)
         v = 5.0 + rng.uniform(-1.0, 1.0, n + 1)
         rho = np.full(n + 1, 0.1)
-        bc = const_boundary(4.25, 0.09, right_v=lambda t: 6.5)
-        v1, rho1, _ = step_viscous(v, rho, 0.0, 1e-3, 2.0, bc, dom, None)
+        v1, rho1, _ = step_viscous(v, rho, 0.0, 1e-3, 2.0, const_inflow(4.25, 0.09),
+                                   dom, None, right_v=lambda t: 6.5)
         assert v1[0] == 4.25
         assert v1[-1] == 6.5
         assert rho1[0] == 0.09
@@ -65,8 +63,7 @@ class TestStepViscous:
         n = dom.n_cells
         v = np.linspace(4.0, 9.0, n + 1)
         rho = np.full(n + 1, 0.1)
-        bc = const_boundary(4.0, 0.1)
-        v1, _, _ = step_viscous(v, rho, 0.0, 1e-3, 2.0, bc, dom, None)
+        v1, _, _ = step_viscous(v, rho, 0.0, 1e-3, 2.0, const_inflow(4.0, 0.1), dom, None)
         assert v1[-1] == pytest.approx(v1[-2], rel=1e-13)
 
     def test_density_update_matches_donor_cell_formula(self):
@@ -78,8 +75,9 @@ class TestStepViscous:
         rng = np.random.default_rng(3)
         v = 6.0 + rng.uniform(-0.5, 0.5, n + 1)
         rho = 0.1 + rng.uniform(0.0, 0.05, n + 1)
-        bc = const_boundary(float(v[0]), float(rho[0]), right_v=lambda t: float(v[-1]))
-        v1, rho1, _ = step_viscous(v, rho, 0.0, dt, 2.0, bc, dom, None)
+        bc = const_inflow(float(v[0]), float(rho[0]))
+        v1, rho1, _ = step_viscous(v, rho, 0.0, dt, 2.0, bc, dom, None,
+                                   right_v=lambda t: float(v[-1]))
 
         L = 10.0
         w = 0.5 * (v1[:-1] + v1[1:])  # face speeds; the mesh is at rest
@@ -93,9 +91,10 @@ class TestStepViscous:
         n = dom.n_cells
         v = np.zeros(n + 1)
         rho = np.full(n + 1, 0.1)
-        bc = const_boundary(0.0, 0.1, right_v=lambda t: 0.0)
+        bc = const_inflow(0.0, 0.1)
         for k in range(200):
-            v, rho, _ = step_viscous(v, rho, k * 1e-3, 1e-3, 2.0, bc, dom, None)
+            v, rho, _ = step_viscous(v, rho, k * 1e-3, 1e-3, 2.0, bc, dom, None,
+                                     right_v=lambda t: 0.0)
         np.testing.assert_allclose(rho, 0.1, rtol=0, atol=1e-13)
         np.testing.assert_array_equal(v, 0.0)
 
@@ -104,7 +103,7 @@ class TestStepViscous:
         n = dom.n_cells
         v = np.full(n + 1, 10.0)
         rho = np.full(n + 1, 0.1)
-        bc = const_boundary(10.0, 0.1)
+        bc = const_inflow(10.0, 0.1)
         with pytest.raises(RuntimeError):
             step_viscous(v, rho, 0.0, 0.1, 2.0, bc, dom, None)
 
@@ -114,7 +113,7 @@ class TestStepViscous:
         with pytest.raises(ValueError):
             step_viscous(
                 np.zeros(n + 1), np.full(n + 1, 0.1), 0.0, 0.0, 2.0,
-                const_boundary(0.0, 0.1), dom, None,
+                const_inflow(0.0, 0.1), dom, None,
             )
 
 
@@ -124,9 +123,9 @@ class TestSolveParabolic:
         n = dom.n_cells
         rho = 0.1 + 0.04 * np.sin(np.linspace(0.0, np.pi, n + 1))
         v = np.zeros(n + 1)
-        bc = const_boundary(0.0, float(rho[0]), right_v=lambda t: 0.0)
+        bc = const_inflow(0.0, float(rho[0]))
         res = solve_parabolic(rho, v, dom, bc, 2.0, None, 0.0, 3.0, 1e-3,
-                              snapshot_interval=1.0)
+                              snapshot_interval=1.0, right_v=lambda t: 0.0)
         np.testing.assert_array_equal(res.final.v, 0.0)
         np.testing.assert_allclose(res.final.rho, rho, rtol=0, atol=1e-14)
 
@@ -136,9 +135,9 @@ class TestSolveParabolic:
         rho = np.full(n + 1, 0.1)
         v = np.full(n + 1, 5.0)
         ramp = lambda t: 5.0 + 1.5 * t
-        bc = ParabolicBoundary(left_v=ramp, left_rho=lambda t: 0.1, right_v=ramp)
+        bc = BoundaryData(rho_in=lambda t: 0.1, v_in=ramp)
         res = solve_parabolic(rho, v, dom, bc, 2.0, ForceLaw(1.5, 16.0, 4.0),
-                              0.0, 2.0, 1e-3)
+                              0.0, 2.0, 1e-3, right_v=ramp)
         np.testing.assert_allclose(res.final.v, 8.0, rtol=0, atol=1e-10)
 
     def test_mass_ledger_closes(self):
@@ -147,9 +146,7 @@ class TestSolveParabolic:
         rng = np.random.default_rng(11)
         rho = 0.1 + rng.uniform(0.0, 0.05, n + 1)
         v = 8.0 + rng.uniform(-1.0, 1.0, n + 1)
-        bc = ParabolicBoundary(
-            left_v=lambda t: float(v[0]), left_rho=lambda t: float(rho[0])
-        )
+        bc = BoundaryData(rho_in=lambda t: float(rho[0]), v_in=lambda t: float(v[0]))
         res = solve_parabolic(rho, v, dom, bc, 2.0, None, 0.0, 2.0, 1e-3,
                               snapshot_interval=0.5)
         m0 = res.ledger[0]["total_mass"]
@@ -162,8 +159,8 @@ class TestSolveParabolic:
         n = dom.n_cells
         rho = np.full(n + 1, 0.1)
         v = np.full(n + 1, 7.0)
-        bc = const_boundary(7.0, 0.1, right_v=lambda t: 6.25)
-        res = solve_parabolic(rho, v, dom, bc, 2.0, None, 0.0, 0.1, 1e-3)
+        res = solve_parabolic(rho, v, dom, const_inflow(7.0, 0.1), 2.0, None,
+                              0.0, 0.1, 1e-3, right_v=lambda t: 6.25)
         assert res.metadata["compatibility_residual"] == pytest.approx(0.75)
 
     def test_snapshots_carry_boundary_nodes(self):
@@ -171,9 +168,9 @@ class TestSolveParabolic:
         n = dom.n_cells
         rho = np.full(n + 1, 0.1)
         v = np.zeros(n + 1)
-        bc = const_boundary(0.0, 0.1, right_v=lambda t: 0.0)
-        res = solve_parabolic(rho, v, dom, bc, 2.0, None, 0.0, 2.0, 1e-3,
-                              snapshot_interval=1.0)
+        res = solve_parabolic(rho, v, dom, const_inflow(0.0, 0.1), 2.0, None,
+                              0.0, 2.0, 1e-3, snapshot_interval=1.0,
+                              right_v=lambda t: 0.0)
         assert [s.t for s in res.snapshots] == [0.0, 1.0, 2.0]
         for snap in res.snapshots:
             np.testing.assert_allclose(snap.grid.centers[0], 0.0, atol=1e-12)
@@ -185,7 +182,7 @@ class TestSolveParabolic:
         dom = fixed_domain(n=20)
         with pytest.raises(ValueError):
             solve_parabolic(np.full(20, 0.1), np.zeros(20), dom,
-                            const_boundary(0.0, 0.1), 2.0, None, 0.0, 1.0, 1e-3)
+                            const_inflow(0.0, 0.1), 2.0, None, 0.0, 1.0, 1e-3)
 
 
 class TestTrapezoidMass:
