@@ -41,6 +41,6 @@ from .parabolic import (
     solve_parabolic,
     step_viscous,
 )
-from .scenario_io import ScenarioFileError, parse_scenario, serialize_scenario
+from .scenario_io import ScenarioFileError, parse_scenario
 
 __version__ = "0.1.0"

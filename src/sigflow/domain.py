@@ -9,8 +9,8 @@ throughout (m, s, veh/m).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -224,7 +224,6 @@ class Scenario:
     cfl: float = 0.5
     parabolic_dt: float = 1e-3
     snapshot_interval: float = 1.0
-    source: Optional[Mapping] = field(default=None, compare=False)
 
 
 def initial_state(scenario: Scenario) -> FlowState:

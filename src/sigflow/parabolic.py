@@ -3,8 +3,9 @@
 The physical domain [left, right(t)] is mapped to the unit interval; the
 mesh motion enters the advection terms as a relative velocity, so the
 discrete system keeps a fixed size.  Velocity is updated with explicit
-upwind advection plus implicit diffusion (tridiagonal solve, Dirichlet
-values imposed exactly at the boundary nodes); density follows with
+upwind advection plus implicit diffusion (one tridiagonal solve, a direct
+call of LAPACK gtsv on the three diagonals; Dirichlet values imposed
+exactly at the boundary nodes); density follows with
 conservative upwind advection against the freshly updated velocity, so the
 discrete mass change matches the boundary-flux ledger identically.
 
@@ -17,10 +18,11 @@ the mesh nodes (the boundary values are then part of the snapshot).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .domain import BoundaryData, FlowState, ForceLaw, RoadGrid
 from .hyperbolic import SolveResult, StepReport, march
@@ -28,6 +30,38 @@ from .hyperbolic import SolveResult, StepReport, march
 # Floor applied to the density in the diffusion coefficient mu/rho only;
 # a numerical guard, not a modeling choice.
 RHO_COEFF_FLOOR = 1e-9
+
+_gtsv = get_lapack_funcs("gtsv", dtype=np.float64)
+
+
+def solve_banded(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+                 b: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system with LAPACK gtsv; returns the solution.
+
+    sub and sup are the n-1 entries below and above the n-entry main
+    diagonal.  All four arrays are overwritten (the solution is stored in
+    b), so pass arrays the caller no longer needs.  This is the same gtsv
+    call that scipy.linalg.solve_banded((1, 1), ...) makes, without its
+    input validation and band-array copies; the benchmark times it as the
+    viscous step's LAPACK layer.
+    """
+    _, _, _, x, info = _gtsv(sub, diag, sup, b, True, True, True, True)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK gtsv")
+    return x
+
+
+@lru_cache(maxsize=8)
+def _unit_mesh(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only node and face coordinates of the unit interval cut into n."""
+    dy = 1.0 / n
+    y = np.arange(n + 1) * dy
+    y_face = (np.arange(n) + 0.5) * dy
+    y.flags.writeable = False
+    y_face.flags.writeable = False
+    return y, y_face
 
 
 @dataclass(frozen=True)
@@ -99,66 +133,65 @@ def step_viscous(
         raise ValueError(f"dt must be positive, got {dt}")
     n = domain.n_cells
     dy = 1.0 / n
-    y = np.arange(n + 1) * dy
+    y, y_face = _unit_mesh(n)
     L_old = domain.right(t) - domain.left
     L_new = domain.right(t + dt) - domain.left
     Ldot = (L_new - L_old) / dt
 
     # --- velocity: explicit upwind advection + force, implicit diffusion ---
     c = (v - y * Ldot) / L_new  # advective speed relative to the mesh, in y units
-    cmax = float(np.max(np.abs(c)))
+    cmax = float(np.abs(c).max())
     if cmax * dt / dy > 1.0 + 1e-12:
         raise RuntimeError(
             f"advective CFL violated at t = {t}: |c| dt/dy = {cmax * dt / dy:.3f} > 1; "
             "reduce the parabolic time step"
         )
-    dv_up = np.zeros_like(v)
-    dv_up[1:-1] = np.where(
-        c[1:-1] > 0, (v[1:-1] - v[:-2]) / dy, (v[2:] - v[1:-1]) / dy
-    )
-    rhs = v - dt * c * dv_up
+    # interior rows only: both boundary rows are replaced below
+    dv = (v[1:] - v[:-1]) / dy  # one difference serves both upwind branches
+    c_in = c[1:-1]
+    b = v.astype(float)
+    b[1:-1] -= dt * c_in * np.where(c_in > 0, dv[:-1], dv[1:])
     if force is not None:
-        rhs = rhs + dt * force(np.maximum(v, 0.0))
+        b += dt * force(np.maximum(v, 0.0))
 
     k = mu / np.maximum(rho, RHO_COEFF_FLOOR)
     lam = dt * k / (dy * dy * L_new * L_new)
 
-    # Banded system rows: sub, diag, super.
-    sub = np.zeros(n + 1)
-    diag = np.ones(n + 1)
-    sup = np.zeros(n + 1)
-    b = np.array(rhs)
+    # Tridiagonal rows; the first and last rows carry the boundary conditions.
+    diag = 1.0 + 2.0 * lam
+    diag[0] = diag[-1] = 1.0
+    sup = -lam[:-1]
+    sup[0] = 0.0
+    sub = -lam[1:]
 
-    diag[1:-1] = 1.0 + 2.0 * lam[1:-1]
-    sub[1:-1] = -lam[1:-1]
-    sup[1:-1] = -lam[1:-1]
-
-    b[0] = float(inflow.v_in(t + dt))
+    v_left = float(inflow.v_in(t + dt))
+    b[0] = v_left
     if right_v is not None:
-        b[-1] = float(right_v(t + dt))
+        v_right = float(right_v(t + dt))
+        sub[-1] = 0.0
+        b[-1] = v_right
     else:
         # zero-gradient closure: v_n - v_{n-1} = 0
         sub[-1] = -1.0
         b[-1] = 0.0
-
-    ab = np.zeros((3, n + 1))
-    ab[0, 1:] = sup[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = sub[1:]
-    v_new = solve_banded((1, 1), ab, b)
+    # every lam the system uses enters diag, so diag and b cover the input
+    if not (np.isfinite(diag).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    v_new = solve_banded(sub, diag, sup, b)
     if right_v is not None:
-        v_new[-1] = b[-1]  # keep the Dirichlet value exact
-    v_new[0] = b[0]
+        v_new[-1] = v_right  # keep the Dirichlet value exact
+    v_new[0] = v_left
 
     # --- density: conservative upwind advection with the new velocity ---
-    y_face = (np.arange(n) + 0.5) * dy
     w_face = 0.5 * (v_new[:-1] + v_new[1:]) - y_face * Ldot
     rho_up = np.where(w_face > 0, rho[:-1], rho[1:])
     flux_mid = rho_up * w_face
 
     rho_new = np.empty_like(rho)
     # interior nodes own a control volume of width dy
-    rho_new[1:-1] = (L_old * rho[1:-1] - (dt / dy) * np.diff(flux_mid)) / L_new
+    rho_new[1:-1] = (
+        L_old * rho[1:-1] - (dt / dy) * (flux_mid[1:] - flux_mid[:-1])
+    ) / L_new
     # downstream node: half control volume; zero-gradient ghost density
     w_right = v_new[-1] - Ldot
     flux_right = rho[-1] * w_right
@@ -171,7 +204,7 @@ def step_viscous(
     flux_left = flux_mid[0] + (0.5 * dy / dt) * (L_new * rho_new[0] - L_old * rho[0])
 
     clamped = 0.0
-    if np.any(rho_new < 0):
+    if (rho_new < 0).any():
         # upwinding with CFL <= 1 keeps density non-negative up to roundoff
         clamped = -_trapezoid_mass(np.minimum(rho_new, 0.0), L_new, dy)
         rho_new = np.maximum(rho_new, 0.0)

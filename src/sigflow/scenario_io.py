@@ -1,4 +1,4 @@
-"""Scenario file parsing and serialization (YAML key-value documents)."""
+"""Scenario file parsing (YAML key-value documents)."""
 
 from __future__ import annotations
 
@@ -134,7 +134,6 @@ def parse_scenario(text: str) -> Scenario:
         cfl=float(numerics.get("cfl", 0.5)),
         parabolic_dt=float(numerics.get("parabolic_dt", 1e-3)),
         snapshot_interval=float(numerics.get("snapshot_interval", t_end / 50.0)),
-        source=doc,
     )
     violations = validate_scenario(scenario)
     if violations:
@@ -161,13 +160,3 @@ def _build(cls, section: dict, where: str, errors: list):
     except (TypeError, ValueError) as e:
         errors.append(f"{where}: {e}")
         return None
-
-
-def serialize_scenario(scenario: Scenario) -> str:
-    """Dump a scenario parsed from a file back to YAML (uses the retained
-    source document, so the preset vocabulary round-trips)."""
-    if scenario.source is None:
-        raise ValueError(
-            "scenario has no source document; only file-parsed scenarios serialize"
-        )
-    return yaml.safe_dump(dict(scenario.source), sort_keys=True)

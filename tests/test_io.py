@@ -9,7 +9,6 @@ from sigflow import (
     ScenarioFileError,
     parse_scenario,
     run,
-    serialize_scenario,
 )
 from sigflow.cli import main
 from sigflow.output import emit_plot, read_snapshot, write_report, write_snapshot
@@ -117,21 +116,6 @@ class TestParseScenario:
         with pytest.raises(ScenarioFileError) as exc:
             parse_scenario(bad)
         assert any("t_end" in e for e in exc.value.errors)
-
-    def test_round_trip(self):
-        s = parse_scenario(GOOD_DOC)
-        s2 = parse_scenario(serialize_scenario(s))
-        assert s2.grid == s.grid
-        assert s2.timing == s.timing
-        assert s2.mu == s.mu
-        x = np.linspace(0.0, 300.0, 13)
-        np.testing.assert_array_equal(s2.rho0(x), s.rho0(x))
-
-    def test_serialize_requires_source(self):
-        from tests.conftest import reference_scenario
-
-        with pytest.raises(ValueError):
-            serialize_scenario(reference_scenario())
 
 
 class TestSnapshotFiles:

@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sigflow import (
     BoundaryData,
@@ -8,7 +11,7 @@ from sigflow import (
     solve_parabolic,
     step_viscous,
 )
-from sigflow.parabolic import _trapezoid_mass, node_grid, node_state
+from sigflow.parabolic import _trapezoid_mass, node_grid, node_state, solve_banded
 
 
 def fixed_domain(n=40, left=0.0, right=100.0):
@@ -116,6 +119,70 @@ class TestStepViscous:
                 const_inflow(0.0, 0.1), dom, None,
             )
 
+    def test_rejects_non_finite_input(self):
+        dom = fixed_domain()
+        n = dom.n_cells
+        v = np.full(n + 1, 8.0)
+        rho = np.full(n + 1, 0.1)
+        bc = const_inflow(8.0, 0.1)
+        bad_rho = rho.copy()
+        bad_rho[n // 2] = np.nan
+        bad_v = v.copy()
+        bad_v[n // 2] = np.nan
+        for args in ((v, bad_rho), (bad_v, rho)):
+            with pytest.raises(ValueError):
+                step_viscous(*args, 0.0, 1e-3, 2.0, bc, dom, None)
+        with pytest.raises(ValueError):
+            step_viscous(v, rho, 0.0, 1e-3, 2.0, const_inflow(np.inf, 0.1), dom, None)
+        with pytest.raises(ValueError):
+            step_viscous(v, rho, 0.0, 1e-3, 2.0, bc, dom, None, right_v=lambda t: np.nan)
+        # an infinite velocity makes |c| infinite, so the CFL guard sees it first
+        bad_v[n // 2] = np.inf
+        with pytest.raises(RuntimeError, match="CFL"):
+            step_viscous(bad_v, rho, 0.0, 1e-3, 2.0, bc, dom, None)
+
+    @pytest.mark.parametrize("right_v", [None, lambda t: 3.0])
+    def test_leaves_its_arguments_unchanged(self, right_v):
+        dom = MovingDomain(left=0.0, right_of_t=lambda t: 100.0 + 15.0 * t, n_cells=30)
+        n = dom.n_cells
+        rng = np.random.default_rng(3)
+        v = 8.0 + rng.uniform(-1.0, 1.0, n + 1)
+        rho = 0.1 + rng.uniform(0.0, 0.05, n + 1)
+        v0, rho0 = v.copy(), rho.copy()
+        v1, rho1, _ = step_viscous(v, rho, 0.0, 1e-3, 2.0, const_inflow(8.0, 0.1), dom,
+                                   ForceLaw(1.0, 16.0, 4.0), right_v=right_v)
+        np.testing.assert_array_equal(v, v0)
+        np.testing.assert_array_equal(rho, rho0)
+        assert not np.shares_memory(v1, v) and not np.shares_memory(rho1, rho)
+
+
+class TestSolveBanded:
+    @pytest.mark.parametrize("closure", ["dirichlet", "zero_gradient"])
+    @pytest.mark.parametrize("size", [5, 151, 601])
+    def test_bitwise_equal_to_scipy(self, size, closure):
+        # the systems step_viscous builds: identity first row, diagonally
+        # dominant interior rows, and a Dirichlet or zero-gradient last row
+        rng = np.random.default_rng(size)
+        lam = rng.uniform(0.0, 50.0, size)
+        diag = 1.0 + 2.0 * lam
+        diag[0] = diag[-1] = 1.0
+        sup = -lam[:-1]
+        sup[0] = 0.0
+        sub = -lam[1:]
+        sub[-1] = -1.0 if closure == "zero_gradient" else 0.0
+        b = rng.uniform(-10.0, 10.0, size)
+        ab = np.zeros((3, size))
+        ab[0, 1:] = sup
+        ab[1] = diag
+        ab[2, :-1] = sub
+        expected = scipy.linalg.solve_banded((1, 1), ab, b)
+        x = solve_banded(sub.copy(), diag.copy(), sup.copy(), b.copy())
+        assert np.array_equal(x, expected)
+
+    def test_singular_system_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_banded(np.zeros(2), np.zeros(3), np.zeros(2), np.ones(3))
+
 
 class TestSolveParabolic:
     def test_stopped_traffic_stays_stopped(self):
@@ -177,6 +244,22 @@ class TestSolveParabolic:
             np.testing.assert_allclose(
                 snap.grid.centers[-1], dom.right(snap.t), atol=1e-12
             )
+
+    @pytest.mark.parametrize("right_v", [None, lambda t: 0.0])
+    def test_snapshots_share_no_memory(self, right_v):
+        # node_state does not copy the step's arrays, so a buffer reused
+        # across steps would rewrite earlier snapshots
+        dom = MovingDomain(left=0.0, right_of_t=lambda t: 100.0 + 10.0 * t, n_cells=20)
+        n = dom.n_cells
+        rho = np.full(n + 1, 0.1)
+        v = np.full(n + 1, 5.0)
+        res = solve_parabolic(rho, v, dom, const_inflow(5.0, 0.1), 2.0,
+                              ForceLaw(1.0, 16.0, 4.0), 0.0, 0.02, 1e-3,
+                              snapshot_interval=2e-3, right_v=right_v)
+        assert len(res.snapshots) == 11
+        arrays = [a for snap in res.snapshots for a in (snap.rho, snap.v)]
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
 
     def test_rejects_wrong_field_length(self):
         dom = fixed_domain(n=20)
