@@ -61,6 +61,22 @@ class RoadGrid:
         return int(round((x - self.x_min) / self.dx))
 
 
+def check_flow_fields(rho: np.ndarray, v: np.ndarray) -> float:
+    """Raise ValueError unless rho and v are finite, rho >= 0 and v >= -1e-9
+    (the solvers' noise); returns max(v).  Both arrays must be non-empty."""
+    rho_lo, v_lo = np.minimum.reduce(rho), np.minimum.reduce(v)
+    v_hi = np.maximum.reduce(v)
+    # min and max propagate NaN, so together they flag any non-finite entry
+    if not (math.isfinite(rho_lo) and math.isfinite(np.maximum.reduce(rho))
+            and math.isfinite(v_lo) and math.isfinite(v_hi)):
+        raise ValueError("rho and v must be finite")
+    if rho_lo < 0.0:
+        raise ValueError(f"negative density: min rho = {rho_lo}")
+    if v_lo < -1e-9:
+        raise ValueError(f"negative velocity: min v = {v_lo}")
+    return float(v_hi)
+
+
 @dataclass(frozen=True)
 class FlowState:
     """Density and velocity sampled on a grid at one time instant."""
@@ -78,12 +94,7 @@ class FlowState:
             raise ValueError(
                 f"rho/v must have {n} entries, got {rho.shape} and {v.shape}"
             )
-        if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(v))):
-            raise ValueError("rho and v must be finite")
-        if rho.min(initial=0.0) < 0.0:
-            raise ValueError(f"negative density: min rho = {rho.min()}")
-        if v.min(initial=0.0) < -1e-9:
-            raise ValueError(f"negative velocity: min v = {v.min()}")
+        check_flow_fields(rho, v)
         # Round tiny solver noise up to the admissible set.
         v = np.where(v < 0.0, 0.0, v)
         object.__setattr__(self, "rho", rho)
@@ -116,14 +127,24 @@ class ForceLaw:
 
 
 def evaluate_force(law: ForceLaw, v):
-    """Acceleration applied by drivers at speed v (vectorized, total on v >= 0)."""
+    """Acceleration applied by drivers at speed v (vectorized, total on v >= 0).
+
+    f0 below v_star - delta, +0.0 above v_star, and the ramp
+    f0 (v_star - v) / delta clipped to [0, f0] in between; NaN stays NaN.
+    A scalar speed gives a float, an array a new array.
+    """
     v = np.asarray(v, dtype=float)
-    ramp = law.f0 * (law.v_star - v) / law.delta
-    out = np.clip(ramp, 0.0, law.f0)
-    out = np.where(v < law.v_star - law.delta, law.f0, out)
-    out = np.where(v > law.v_star, 0.0, out)
-    if out.ndim == 0:
-        return float(out)
+    if v.ndim == 0:
+        return float(evaluate_force(law, v.reshape(1))[0])
+    out = law.v_star - v
+    np.multiply(law.f0, out, out=out)
+    np.divide(out, law.delta, out=out)
+    np.maximum(out, 0.0, out=out)
+    np.minimum(out, law.f0, out=out)
+    # above v_star the clipped ramp is +0.0, or -0.0 where f0 (v_star - v)
+    # underflows; adding +0.0 maps -0.0 to +0.0 and leaves every other value
+    np.add(out, 0.0, out=out)
+    np.copyto(out, law.f0, where=v < law.v_star - law.delta)
     return out
 
 

@@ -15,7 +15,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .domain import VACUUM_RHO, BoundaryData, FlowState, ForceLaw, RoadGrid
+from .domain import (
+    VACUUM_RHO, BoundaryData, FlowState, ForceLaw, RoadGrid, check_flow_fields,
+)
 
 # Wave-speed floor used for the CFL step when everything is stopped.
 SPEED_FLOOR = 1e-8
@@ -38,8 +40,7 @@ class ConservedState:
 
     def velocities(self) -> np.ndarray:
         v = np.zeros_like(self.m)
-        occupied = self.m > VACUUM_RHO
-        v[occupied] = self.q[occupied] / self.m[occupied]
+        np.divide(self.q, self.m, out=v, where=self.m > VACUUM_RHO)
         return v
 
     def to_flow_state(self) -> FlowState:
@@ -201,6 +202,17 @@ def cfl_dt(state: FlowState, cfl: float) -> float:
     return cfl * state.grid.dx / vmax
 
 
+def _conserved_cfl_dt(state: ConservedState, cfl: float) -> float:
+    """cfl_dt(state.to_flow_state(), cfl) without building the FlowState: the
+    same checks raise the same errors, and the same step comes out, because
+    the largest |v| of the noise-clipped velocities is max(v) or below the
+    speed floor."""
+    vmax = check_flow_fields(state.m, state.velocities())
+    if not 0 < cfl <= 1:
+        raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
+    return cfl * state.grid.dx / max(vmax, SPEED_FLOOR)
+
+
 def step(
     state: ConservedState,
     dt: float,
@@ -221,7 +233,7 @@ def step(
     rho_lg, v_lg = float(inflow.rho_in(state.t)), float(inflow.v_in(state.t))
     rho_rg, v_rg = float(state.m[-1]), float(v[-1])
 
-    smax = max(float(np.max(np.abs(v))), abs(v_lg), abs(v_rg))
+    smax = max(float(np.maximum.reduce(np.abs(v))), abs(v_lg), abs(v_rg))
     if smax > 0 and dt * smax / dx > 1.01:
         raise ValueError(
             f"dt = {dt} violates the CFL bound dx/smax = {dx / smax} by more than 1%"
@@ -231,22 +243,21 @@ def step(
     v_ext = np.concatenate(([v_lg], v, [v_rg]))
     f_mass, f_mom = numerical_flux(rho_ext[:-1], v_ext[:-1], rho_ext[1:], v_ext[1:])
 
-    m_new = state.m - (dt / dx) * np.diff(f_mass)
-    q_new = state.q - (dt / dx) * np.diff(f_mom)
+    m_new = state.m - (dt / dx) * (f_mass[1:] - f_mass[:-1])
+    q_new = state.q - (dt / dx) * (f_mom[1:] - f_mom[:-1])
 
     report = StepReport(inflow=dt * float(f_mass[0]), outflow=dt * float(f_mass[-1]))
 
     neg = m_new < 0
-    if np.any(neg):
+    if np.logical_or.reduce(neg):
         report.clamped = float(-np.sum(m_new[neg]) * dx)
         m_new[neg] = 0.0
     vac = m_new <= VACUUM_RHO
     q_new[vac] = 0.0
 
     if force is not None:
-        occupied = ~vac
         v_mid = np.zeros_like(m_new)
-        v_mid[occupied] = q_new[occupied] / m_new[occupied]
+        np.divide(q_new, m_new, out=v_mid, where=~vac)
         q_new = q_new + dt * m_new * force(np.maximum(v_mid, 0.0))
 
     return ConservedState(grid, m_new, q_new, state.t + dt), report
@@ -275,7 +286,7 @@ def solve_hyperbolic(
 
     return march(
         ConservedState.from_flow_state(initial), initial.t, t_end, snapshot_interval,
-        max_dt=lambda state: cfl_dt(state.to_flow_state(), cfl),
+        max_dt=lambda state: _conserved_cfl_dt(state, cfl),
         advance=lambda state, t, dt: step(at(state, t), dt, inflow, force),
         snapshot=lambda state, t: at(state, t).to_flow_state(),
         mass=lambda state, t: state.total_mass,

@@ -17,6 +17,7 @@ the mesh nodes (the boundary values are then part of the snapshot).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Union
@@ -127,38 +128,60 @@ def step_viscous(
 
     The upstream node takes the inflow data; the downstream node takes the
     prescribed velocity right_v, or a zero-gradient closure when it is None.
-    Density is extrapolated at the downstream end.
+    Density is extrapolated at the downstream end.  A non-finite density or
+    boundary flux raises ValueError in the step where it appears.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     n = domain.n_cells
     dy = 1.0 / n
-    y, y_face = _unit_mesh(n)
     L_old = domain.right(t) - domain.left
     L_new = domain.right(t + dt) - domain.left
     Ldot = (L_new - L_old) / dt
+    # On a fixed interval (and on the braking strip once it has stopped)
+    # Ldot is +0.0, every mesh-velocity term y * Ldot is +0.0 and x - 0.0
+    # is x, so those terms are skipped without changing a bit.
+    moving = L_new != L_old
 
     # --- velocity: explicit upwind advection + force, implicit diffusion ---
-    c = (v - y * Ldot) / L_new  # advective speed relative to the mesh, in y units
-    cmax = float(np.abs(c).max())
-    if cmax * dt / dy > 1.0 + 1e-12:
+    # advective speed relative to the mesh, in y units
+    if moving:
+        y, y_face = _unit_mesh(n)
+        c = y * Ldot
+        np.subtract(v, c, out=c)
+        c /= L_new
+    else:
+        c = v / L_new
+    cfl = float(np.maximum.reduce(np.abs(c))) * dt / dy
+    if cfl > 1.0 + 1e-12:
         raise RuntimeError(
-            f"advective CFL violated at t = {t}: |c| dt/dy = {cmax * dt / dy:.3f} > 1; "
+            f"advective CFL violated at t = {t}: |c| dt/dy = {cfl:.3f} > 1; "
             "reduce the parabolic time step"
         )
     # interior rows only: both boundary rows are replaced below
     dv = (v[1:] - v[:-1]) / dy  # one difference serves both upwind branches
     c_in = c[1:-1]
-    b = v.astype(float)
-    b[1:-1] -= dt * c_in * np.where(c_in > 0, dv[:-1], dv[1:])
+    # where every speed is positive (the usual case) upwind is the left side
+    if np.minimum.reduce(c_in) > 0:
+        upwind = dv[:-1]
+    else:
+        upwind = np.where(c_in > 0, dv[:-1], dv[1:])
+    np.multiply(dt, c_in, out=c_in)
+    c_in *= upwind
+    # the right-hand side takes over c's buffer; its end rows are set below
+    b = c
+    np.subtract(v[1:-1], c_in, out=c_in)
     if force is not None:
         b += dt * force(np.maximum(v, 0.0))
 
-    k = mu / np.maximum(rho, RHO_COEFF_FLOOR)
-    lam = dt * k / (dy * dy * L_new * L_new)
+    lam = np.maximum(rho, RHO_COEFF_FLOOR)
+    np.divide(mu, lam, out=lam)
+    np.multiply(dt, lam, out=lam)
+    lam /= dy * dy * L_new * L_new
 
     # Tridiagonal rows; the first and last rows carry the boundary conditions.
-    diag = 1.0 + 2.0 * lam
+    diag = 2.0 * lam
+    np.add(1.0, diag, out=diag)
     diag[0] = diag[-1] = 1.0
     sup = -lam[:-1]
     sup[0] = 0.0
@@ -174,8 +197,12 @@ def step_viscous(
         # zero-gradient closure: v_n - v_{n-1} = 0
         sub[-1] = -1.0
         b[-1] = 0.0
-    # every lam the system uses enters diag, so diag and b cover the input
-    if not (np.isfinite(diag).all() and np.isfinite(b).all()):
+    # every lam the system uses enters diag, so diag and b cover the input;
+    # a non-finite entry makes the dot product non-finite, and only then (or
+    # on overflow) are the entries themselves checked
+    if not math.isfinite(np.dot(diag, b)) and not (
+            np.logical_and.reduce(np.isfinite(diag))
+            and np.logical_and.reduce(np.isfinite(b))):
         raise ValueError("array must not contain infs or NaNs")
     v_new = solve_banded(sub, diag, sup, b)
     if right_v is not None:
@@ -183,35 +210,48 @@ def step_viscous(
     v_new[0] = v_left
 
     # --- density: conservative upwind advection with the new velocity ---
-    w_face = 0.5 * (v_new[:-1] + v_new[1:]) - y_face * Ldot
-    rho_up = np.where(w_face > 0, rho[:-1], rho[1:])
-    flux_mid = rho_up * w_face
+    w_face = v_new[:-1] + v_new[1:]
+    np.multiply(0.5, w_face, out=w_face)
+    if moving:
+        w_face -= y_face * Ldot
+    if np.minimum.reduce(w_face) > 0:
+        rho_up = rho[:-1]
+    else:
+        rho_up = np.where(w_face > 0, rho[:-1], rho[1:])
+    flux_mid = np.multiply(rho_up, w_face, out=w_face)
 
-    rho_new = np.empty_like(rho)
     # interior nodes own a control volume of width dy
-    rho_new[1:-1] = (
-        L_old * rho[1:-1] - (dt / dy) * (flux_mid[1:] - flux_mid[:-1])
-    ) / L_new
+    mass = flux_mid[1:] - flux_mid[:-1]
+    np.multiply(dt / dy, mass, out=mass)
+    np.subtract(L_old * rho[1:-1], mass, out=mass)
+    rho_new = np.empty_like(rho)
+    # the casting of plain assignment, should rho not hold float64
+    np.divide(mass, L_new, out=rho_new[1:-1], casting="unsafe")
     # downstream node: half control volume; zero-gradient ghost density
-    w_right = v_new[-1] - Ldot
-    flux_right = rho[-1] * w_right
+    rho_last = rho.item(-1)
+    flux_right = rho_last * (v_new.item(-1) - Ldot)
     rho_new[-1] = (
-        L_old * rho[-1] - (dt / (0.5 * dy)) * (flux_right - flux_mid[-1])
+        L_old * rho_last - (dt / (0.5 * dy)) * (flux_right - flux_mid.item(-1))
     ) / L_new
     # upstream node: Dirichlet density; the boundary flux is the residual that
     # closes its half control volume, so the mass ledger is exact
     rho_new[0] = float(inflow.rho_in(t + dt))
-    flux_left = flux_mid[0] + (0.5 * dy / dt) * (L_new * rho_new[0] - L_old * rho[0])
+    flux_left = flux_mid.item(0) + (0.5 * dy / dt) * (
+        L_new * rho_new.item(0) - L_old * rho.item(0)
+    )
 
+    # min and max propagate NaN, so together they flag any non-finite entry
+    lo = np.minimum.reduce(rho_new)
+    if not (math.isfinite(lo) and math.isfinite(np.maximum.reduce(rho_new))
+            and math.isfinite(flux_left) and math.isfinite(flux_right)):
+        raise ValueError(f"non-finite density or boundary flux at t = {t + dt}")
     clamped = 0.0
-    if (rho_new < 0).any():
+    if lo < 0:
         # upwinding with CFL <= 1 keeps density non-negative up to roundoff
         clamped = -_trapezoid_mass(np.minimum(rho_new, 0.0), L_new, dy)
         rho_new = np.maximum(rho_new, 0.0)
 
-    report = StepReport(
-        inflow=dt * float(flux_left), outflow=dt * float(flux_right), clamped=clamped
-    )
+    report = StepReport(inflow=dt * flux_left, outflow=dt * flux_right, clamped=clamped)
     return v_new, rho_new, report
 
 

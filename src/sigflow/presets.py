@@ -18,7 +18,14 @@ class PresetError(ValueError):
 
 
 def constant(value: float) -> Callable:
-    return lambda x: np.full_like(np.asarray(x, dtype=float), float(value))
+    """value everywhere: a float for a scalar x, else an array shaped like x."""
+
+    def fn(x):
+        if isinstance(x, (int, float)):
+            return float(value)
+        return np.full_like(np.asarray(x, dtype=float), float(value))
+
+    return fn
 
 
 def linear_ramp(start: float, end: float, x_start: float, x_end: float) -> Callable:

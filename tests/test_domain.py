@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from sigflow import (
     BoundaryData,
@@ -51,10 +51,38 @@ class TestFlowState:
         s = FlowState(g, np.full(5, 0.1), v, 0.0)
         assert s.v[1] == 0.0
 
+    @pytest.mark.parametrize("field", ["rho", "v"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_fields(self, field, bad):
+        g = RoadGrid(0.0, 10.0, 5)
+        fields = {"rho": np.full(5, 0.1), "v": np.full(5, 1.0)}
+        fields[field][2] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            FlowState(g, fields["rho"], fields["v"], 0.0)
+
     def test_rejects_truly_negative_velocity(self):
         g = RoadGrid(0.0, 10.0, 5)
         with pytest.raises(ValueError):
             FlowState(g, np.full(5, 0.1), np.array([0.0, 0.0, -1.0, 0.0, 0.0]), 0.0)
+
+
+def closed_form_force(law, v):
+    """The force law as a clip of the ramp and two plateaus, one numpy
+    expression each."""
+    v = np.asarray(v, dtype=float)
+    ramp = law.f0 * (law.v_star - v) / law.delta
+    out = np.clip(ramp, 0.0, law.f0)
+    out = np.where(v < law.v_star - law.delta, law.f0, out)
+    return np.where(v > law.v_star, 0.0, out)
+
+
+@st.composite
+def force_laws(draw):
+    f0 = draw(st.sampled_from([1e-300, 1.0, 1.5]) | st.floats(1e-300, 1e300))
+    v_star = draw(st.floats(1e-300, 1e300))
+    delta = v_star * draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    assume(0 < delta < v_star)
+    return ForceLaw(f0, v_star, delta)
 
 
 class TestForceLaw:
@@ -80,6 +108,31 @@ class TestForceLaw:
         law = ForceLaw(1.5, 16.0, 4.0)
         bound = (law.f0 / law.delta) * eps + 1e-12
         assert abs(law(v + eps) - law(v)) <= bound
+
+    @given(law=force_laws(), drawn=st.lists(st.floats(), max_size=20))
+    @example(law=ForceLaw(1.0, 16.0, 4.0), drawn=[5.0, 14.0, 20.0, -0.0, np.inf])
+    # f0 (v_star - v) underflows to -0.0 just above v_star
+    @example(law=ForceLaw(1e-300, 1e-10, 5e-11), drawn=[1e-10 + 1e-25])
+    def test_bitwise_equal_to_the_closed_form(self, law, drawn):
+        vs, edge = law.v_star, law.v_star - law.delta
+        v = np.array(
+            [0.0, np.nan, vs, edge,
+             np.nextafter(vs, -np.inf), np.nextafter(vs, np.inf),
+             np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)] + drawn
+        )
+        before = v.copy()
+        with np.errstate(all="ignore"):
+            got = evaluate_force(law, v)
+            expected = closed_form_force(law, v)
+        assert got.shape == v.shape
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+        np.testing.assert_array_equal(v.view(np.int64), before.view(np.int64))
+        for x in v[:8]:
+            with np.errstate(all="ignore"):
+                y = law(float(x))
+                expected = closed_form_force(law, x)
+            assert type(y) is float
+            assert np.float64(y).view(np.int64) == expected.view(np.int64)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -159,6 +159,21 @@ class TestSolve:
         assert all(b - a <= 1e-12 for a, b in zip(masses, masses[1:]))
         assert res.influx == 0.0
 
+    @pytest.mark.parametrize("push, message", [(-1e4, "negative velocity"),
+                                                (np.nan, "must be finite")])
+    def test_bad_velocity_stops_the_run_at_the_next_step(self, push, message):
+        # the step size is taken from checked velocities every step, not only
+        # at the snapshots (here only t_end)
+        calls = []
+
+        def force(v):
+            calls.append(len(v))
+            return np.full_like(v, push)
+
+        with pytest.raises(ValueError, match=message):
+            solve_hyperbolic(uniform_state(), inflow_const(0.1, 10.0), force, 10.0)
+        assert len(calls) == 1
+
     def test_rejects_reversed_horizon(self):
         with pytest.raises(ValueError):
             solve_hyperbolic(

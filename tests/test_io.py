@@ -11,6 +11,7 @@ from sigflow import (
     run,
 )
 from sigflow.cli import main
+from sigflow.domain import sample_profile
 from sigflow.output import emit_plot, read_snapshot, write_report, write_snapshot
 from sigflow.presets import PresetError, parse_preset
 
@@ -34,6 +35,21 @@ class TestPresets:
     def test_constant_from_number(self):
         fn = parse_preset(0.25)
         np.testing.assert_allclose(fn(np.arange(5.0)), 0.25)
+
+    def test_constant_is_a_float_for_a_scalar(self):
+        fn = parse_preset(0.25)
+        for t in (3.0, 3, np.float64(3.0)):
+            assert type(fn(t)) is float and fn(t) == 0.25
+        for x in (np.zeros((2, 3)), np.array(1.0), [0.0, 1.0]):
+            out = fn(x)
+            assert isinstance(out, np.ndarray) and out.shape == np.shape(x)
+            np.testing.assert_array_equal(out, 0.25)
+
+    def test_sampled_constant_is_unchanged(self):
+        xs = np.linspace(0.0, 10.0, 7)
+        out = sample_profile(parse_preset(0.25), xs)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, np.full_like(xs, 0.25))
 
     def test_call_string(self):
         fn = parse_preset("sine(base=0.1, amp=0.05, wavelength=200)")

@@ -11,7 +11,15 @@ from sigflow import (
     solve_parabolic,
     step_viscous,
 )
-from sigflow.parabolic import _trapezoid_mass, node_grid, node_state, solve_banded
+from sigflow.hyperbolic import StepReport
+from sigflow.parabolic import (
+    RHO_COEFF_FLOOR,
+    _trapezoid_mass,
+    _unit_mesh,
+    node_grid,
+    node_state,
+    solve_banded,
+)
 
 
 def fixed_domain(n=40, left=0.0, right=100.0):
@@ -20,6 +28,90 @@ def fixed_domain(n=40, left=0.0, right=100.0):
 
 def const_inflow(v, rho):
     return BoundaryData(rho_in=lambda t: rho, v_in=lambda t: v)
+
+
+def reference_step_viscous(v, rho, t, dt, mu, inflow, domain, force, right_v=None):
+    """step_viscous written with one numpy expression per formula, as it was
+    before its per-step numpy calls were cut; step_viscous must match it bit
+    for bit wherever both return."""
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    n = domain.n_cells
+    dy = 1.0 / n
+    y, y_face = _unit_mesh(n)
+    L_old = domain.right(t) - domain.left
+    L_new = domain.right(t + dt) - domain.left
+    Ldot = (L_new - L_old) / dt
+
+    c = (v - y * Ldot) / L_new
+    cmax = float(np.abs(c).max())
+    if cmax * dt / dy > 1.0 + 1e-12:
+        raise RuntimeError("advective CFL violated")
+    dv = (v[1:] - v[:-1]) / dy
+    c_in = c[1:-1]
+    b = v.astype(float)
+    b[1:-1] -= dt * c_in * np.where(c_in > 0, dv[:-1], dv[1:])
+    if force is not None:
+        b += dt * force(np.maximum(v, 0.0))
+
+    k = mu / np.maximum(rho, RHO_COEFF_FLOOR)
+    lam = dt * k / (dy * dy * L_new * L_new)
+
+    diag = 1.0 + 2.0 * lam
+    diag[0] = diag[-1] = 1.0
+    sup = -lam[:-1]
+    sup[0] = 0.0
+    sub = -lam[1:]
+
+    v_left = float(inflow.v_in(t + dt))
+    b[0] = v_left
+    if right_v is not None:
+        v_right = float(right_v(t + dt))
+        sub[-1] = 0.0
+        b[-1] = v_right
+    else:
+        sub[-1] = -1.0
+        b[-1] = 0.0
+    if not (np.isfinite(diag).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    v_new = solve_banded(sub, diag, sup, b)
+    if right_v is not None:
+        v_new[-1] = v_right
+    v_new[0] = v_left
+
+    w_face = 0.5 * (v_new[:-1] + v_new[1:]) - y_face * Ldot
+    rho_up = np.where(w_face > 0, rho[:-1], rho[1:])
+    flux_mid = rho_up * w_face
+
+    rho_new = np.empty_like(rho)
+    rho_new[1:-1] = (
+        L_old * rho[1:-1] - (dt / dy) * (flux_mid[1:] - flux_mid[:-1])
+    ) / L_new
+    w_right = v_new[-1] - Ldot
+    flux_right = rho[-1] * w_right
+    rho_new[-1] = (
+        L_old * rho[-1] - (dt / (0.5 * dy)) * (flux_right - flux_mid[-1])
+    ) / L_new
+    rho_new[0] = float(inflow.rho_in(t + dt))
+    flux_left = flux_mid[0] + (0.5 * dy / dt) * (L_new * rho_new[0] - L_old * rho[0])
+
+    clamped = 0.0
+    if (rho_new < 0).any():
+        clamped = -_trapezoid_mass(np.minimum(rho_new, 0.0), L_new, dy)
+        rho_new = np.maximum(rho_new, 0.0)
+
+    report = StepReport(
+        inflow=dt * float(flux_left), outflow=dt * float(flux_right), clamped=clamped
+    )
+    return v_new, rho_new, report
+
+
+def assert_bitwise(a, b):
+    """Equal bit patterns: tells -0.0 from +0.0 and NaN payloads apart."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestGeometry:
@@ -141,6 +233,21 @@ class TestStepViscous:
         with pytest.raises(RuntimeError, match="CFL"):
             step_viscous(bad_v, rho, 0.0, 1e-3, 2.0, bc, dom, None)
 
+    @pytest.mark.parametrize("node", ["interior_inf", "first_nan", "last_nan"])
+    def test_rejects_non_finite_density_in_the_same_step(self, node):
+        # none of these reaches the tridiagonal system: mu / inf is 0, and
+        # the end nodes' rows are replaced by the boundary conditions
+        dom = fixed_domain()
+        n = dom.n_cells
+        v = np.full(n + 1, 8.0)
+        rho = np.full(n + 1, 0.1)
+        i, value = {"interior_inf": (n // 2, np.inf), "first_nan": (0, np.nan),
+                    "last_nan": (n, np.nan)}[node]
+        rho[i] = value
+        with pytest.raises(ValueError, match="non-finite density"), \
+                np.errstate(invalid="ignore"):
+            step_viscous(v, rho, 0.0, 1e-3, 2.0, const_inflow(8.0, 0.1), dom, None)
+
     @pytest.mark.parametrize("right_v", [None, lambda t: 3.0])
     def test_leaves_its_arguments_unchanged(self, right_v):
         dom = MovingDomain(left=0.0, right_of_t=lambda t: 100.0 + 15.0 * t, n_cells=30)
@@ -154,6 +261,66 @@ class TestStepViscous:
         np.testing.assert_array_equal(v, v0)
         np.testing.assert_array_equal(rho, rho0)
         assert not np.shares_memory(v1, v) and not np.shares_memory(rho1, rho)
+
+
+def _bitwise_cases():
+    law = ForceLaw(1.0, 16.0, 4.0)
+    rng = np.random.default_rng(17)
+    n = 24
+    wavy_v = 8.0 + rng.uniform(-1.0, 1.0, n + 1)
+    wavy_rho = 0.1 + rng.uniform(0.0, 0.05, n + 1)
+    # stopped in the middle: zero speeds take the other upwind branch
+    queue_v = np.where(np.arange(n + 1) > n // 2, 0.0, 6.0)
+    fixed = MovingDomain(0.0, 100.0, n)
+    growing = MovingDomain(0.0, lambda t: 100.0 + 15.0 * t, n)  # outruns the flow
+    stopped = MovingDomain(0.0, lambda t: 100.0, n)  # callable, Ldot == 0.0
+    # a Dirichlet speed far above the state's pulls more out of the last
+    # node than its half cell holds, so the step clamps
+    empty_v = np.full(n + 1, 5.0)
+    last_only = np.zeros(n + 1)
+    last_only[-1] = 0.1
+    return {
+        "fixed-force-zero_gradient": (wavy_v, wavy_rho, fixed, law, None),
+        "fixed-noforce-dirichlet": (wavy_v, wavy_rho, fixed, None, lambda t: 7.5),
+        "fixed-queue": (queue_v, wavy_rho, fixed, law, lambda t: 0.0),
+        "moving-force-dirichlet": (wavy_v, wavy_rho, growing, law, lambda t: 7.5),
+        "moving-noforce-zero_gradient": (wavy_v, wavy_rho, growing, None, None),
+        "moving-queue": (queue_v, wavy_rho, growing, None, lambda t: 0.0),
+        "stopped-force-dirichlet": (wavy_v, wavy_rho, stopped, law, lambda t: 7.5),
+        "stopped-noforce-zero_gradient": (queue_v, wavy_rho, stopped, None, None),
+        "clamping": (empty_v, last_only, fixed, None, lambda t: 5000.0),
+    }
+
+
+BITWISE_CASES = _bitwise_cases()
+
+
+class TestStepViscousBitwise:
+    @pytest.mark.parametrize("case", sorted(BITWISE_CASES))
+    def test_matches_the_reference_bit_for_bit(self, case):
+        v0, rho0, dom, force, right_v = BITWISE_CASES[case]
+        bc = const_inflow(float(v0[0]), 0.1)
+        got, ref = (v0.copy(), rho0.copy()), (v0.copy(), rho0.copy())
+        clamped, steps = 0.0, 0
+        for k in range(20):
+            t = k * 1e-3
+            try:
+                v2, rho2, rep2 = reference_step_viscous(*ref, t, 1e-3, 2.0, bc, dom,
+                                                        force, right_v)
+            except RuntimeError:  # the clamping case leaves the CFL range
+                with pytest.raises(RuntimeError):
+                    step_viscous(*got, t, 1e-3, 2.0, bc, dom, force, right_v)
+                break
+            v1, rho1, rep = step_viscous(*got, t, 1e-3, 2.0, bc, dom, force, right_v)
+            assert_bitwise(v1, v2)
+            assert_bitwise(rho1, rho2)
+            for field in ("inflow", "outflow", "clamped"):
+                assert_bitwise(getattr(rep, field), getattr(rep2, field))
+            got, ref = (v1, rho1), (v2, rho2)
+            clamped += rep.clamped
+            steps = k + 1
+        assert steps == 20 or case == "clamping"
+        assert (clamped > 0.0) == (case == "clamping")
 
 
 class TestSolveBanded:
