@@ -196,21 +196,14 @@ def numerical_flux(rho_l, v_l, rho_r, v_r):
 
 def cfl_dt(state: FlowState, cfl: float) -> float:
     """Largest stable time step at the given CFL ratio."""
-    if not 0 < cfl <= 1:
-        raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
-    vmax = max(float(np.max(np.abs(state.v))), SPEED_FLOOR)
-    return cfl * state.grid.dx / vmax
+    return _cfl_step(state.grid.dx, float(np.maximum.reduce(np.abs(state.v))), cfl)
 
 
-def _conserved_cfl_dt(state: ConservedState, cfl: float) -> float:
-    """cfl_dt(state.to_flow_state(), cfl) without building the FlowState: the
-    same checks raise the same errors, and the same step comes out, because
-    the largest |v| of the noise-clipped velocities is max(v) or below the
-    speed floor."""
-    vmax = check_flow_fields(state.m, state.velocities())
+def _cfl_step(dx: float, vmax: float, cfl: float) -> float:
+    """cfl * dx / vmax, with vmax raised to the speed floor."""
     if not 0 < cfl <= 1:
         raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
-    return cfl * state.grid.dx / max(vmax, SPEED_FLOOR)
+    return cfl * dx / max(vmax, SPEED_FLOOR)
 
 
 def step(
@@ -286,7 +279,10 @@ def solve_hyperbolic(
 
     return march(
         ConservedState.from_flow_state(initial), initial.t, t_end, snapshot_interval,
-        max_dt=lambda state: _conserved_cfl_dt(state, cfl),
+        # the checks FlowState makes, without building one: the largest |v|
+        # of the noise-clipped velocities is max(v) or below the speed floor
+        max_dt=lambda state: _cfl_step(
+            grid.dx, check_flow_fields(state.m, state.velocities()), cfl),
         advance=lambda state, t, dt: step(at(state, t), dt, inflow, force),
         snapshot=lambda state, t: at(state, t).to_flow_state(),
         mass=lambda state, t: state.total_mass,

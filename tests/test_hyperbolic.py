@@ -174,6 +174,11 @@ class TestSolve:
             solve_hyperbolic(uniform_state(), inflow_const(0.1, 10.0), force, 10.0)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("cfl", [0.0, 1.5])
+    def test_rejects_bad_cfl(self, cfl):
+        with pytest.raises(ValueError, match="cfl must lie"):
+            solve_hyperbolic(uniform_state(), inflow_const(0.1, 10.0), None, 1.0, cfl=cfl)
+
     def test_rejects_reversed_horizon(self):
         with pytest.raises(ValueError):
             solve_hyperbolic(
