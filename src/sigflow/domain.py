@@ -115,6 +115,11 @@ class ForceLaw:
     delta: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.f0, self.v_star, self.delta))):
+            raise ValueError(
+                f"f0, v_star and delta must be finite, got f0={self.f0}, "
+                f"v_star={self.v_star}, delta={self.delta}"
+            )
         if not self.f0 > 0:
             raise ValueError(f"f0 must be positive, got {self.f0}")
         if not 0 < self.delta < self.v_star:
@@ -242,8 +247,8 @@ class Scenario:
     force: Optional[ForceLaw]
     mu: float
     t_end: float
-    cfl: float = 0.5
-    parabolic_dt: float = 1e-3
+    cfl: float = 0.5  # sets the steps of both solvers
+    parabolic_dt: Optional[float] = None  # caps the viscous step; None: no cap
     snapshot_interval: float = 1.0
 
 
@@ -271,7 +276,7 @@ def validate_scenario(s: Scenario, oracle_requested: bool = False) -> list[str]:
         out.append(f"mu: viscosity must be positive, got {s.mu}")
     if not 0 < s.cfl <= 1:
         out.append(f"cfl: must lie in (0, 1], got {s.cfl}")
-    if not s.parabolic_dt > 0:
+    if s.parabolic_dt is not None and not s.parabolic_dt > 0:
         out.append(f"parabolic_dt: must be positive, got {s.parabolic_dt}")
     if not s.snapshot_interval > 0:
         out.append(f"snapshot_interval: must be positive, got {s.snapshot_interval}")

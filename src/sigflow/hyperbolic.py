@@ -10,6 +10,7 @@ uniform acceleration is integrated exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -135,9 +136,11 @@ def march(
     the mass ledger.
 
     advance(state, t, dt) returns (state, StepReport) for one step of at
-    most max_dt(state).  Steps are shortened to land exactly on every
+    most max_dt(state, t).  Steps are shortened to land exactly on every
     snapshot time and on t_end, where snapshot(state, t) gives the
-    FlowState and mass(state, t) the total mass for the ledger.
+    FlowState and mass(state, t) the total mass for the ledger.  The result's
+    metadata adds the step count and the smallest and largest step taken
+    (None when no step was taken).
     """
     if t_end < t_start:
         raise ValueError(f"t_end = {t_end} precedes t_start = {t_start}")
@@ -151,13 +154,16 @@ def march(
 
     t = t_start
     k_snap = 1
+    steps, dt_min, dt_max = 0, math.inf, 0.0
     while t < t_end - 1e-13:
         t_next = t_start + k_snap * snapshot_interval
         if t_next >= t_end - 1e-13:
             t_next = t_end  # the last snapshot sits at t_end exactly
-        dt = min(max_dt(state), t_next - t)
+        dt = min(max_dt(state, t), t_next - t)
         state, report = advance(state, t, dt)
         t = t + dt
+        steps += 1
+        dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
         ledger.absorb(report)
         if t >= t_next - 1e-13:
             # land exactly on the snapshot time so phase handoffs compare equal
@@ -172,7 +178,8 @@ def march(
         influx=ledger.inflow_cum,
         outflux=ledger.outflow_cum,
         clamped=ledger.clamped_cum,
-        metadata=metadata,
+        metadata=dict(metadata, steps=steps, dt_min=dt_min if steps else None,
+                      dt_max=dt_max if steps else None),
     )
 
 
@@ -211,15 +218,17 @@ def step(
     dt: float,
     inflow: BoundaryData,
     force: Optional[ForceLaw],
+    v: Optional[np.ndarray] = None,
 ) -> tuple[ConservedState, StepReport]:
     """One first-order finite-volume update: transport, then force source.
 
     The left ghost cell carries the inflow data; the right ghost copies the
-    last cell (zero-gradient outflow).
+    last cell (zero-gradient outflow).  v, if given, is state.velocities().
     """
     grid = state.grid
     dx = grid.dx
-    v = state.velocities()
+    if v is None:
+        v = state.velocities()
     # Sampled at the step start: the interior data also represents time t
     # (the force source has already been applied), so this keeps spatially
     # uniform accelerating states exactly uniform.
@@ -277,14 +286,21 @@ def solve_hyperbolic(
         # snapshot times; the inflow data is sampled there
         return ConservedState(grid, state.m, state.q, t)
 
+    def advance(state, t: float, dt: float):
+        # the state carries its velocities, which both the step size and
+        # the step read
+        new, report = step(at(state[0], t), dt, inflow, force, state[1])
+        return (new, new.velocities()), report
+
+    start = ConservedState.from_flow_state(initial)
     return march(
-        ConservedState.from_flow_state(initial), initial.t, t_end, snapshot_interval,
+        (start, start.velocities()), initial.t, t_end, snapshot_interval,
         # the checks FlowState makes, without building one: the largest |v|
         # of the noise-clipped velocities is max(v) or below the speed floor
-        max_dt=lambda state: _cfl_step(
-            grid.dx, check_flow_fields(state.m, state.velocities()), cfl),
-        advance=lambda state, t, dt: step(at(state, t), dt, inflow, force),
-        snapshot=lambda state, t: at(state, t).to_flow_state(),
-        mass=lambda state, t: state.total_mass,
+        max_dt=lambda state, t: _cfl_step(
+            grid.dx, check_flow_fields(state[0].m, state[1]), cfl),
+        advance=advance,
+        snapshot=lambda state, t: at(state[0], t).to_flow_state(),
+        mass=lambda state, t: state[0].total_mass,
         metadata={"solver": "hyperbolic", "cfl": cfl},
     )

@@ -216,6 +216,7 @@ def _viscous(s: Scenario, domain, inflow, force, rho, v, t_start, t_end,
     return par.solve_parabolic(
         rho, v, domain, inflow, s.mu, force, t_start, t_end,
         dt=s.parabolic_dt, snapshot_interval=s.snapshot_interval, right_v=right_v,
+        cfl=s.cfl,
     )
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .domain import BoundaryData, FlowState, ForceLaw, RoadGrid
-from .hyperbolic import SolveResult, StepReport, march
+from .hyperbolic import SolveResult, StepReport, _cfl_step, march
 
 # Floor applied to the density in the diffusion coefficient mu/rho only;
 # a numerical guard, not a modeling choice.
@@ -82,7 +82,7 @@ class MovingDomain:
             r = float(self.right_of_t(t))
         else:
             r = float(self.right_of_t)
-        if r <= self.left:
+        if not r > self.left:
             raise ValueError(
                 f"right boundary {r} at t = {t} does not exceed left = {self.left}"
             )
@@ -158,6 +158,10 @@ def step_viscous(
             f"advective CFL violated at t = {t}: |c| dt/dy = {cfl:.3f} > 1; "
             "reduce the parabolic time step"
         )
+    if math.isnan(cfl):
+        # a NaN in v[-1] reaches no finite result under the zero-gradient
+        # closure with positive speeds, so it is caught here
+        raise ValueError(f"non-finite velocity at t = {t}")
     # interior rows only: both boundary rows are replaced below
     dv = (v[1:] - v[:-1]) / dy  # one difference serves both upwind branches
     c_in = c[1:-1]
@@ -252,6 +256,13 @@ def step_viscous(
     return v_new, rho_new, report
 
 
+def _finite(c_max: float, t: float) -> float:
+    """c_max, unless it is not finite; NaN propagates through max|c|."""
+    if not math.isfinite(c_max):
+        raise ValueError(f"non-finite velocity at t = {t}")
+    return c_max
+
+
 def solve_parabolic(
     initial_rho: np.ndarray,
     initial_v: np.ndarray,
@@ -261,19 +272,26 @@ def solve_parabolic(
     force: Optional[ForceLaw],
     t_start: float,
     t_end: float,
-    dt: float,
+    dt: Optional[float] = None,
     snapshot_interval: Optional[float] = None,
     right_v: Optional[Callable[[float], float]] = None,
+    cfl: float = 0.5,
 ) -> SolveResult:
-    """Advance the viscous system with a fixed time step.
+    """Advance the viscous system with steps from the advective CFL.
 
-    Snapshots are FlowStates on the node mesh mapped back to physical
+    The diffusion is implicit, so only the explicit upwind advection limits
+    the step: each step is the largest with max|c| dt/dy <= cfl, where c is
+    the mesh-relative speed of step_viscous.  dt, when given, caps every
+    step.  Snapshots are FlowStates on the node mesh mapped back to physical
     coordinates.  right_v prescribes the downstream velocity (None: the
     zero-gradient closure); the run metadata reports the residual between
     it and the handed-off velocity there.
     """
     n = domain.n_cells
     dy = 1.0 / n
+    if dt is not None and not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    cap = math.inf if dt is None else dt
     rho = np.array(initial_rho, dtype=float)
     v = np.array(initial_v, dtype=float)
     if rho.shape != (n + 1,) or v.shape != (n + 1,):
@@ -287,13 +305,35 @@ def solve_parabolic(
     else:
         compat_residual = None
 
+    moving = callable(domain.right_of_t)
+    y = _unit_mesh(n)[0]
+
+    def step_size(state, t: float) -> float:
+        """At most the cap and the time left, with max|c| h/dy <= cfl."""
+        v = state[0]
+        L_old = domain.right(t) - domain.left
+        c_max = float(np.maximum.reduce(np.abs(v))) / L_old  # mesh at rest
+        # the domain is only evaluated inside the run
+        h = min(cap, t_end - t, _cfl_step(dy, _finite(c_max, t), cfl))
+        # on a moving mesh c depends on Ldot over the step itself: h is
+        # accepted once it meets the bound at its own Ldot, and a rejected h
+        # is retried 1 % below the bound so that the search ends
+        while moving:
+            L_new = domain.right(t + h) - domain.left
+            c = np.abs(v - y * ((L_new - L_old) / h))
+            h_cfl = _cfl_step(dy, _finite(float(np.maximum.reduce(c)) / L_new, t), cfl)
+            if h <= h_cfl:
+                break
+            h = 0.99 * h_cfl
+        return h
+
     def advance(state, t: float, h: float):
         v, rho, report = step_viscous(*state, t, h, mu, inflow, domain, force, right_v)
         return (v, rho), report
 
     return march(
         (v, rho), t_start, t_end, snapshot_interval,
-        max_dt=lambda state: dt,
+        max_dt=step_size,
         advance=advance,
         snapshot=lambda state, t: node_state(domain, t, state[1], state[0]),
         mass=lambda state, t: _trapezoid_mass(
@@ -301,7 +341,7 @@ def solve_parabolic(
         ),
         metadata={
             "solver": "parabolic",
-            "dt": dt,
+            "cfl": cfl,
             "compatibility_residual": compat_residual,
         },
     )

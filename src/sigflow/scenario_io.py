@@ -108,6 +108,13 @@ def parse_scenario(text: str) -> Scenario:
     else:
         errors.append("force: missing required key (use 'off' to disable)")
 
+    # a missing or null key takes the default; parabolic_dt has none (no cap)
+    cfl, parabolic_dt, snapshot_interval = (
+        None if numerics.get(key) is None
+        else _number(numerics[key], f"numerics.{key}", errors)
+        for key in ("cfl", "parabolic_dt", "snapshot_interval")
+    )
+
     fns = {}
     for name in sorted(_PROFILE_KEYS):
         if name not in profiles:
@@ -131,9 +138,9 @@ def parse_scenario(text: str) -> Scenario:
         force=force,
         mu=mu,
         t_end=t_end,
-        cfl=float(numerics.get("cfl", 0.5)),
-        parabolic_dt=float(numerics.get("parabolic_dt", 1e-3)),
-        snapshot_interval=float(numerics.get("snapshot_interval", t_end / 50.0)),
+        cfl=0.5 if cfl is None else cfl,
+        parabolic_dt=parabolic_dt,
+        snapshot_interval=t_end / 50.0 if snapshot_interval is None else snapshot_interval,
     )
     violations = validate_scenario(scenario)
     if violations:

@@ -1,5 +1,10 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import sigflow.parabolic
 
 from sigflow import (
     BoundaryData,
@@ -64,6 +69,17 @@ def stationary_scenario(model="first", n_cells=120):
     )
 
 
+def shipped_scenario(model="first", n_cells=150):
+    """scenarios/intersection.yaml with the given model and grid size."""
+    from sigflow import parse_scenario
+
+    text = (Path(__file__).resolve().parent.parent / "scenarios"
+            / "intersection.yaml").read_text()
+    s = parse_scenario(text)
+    grid = RoadGrid(s.grid.x_min, s.grid.x_max, n_cells)
+    return dataclasses.replace(s, model=model, grid=grid)
+
+
 @pytest.fixture(scope="session")
 def first_model_trajectory():
     from sigflow import run
@@ -76,3 +92,24 @@ def second_model_trajectory():
     from sigflow import run
 
     return run(reference_scenario("second"))
+
+
+@pytest.fixture
+def viscous_steps(monkeypatch):
+    """Record every step_viscous call that solve_parabolic makes, as
+    (t, dt, max|c| dt/dy, moving), where c is the step's mesh-relative speed
+    and moving says whether the domain length changes over the step."""
+    steps = []
+    step = sigflow.parabolic.step_viscous
+
+    def recording(v, rho, t, dt, mu, inflow, domain, force, right_v=None):
+        n = domain.n_cells
+        L_old = domain.right(t) - domain.left
+        L_new = domain.right(t + dt) - domain.left
+        y = np.arange(n + 1) / n
+        c = (v - y * ((L_new - L_old) / dt)) / L_new
+        steps.append((t, dt, float(np.max(np.abs(c))) * dt * n, L_new != L_old))
+        return step(v, rho, t, dt, mu, inflow, domain, force, right_v)
+
+    monkeypatch.setattr(sigflow.parabolic, "step_viscous", recording)
+    return steps

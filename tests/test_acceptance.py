@@ -204,6 +204,49 @@ class TestCriterion6MaximumPrinciple:
         )
 
 
+    def test_randomized_runs_with_cfl_steps_respect_data_bounds(self):
+        # the same trials with no dt: each step is the CFL step (about 0.1 s
+        # here, 100 times the fixed one), and the bound takes the boundary
+        # data at the times the solver sampled it
+        start = time.perf_counter()
+        rng = np.random.default_rng(2024)
+        dom = MovingDomain(left=0.0, right_of_t=100.0, n_cells=40)
+        y = np.linspace(0.0, 1.0, 41)
+        worst = -np.inf
+        steps = 0
+        for _ in range(20):
+            b0 = rng.uniform(3.0, 8.0)
+            b1 = rng.uniform(0.0, b0 / 2.0)
+            k = rng.integers(1, 4)
+            phi = rng.uniform(0.0, 2 * np.pi)
+            v0 = b0 + b1 * np.sin(2 * np.pi * k * y + phi)
+            a0 = rng.uniform(3.0, 8.0)
+            a1 = rng.uniform(0.0, a0 / 2.0)
+            om = rng.uniform(0.5, 6.0)
+            sampled = []
+
+            def left_v(t, a0=a0, a1=a1, om=om, sampled=sampled):
+                sampled.append((t, a0 + a1 * np.sin(om * t)))
+                return sampled[-1][1]
+
+            rho = np.full(41, rng.uniform(0.05, 0.2))
+            bc = BoundaryData(rho_in=lambda t, r=rho: float(r[0]), v_in=left_v)
+            res = solve_parabolic(rho, v0, dom, bc, rng.uniform(0.5, 4.0), None,
+                                  0.0, 3.0, snapshot_interval=0.25)
+            steps += res.metadata["steps"]
+            for snap in res.snapshots[1:]:
+                seen = [vb for t, vb in sampled if t <= snap.t + 1e-12]
+                bound = max(float(np.max(v0)), max(seen))
+                worst = max(worst, float(np.max(snap.v)) - bound)
+        elapsed = time.perf_counter() - start
+        ok = worst <= 1e-8 and elapsed < 10.0
+        _verdict(
+            6, ok,
+            f"20 randomized trials, {steps} CFL steps: max excess over "
+            f"initial+boundary data {worst:.2e} <= 1e-8, {elapsed:.1f} s < 10 s",
+        )
+
+
 class TestCriterion7TransformRoundTrip:
     def test_fifty_random_profiles(self):
         start = time.perf_counter()

@@ -143,6 +143,14 @@ class TestForceLaw:
             ForceLaw(1.0, 16.0, 0.0)
 
 
+    @pytest.mark.parametrize("args", [(math.inf, 16.0, 4.0), (1.0, math.inf, 4.0),
+                                      (math.nan, 16.0, 4.0), (1.0, 16.0, math.nan)])
+    def test_rejects_non_finite_parameters(self, args):
+        # f0 = inf used to pass, and the force at v_star was inf * 0 = NaN
+        with pytest.raises(ValueError, match="must be finite"):
+            ForceLaw(*args)
+
+
 class TestSignalTiming:
     def test_rejects_bad_timing(self):
         with pytest.raises(ValueError):

@@ -174,6 +174,37 @@ class TestSolve:
             solve_hyperbolic(uniform_state(), inflow_const(0.1, 10.0), force, 10.0)
         assert len(calls) == 1
 
+    def test_metadata_records_the_steps(self, monkeypatch):
+        import sigflow.hyperbolic as hyp
+
+        dts = []
+        real_step = hyp.step
+
+        def recording(state, dt, *args):
+            dts.append(dt)
+            return real_step(state, dt, *args)
+
+        monkeypatch.setattr(hyp, "step", recording)
+        res = solve_hyperbolic(uniform_state(), inflow_const(0.1, 10.0), None, 2.1,
+                               snapshot_interval=0.7)
+        # dx = 2 and v = 10: CFL steps of 0.1, shortened onto the snapshots
+        assert res.metadata["steps"] == len(dts) >= 21
+        assert res.metadata["dt_min"] == min(dts)
+        assert res.metadata["dt_max"] == max(dts) == pytest.approx(0.1)
+
+    def test_velocities_are_computed_once_per_step(self, monkeypatch):
+        calls = []
+        real = ConservedState.velocities
+
+        def counting(self):
+            calls.append(self.t)
+            return real(self)
+
+        monkeypatch.setattr(ConservedState, "velocities", counting)
+        res = solve_hyperbolic(uniform_state(), inflow_const(0.1, 10.0), None, 2.0)
+        # one per step, one for the initial state and one per snapshot
+        assert len(calls) == res.metadata["steps"] + 1 + len(res.snapshots)
+
     @pytest.mark.parametrize("cfl", [0.0, 1.5])
     def test_rejects_bad_cfl(self, cfl):
         with pytest.raises(ValueError, match="cfl must lie"):

@@ -98,6 +98,29 @@ class TestParseScenario:
         s = parse_scenario(doc)
         assert s.snapshot_interval == pytest.approx(10.0 / 50.0)
 
+    @pytest.mark.parametrize("numerics", ["", "numerics: {parabolic_dt: null}"])
+    def test_parabolic_dt_is_an_optional_cap(self, numerics):
+        doc = GOOD_DOC.replace(
+            "numerics: {parabolic_dt: 0.001, snapshot_interval: 1.0}", numerics)
+        assert parse_scenario(doc).parabolic_dt is None
+
+    @pytest.mark.parametrize("value, message", [("0.0", "must be positive"),
+                                                ("fast", "expected a number")])
+    def test_bad_parabolic_dt_reported(self, value, message):
+        doc = GOOD_DOC.replace("parabolic_dt: 0.001", f"parabolic_dt: {value}")
+        with pytest.raises(ScenarioFileError) as exc:
+            parse_scenario(doc)
+        assert any(e.startswith(("parabolic_dt", "numerics.parabolic_dt"))
+                   and message in e for e in exc.value.errors)
+
+    @pytest.mark.parametrize("old, new", [("f0: 1.0", "f0: .inf"),
+                                          ("v_star: 16.0", "v_star: .inf"),
+                                          ("delta: 4.0", "delta: .nan")])
+    def test_non_finite_force_reported(self, old, new):
+        with pytest.raises(ScenarioFileError) as exc:
+            parse_scenario(GOOD_DOC.replace(old, new))
+        assert any(e.startswith("force:") for e in exc.value.errors)
+
     def test_force_off(self):
         s = parse_scenario(GOOD_DOC.replace(
             "force: {f0: 1.0, v_star: 16.0, delta: 4.0}", "force: off"))

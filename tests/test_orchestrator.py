@@ -17,7 +17,7 @@ from sigflow import (
     split_at,
 )
 from sigflow.orchestrator import Trajectory
-from tests.conftest import reference_scenario
+from tests.conftest import reference_scenario, shipped_scenario
 
 
 def uniform_state(n=60, rho=0.1, v=10.0, x_max=600.0, t=0.0):
@@ -159,11 +159,16 @@ class TestRun:
         ("second", "free_flow"),
     ])
     def test_phase_failures_are_annotated(self, model, phase):
-        # a step far beyond the advective mesh CFL fails in the first viscous phase
-        s = dataclasses.replace(reference_scenario(model), parabolic_dt=0.5)
+        # a NaN inflow density after t_bad fails in the first viscous phase
+        # (the finite-volume free flow samples its inflow before t0 - tau0)
+        s = reference_scenario(model)
+        t_bad = s.timing.t0 - s.timing.tau0 if model == "first" else 0.0
+        rho_in = lambda t: np.where(np.asarray(t) > t_bad, np.nan, 0.08)
+        s = dataclasses.replace(s, inflow=BoundaryData(rho_in, s.inflow.v_in))
         with pytest.raises(PhaseError) as exc:
             run(s)
         assert exc.value.phase == phase
+        assert isinstance(exc.value.cause, ValueError)
 
     @pytest.mark.parametrize("model", ["first", "second"])
     @pytest.mark.parametrize("x0, h", [(70.0, 65.0), (598.0, 2.0)])
@@ -273,3 +278,39 @@ class TestMassBalanceReport:
             + total["handoff_adjustment"] + total["residual"]
         )
         assert recon == pytest.approx(total["final_mass"], rel=1e-14)
+
+
+def cumulative_count_w1(a: FlowState, b: FlowState) -> float:
+    """W1 = integral of |N_a - N_b| dx, N the cumulative vehicle count, exact
+    at the faces and linear in each cell; trapezoid rule on the union of both
+    face sets."""
+    xa = a.grid.faces
+    xb = b.grid.faces
+    na = np.concatenate(([0.0], np.cumsum(a.rho) * a.grid.dx))
+    nb = np.concatenate(([0.0], np.cumsum(b.rho) * b.grid.dx))
+    x = np.union1d(xa, xb)
+    d = np.abs(np.interp(x, xa, na) - np.interp(x, xb, nb))
+    return float(np.sum(0.5 * (d[1:] + d[:-1]) * np.diff(x)))
+
+
+class TestCflSteps:
+    """The shipped scenario sets no parabolic_dt: viscous steps follow the CFL."""
+
+    @pytest.mark.parametrize("model", ["first", "second"])
+    def test_every_viscous_step_meets_the_cfl_bound(self, model, viscous_steps):
+        s = shipped_scenario(model)
+        assert s.parabolic_dt is None
+        traj = run(s)
+        ratios = [r for _, _, r, _ in viscous_steps]
+        assert all(r <= s.cfl * (1 + 1e-12) for r in ratios)  # rounding only
+        # the braking strip's moving steps are among them
+        assert sum(moving for *_, moving in viscous_steps) > 10
+        steps = [p.metadata["steps"] for p in traj.phases if p.solver == "parabolic"]
+        assert sum(steps) == len(viscous_steps)
+
+    @pytest.mark.parametrize("model", ["first", "second"])
+    def test_w1_at_t_end_falls_under_refinement(self, model):
+        reference = run(shipped_scenario(model, 1200)).final
+        w1 = [cumulative_count_w1(run(shipped_scenario(model, n)).final, reference)
+              for n in (150, 300, 600)]
+        assert w1[0] > w1[1] > w1[2], w1

@@ -435,6 +435,89 @@ class TestSolveParabolic:
                             const_inflow(0.0, 0.1), 2.0, None, 0.0, 1.0, 1e-3)
 
 
+class TestStepSize:
+    """solve_parabolic's steps: the advective CFL, with dt as a cap."""
+
+    @pytest.mark.parametrize("cfl", [0.5, 0.25])
+    def test_fixed_domain_takes_the_largest_cfl_step(self, cfl, viscous_steps):
+        # max|c| = 10 / 100 per second, dy = 1/40: the step is cfl / 4 s
+        dom = fixed_domain(n=40)
+        res = solve_parabolic(np.full(41, 0.1), np.full(41, 10.0), dom,
+                              const_inflow(10.0, 0.1), 2.0, None, 0.0, 1.0, cfl=cfl)
+        dts = [dt for _, dt, _, _ in viscous_steps]
+        assert dts == pytest.approx([cfl / 4] * round(4 / cfl), rel=1e-12)
+        assert res.metadata["steps"] == len(dts)
+        assert (res.metadata["dt_min"], res.metadata["dt_max"]) == (min(dts), max(dts))
+
+    @pytest.mark.parametrize("right", [100.0, lambda t: 100.0 + 15.0 * t])
+    def test_explicit_cap_is_used_verbatim(self, right, viscous_steps):
+        # the CFL step is near 0.125 s; every step but the last, which lands
+        # on t_end, is the cap exactly
+        dom = MovingDomain(left=0.0, right_of_t=right, n_cells=40)
+        res = solve_parabolic(np.full(41, 0.1), np.full(41, 10.0), dom,
+                              const_inflow(10.0, 0.1), 2.0, None, 0.0, 0.25, 0.01)
+        dts = [dt for _, dt, _, _ in viscous_steps]
+        assert len(dts) == res.metadata["steps"] == 25
+        assert dts[:-1] == [0.01] * 24
+        assert dts[-1] == pytest.approx(0.01, rel=1e-9)
+        assert res.metadata["dt_max"] <= 0.01
+
+    def test_cap_above_the_cfl_step_does_not_bind(self, viscous_steps):
+        dom = fixed_domain(n=40)
+        solve_parabolic(np.full(41, 0.1), np.full(41, 10.0), dom,
+                        const_inflow(10.0, 0.1), 2.0, None, 0.0, 1.0, 0.5)
+        dts = [dt for _, dt, _, _ in viscous_steps]
+        assert dts == pytest.approx([0.125] * 8, rel=1e-12)
+
+    def test_moving_mesh_speed_limits_the_step(self, viscous_steps):
+        # the right end moves at 40 m/s against fluid at 2 m/s: a step sized
+        # with the mesh at rest (0.625 s) would break the CFL bound ~9 times
+        dom = MovingDomain(left=0.0, right_of_t=lambda t: 100.0 + 40.0 * t, n_cells=40)
+        res = solve_parabolic(np.full(41, 0.1), np.full(41, 2.0), dom,
+                              const_inflow(2.0, 0.1), 2.0, None, 0.0, 1.0,
+                              snapshot_interval=0.5)
+        ratios = [r for _, _, r, _ in viscous_steps]
+        assert max(ratios) <= 0.5 * (1 + 1e-12)
+        assert max(ratios) > 0.45  # the bound is active, not merely met
+        assert all(moving for *_, moving in viscous_steps)
+        assert res.metadata["steps"] == len(viscous_steps)
+
+    @pytest.mark.parametrize("dt", [None, 1e-3])
+    def test_nan_velocity_at_the_downstream_end_is_rejected(self, dt):
+        # under the zero-gradient closure with positive speeds the step's
+        # results never depend on v[-1]
+        dom = fixed_domain(n=10)
+        v = np.full(11, 8.0)
+        v[-1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            solve_parabolic(np.full(11, 0.1), v, dom, const_inflow(8.0, 0.1), 2.0,
+                            None, 0.0, 1.0, dt)
+        with pytest.raises(ValueError, match="non-finite velocity at t = 0.0"):
+            step_viscous(v, np.full(11, 0.1), 0.0, 1e-3, 2.0, const_inflow(8.0, 0.1),
+                         dom, None)
+
+    def test_non_finite_domain_length_ends_the_step_search(self):
+        # the search for a step on a moving mesh must not spin on NaN speeds
+        dom = MovingDomain(left=0.0, right_of_t=lambda t: 100.0 if t == 0.0 else np.inf,
+                           n_cells=10)
+        with pytest.raises(ValueError, match="non-finite velocity at t = 0.0"), \
+                np.errstate(invalid="ignore"):
+            solve_parabolic(np.full(11, 0.1), np.full(11, 8.0), dom,
+                            const_inflow(8.0, 0.1), 2.0, None, 0.0, 1.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan])
+    def test_rejects_a_bad_cap(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            solve_parabolic(np.full(11, 0.1), np.full(11, 8.0), fixed_domain(n=10),
+                            const_inflow(8.0, 0.1), 2.0, None, 0.0, 1.0, dt)
+
+    def test_step_range_is_none_without_steps(self):
+        res = solve_parabolic(np.full(11, 0.1), np.full(11, 8.0), fixed_domain(n=10),
+                              const_inflow(8.0, 0.1), 2.0, None, 1.0, 1.0)
+        assert (res.metadata["steps"], res.metadata["dt_min"], res.metadata["dt_max"]) \
+            == (0, None, None)
+
+
 class TestTrapezoidMass:
     def test_matches_node_state_cell_sum(self):
         dom = fixed_domain(n=16)
