@@ -62,7 +62,11 @@ def cmd_simulate(args) -> int:
     if scenario is None:
         return 2
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        print(f"error: cannot create output directory {out}: {e}", file=sys.stderr)
+        return 2
 
     t0 = time.perf_counter()
     try:

@@ -60,6 +60,10 @@ class RoadGrid:
         """Index of the cell face nearest x."""
         return int(round((x - self.x_min) / self.dx))
 
+    def nearest_face(self, x: float) -> float:
+        """Position of the cell face nearest x."""
+        return self.x_min + self.face_index(x) * self.dx
+
 
 def check_flow_fields(rho: np.ndarray, v: np.ndarray) -> float:
     """Raise ValueError unless rho and v are finite, rho >= 0 and v >= -1e-9
@@ -295,8 +299,8 @@ def validate_scenario(s: Scenario, oracle_requested: bool = False) -> list[str]:
         )
     else:
         i = g.face_index(tm.x0 - tm.h)
-        x_split = g.x_min + i * g.dx
-        x_light = g.x_min + g.face_index(tm.x0) * g.dx
+        x_split = g.nearest_face(tm.x0 - tm.h)
+        x_light = g.nearest_face(tm.x0)
         if i < 4 or g.n_cells - i < 4:
             out.append(
                 f"timing.x0/h: braking zone start x0 - h = {tm.x0 - tm.h} snaps to "
@@ -331,9 +335,11 @@ def validate_scenario(s: Scenario, oracle_requested: bool = False) -> list[str]:
     ts = np.linspace(0.0, s.t_end, 64)
     rho_in = sample_profile(s.inflow.rho_in, ts)
     v_in = sample_profile(s.inflow.v_in, ts)
-    if np.any(rho_in < 0):
-        out.append("inflow.rho_in: boundary density must be non-negative for all t")
-    if np.any(v_in < 0):
-        out.append("inflow.v_in: boundary velocity must be non-negative for all t")
+    if np.any(rho_in < 0) or not np.all(np.isfinite(rho_in)):
+        out.append("inflow.rho_in: boundary density must be finite and non-negative "
+                   "for all t")
+    if np.any(v_in < 0) or not np.all(np.isfinite(v_in)):
+        out.append("inflow.v_in: boundary velocity must be finite and non-negative "
+                   "for all t")
 
     return out

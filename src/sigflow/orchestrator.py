@@ -93,7 +93,7 @@ def split_at(state: FlowState, x_split: float) -> tuple[FlowState, FlowState, fl
     """
     grid = state.grid
     i = grid.face_index(x_split)
-    face = grid.x_min + i * grid.dx
+    face = grid.nearest_face(x_split)
     shift = face - x_split
     if i < 4 or grid.n_cells - i < 4:
         raise ValueError(
@@ -172,8 +172,8 @@ def run(s: Scenario) -> Trajectory:
     tm = s.timing
     grid = s.grid
     i_split = grid.face_index(tm.x0 - tm.h)
-    x_split = grid.x_min + i_split * grid.dx
-    x_light = grid.x_min + grid.face_index(tm.x0) * grid.dx
+    x_split = grid.nearest_face(tm.x0 - tm.h)
+    x_light = grid.nearest_face(tm.x0)
     t_brake = tm.t0 - tm.tau0
     t_green = tm.t0 + tm.tau1
     if s.model == "second":

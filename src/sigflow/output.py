@@ -12,21 +12,25 @@ from .domain import FlowState
 from .orchestrator import REPORT_SCHEMA_VERSION, Trajectory, mass_balance_report
 
 
-def _fmt(x: float) -> str:
+def _write(path, text: str, what: str) -> None:
+    path = Path(path)
+    try:
+        path.write_text(text)
+    except OSError as e:
+        raise OSError(f"cannot write {what} to {path}: {e}") from e
+
+
+def _csv(header: str, *columns: np.ndarray) -> str:
     # repr of a Python float is round-trip safe
-    return repr(float(x))
+    rows = np.column_stack(columns).tolist()
+    return "\n".join([header] + [",".join(map(repr, row)) for row in rows]) + "\n"
 
 
 def write_snapshot(state: FlowState, path) -> None:
     """Write one state as CSV: header x,rho,v with the time in a comment."""
-    path = Path(path)
-    lines = [f"# t={_fmt(state.t)}", "x,rho,v"]
-    for x, r, v in zip(state.grid.centers, state.rho, state.v):
-        lines.append(f"{_fmt(x)},{_fmt(r)},{_fmt(v)}")
-    try:
-        path.write_text("\n".join(lines) + "\n")
-    except OSError as e:
-        raise OSError(f"cannot write snapshot to {path}: {e}") from e
+    text = f"# t={float(state.t)!r}\n" + _csv("x,rho,v", state.grid.centers,
+                                              state.rho, state.v)
+    _write(path, text, "snapshot")
 
 
 def read_snapshot(path) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
@@ -55,49 +59,33 @@ def write_report(
         doc["mass_closure_residual"] = abs(report["global"]["residual"])
     if timings is not None:
         doc["phase_timings_s"] = timings
-    try:
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    except OSError as e:
-        raise OSError(f"cannot write report to {path}: {e}") from e
-
-
-def _color(frac: float) -> str:
-    # blue -> red ramp
-    frac = min(max(frac, 0.0), 1.0)
-    r = int(round(255 * frac))
-    b = int(round(255 * (1.0 - frac)))
-    g = int(round(80 * (1.0 - abs(2 * frac - 1.0))))
-    return f"#{r:02x}{g:02x}{b:02x}"
+    _write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n", "report")
 
 
 def emit_plot(traj: Trajectory, field: str, csv_path, svg_path) -> None:
-    """Write space-time heatmap data (CSV: t,x,value) and a self-contained
-    SVG rendering with axis labels and the signal timeline marked."""
+    """Write space-time heatmap data (CSV: t,x,value, one row per snapshot
+    cell) and a self-contained SVG rendering, one rect per snapshot cell,
+    with axis labels and the signal timeline marked."""
     if field not in ("rho", "v"):
         raise ValueError(f"field must be 'rho' or 'v', got {field!r}")
     snapshots = traj.snapshots
     if not snapshots:
         raise ValueError("trajectory has no snapshots to plot")
 
-    rows = []
-    for snap in snapshots:
-        vals = getattr(snap, field)
-        for x, val in zip(snap.grid.centers, vals):
-            rows.append((snap.t, x, val))
-    lines = ["t,x,value"] + [f"{_fmt(t)},{_fmt(x)},{_fmt(v)}" for t, x, v in rows]
-    try:
-        Path(csv_path).write_text("\n".join(lines) + "\n")
-    except OSError as e:
-        raise OSError(f"cannot write plot data to {csv_path}: {e}") from e
+    n = [snap.grid.n_cells for snap in snapshots]
+    t = np.repeat([snap.t for snap in snapshots], n)
+    x = np.concatenate([snap.grid.centers for snap in snapshots])
+    val = np.concatenate([getattr(snap, field) for snap in snapshots])
+    dx = np.repeat([snap.grid.dx for snap in snapshots], n)
+    _write(csv_path, _csv("t,x,value", t, x, val), "plot data")
 
-    vmin = min(r[2] for r in rows)
-    vmax = max(r[2] for r in rows)
-    t_lo = min(r[0] for r in rows)
-    t_hi = max(r[0] for r in rows)
-    x_lo = min(r[1] for r in rows)
-    x_hi = max(r[1] for r in rows)
+    # argmin/argmax return the first extreme, as min()/max() do, so the
+    # sign of a zero extreme is kept in the label
+    vmin, vmax = float(val[val.argmin()]), float(val[val.argmax()])
+    t_lo, t_hi = t.min(), t.max()
+    x_lo = x.min()
     span_t = (t_hi - t_lo) or 1.0
-    span_x = (x_hi - x_lo) or 1.0
+    span_x = (x.max() - x_lo) or 1.0
     span_v = (vmax - vmin) or 1.0
 
     width, height, margin = 640, 420, 60
@@ -106,39 +94,38 @@ def emit_plot(traj: Trajectory, field: str, csv_path, svg_path) -> None:
     def px(t):
         return margin + pw * (t - t_lo) / span_t
 
-    def py(x):
-        return height - margin - ph * (x - x_lo) / span_x
-
-    # one rect per sample; sized by the local snapshot spacing
-    times = sorted({r[0] for r in rows})
-    dt_plot = pw * (span_t / max(len(times) - 1, 1)) / span_t
+    # one rect per sample; the red-phase flows share their snapshot times,
+    # so the width comes from the distinct times
+    dt_plot = pw * (span_t / max(np.unique(t).size - 1, 1)) / span_t
+    dx_plot = ph * (dx / span_x)
+    rect_x = px(t) - dt_plot / 2
+    rect_y = height - margin - ph * (x - x_lo) / span_x - dx_plot / 2
+    rect_h = np.maximum(dx_plot, 1.0)
+    # blue -> red ramp; np.rint rounds half to even, as round() does
+    frac = np.clip((val - vmin) / span_v, 0.0, 1.0)
+    rgb = (np.rint(255 * frac).astype(int) << 16
+           | np.rint(80 * (1.0 - np.abs(2 * frac - 1.0))).astype(int) << 8
+           | np.rint(255 * (1.0 - frac)).astype(int))
+    rect_w = f"{max(dt_plot, 1.0):.2f}"
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    for snap in snapshots:
-        xs = snap.grid.centers
-        dx_plot = ph * (snap.grid.dx / span_x)
-        vals = getattr(snap, field)
-        for x, val in zip(xs, vals):
-            c = _color((val - vmin) / span_v)
-            parts.append(
-                f'<rect x="{px(snap.t) - dt_plot / 2:.2f}" '
-                f'y="{py(x) - dx_plot / 2:.2f}" width="{max(dt_plot, 1.0):.2f}" '
-                f'height="{max(dx_plot, 1.0):.2f}" fill="{c}"/>'
-            )
+    parts += [
+        f'<rect x="{rx:.2f}" y="{ry:.2f}" width="{rect_w}" height="{rh:.2f}" '
+        f'fill="#{c:06x}"/>'
+        for rx, ry, rh, c in zip(rect_x.tolist(), rect_y.tolist(), rect_h.tolist(),
+                                 rgb.tolist())
+    ]
 
     tm = traj.scenario.timing
-    for t_mark in (tm.t0 - tm.tau0, tm.t0, tm.t0 + tm.tau1):
-        if t_lo <= t_mark <= t_hi:
-            xpix = px(t_mark)
-        else:
-            xpix = px(min(max(t_mark, t_lo), t_hi))
-        parts.append(
-            f'<line class="phase-marker" x1="{xpix:.2f}" y1="{margin}" '
-            f'x2="{xpix:.2f}" y2="{height - margin}" stroke="black" '
-            'stroke-dasharray="4 3"/>'
-        )
+    marks = np.clip([tm.t0 - tm.tau0, tm.t0, tm.t0 + tm.tau1], t_lo, t_hi)
+    parts += [
+        f'<line class="phase-marker" x1="{xpix:.2f}" y1="{margin}" '
+        f'x2="{xpix:.2f}" y2="{height - margin}" stroke="black" '
+        'stroke-dasharray="4 3"/>'
+        for xpix in px(marks).tolist()
+    ]
 
     parts.append(
         f'<text x="{width / 2:.0f}" y="{height - 15}" text-anchor="middle">time t (s)</text>'
@@ -149,10 +136,7 @@ def emit_plot(traj: Trajectory, field: str, csv_path, svg_path) -> None:
     )
     parts.append(
         f'<text x="{width - margin}" y="20" text-anchor="end">'
-        f"{field}: min={_fmt(vmin)} max={_fmt(vmax)}</text>"
+        f"{field}: min={vmin!r} max={vmax!r}</text>"
     )
     parts.append("</svg>")
-    try:
-        Path(svg_path).write_text("\n".join(parts) + "\n")
-    except OSError as e:
-        raise OSError(f"cannot write plot to {svg_path}: {e}") from e
+    _write(svg_path, "\n".join(parts) + "\n", "plot")

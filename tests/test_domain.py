@@ -27,6 +27,12 @@ class TestRoadGrid:
         assert g.faces[0] == 0.0 and g.faces[-1] == 100.0
         assert len(g.faces) == 51
 
+    def test_nearest_face(self):
+        g = RoadGrid(-1.0, 2.0, 7)
+        for x in (-1.0, -0.3, 0.5, 1.0 / 3.0, 2.0):
+            assert g.nearest_face(x) == g.x_min + g.face_index(x) * g.dx
+        assert g.nearest_face(0.6) == g.faces[4]
+
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             RoadGrid(10.0, 10.0, 8)

@@ -1,4 +1,6 @@
 import json
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from sigflow import (
     FlowState,
     RoadGrid,
     ScenarioFileError,
+    Trajectory,
     parse_scenario,
     run,
 )
@@ -121,6 +124,15 @@ class TestParseScenario:
             parse_scenario(GOOD_DOC.replace(old, new))
         assert any(e.startswith("force:") for e in exc.value.errors)
 
+    @pytest.mark.parametrize("old, new", [("rho_in: 0.1", "rho_in: .nan"),
+                                          ("v_in: 10.0", "v_in: .inf")])
+    def test_non_finite_inflow_reported(self, old, new):
+        with pytest.raises(ScenarioFileError) as exc:
+            parse_scenario(GOOD_DOC.replace(old, new))
+        key = old.split(":")[0]
+        assert any(e.startswith(f"inflow.{key}:") and "finite" in e
+                   for e in exc.value.errors)
+
     def test_force_off(self):
         s = parse_scenario(GOOD_DOC.replace(
             "force: {f0: 1.0, v_star: 16.0, delta: 4.0}", "force: off"))
@@ -195,6 +207,155 @@ def small_trajectory():
     return run(s)
 
 
+def _fmt(x):
+    return repr(float(x))
+
+
+def _color(frac):
+    frac = min(max(frac, 0.0), 1.0)
+    r = int(round(255 * frac))
+    b = int(round(255 * (1.0 - frac)))
+    g = int(round(80 * (1.0 - abs(2 * frac - 1.0))))
+    return f"#{r:02x}{g:02x}{b:02x}"
+
+
+def reference_write_snapshot(state, path):
+    """write_snapshot written with one Python call per value, as it was
+    before it worked on whole arrays; write_snapshot must match its bytes."""
+    lines = [f"# t={_fmt(state.t)}", "x,rho,v"]
+    for x, r, v in zip(state.grid.centers, state.rho, state.v):
+        lines.append(f"{_fmt(x)},{_fmt(r)},{_fmt(v)}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def reference_emit_plot(traj, field, csv_path, svg_path):
+    """emit_plot written with one Python call per value, as it was before it
+    worked on whole arrays; emit_plot must match its bytes."""
+    snapshots = traj.snapshots
+    rows = []
+    for snap in snapshots:
+        vals = getattr(snap, field)
+        for x, val in zip(snap.grid.centers, vals):
+            rows.append((snap.t, x, val))
+    lines = ["t,x,value"] + [f"{_fmt(t)},{_fmt(x)},{_fmt(v)}" for t, x, v in rows]
+    Path(csv_path).write_text("\n".join(lines) + "\n")
+
+    vmin = min(r[2] for r in rows)
+    vmax = max(r[2] for r in rows)
+    t_lo = min(r[0] for r in rows)
+    t_hi = max(r[0] for r in rows)
+    x_lo = min(r[1] for r in rows)
+    x_hi = max(r[1] for r in rows)
+    span_t = (t_hi - t_lo) or 1.0
+    span_x = (x_hi - x_lo) or 1.0
+    span_v = (vmax - vmin) or 1.0
+
+    width, height, margin = 640, 420, 60
+    pw, ph = width - 2 * margin, height - 2 * margin
+
+    def px(t):
+        return margin + pw * (t - t_lo) / span_t
+
+    def py(x):
+        return height - margin - ph * (x - x_lo) / span_x
+
+    times = sorted({r[0] for r in rows})
+    dt_plot = pw * (span_t / max(len(times) - 1, 1)) / span_t
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    for snap in snapshots:
+        xs = snap.grid.centers
+        dx_plot = ph * (snap.grid.dx / span_x)
+        vals = getattr(snap, field)
+        for x, val in zip(xs, vals):
+            c = _color((val - vmin) / span_v)
+            parts.append(
+                f'<rect x="{px(snap.t) - dt_plot / 2:.2f}" '
+                f'y="{py(x) - dx_plot / 2:.2f}" width="{max(dt_plot, 1.0):.2f}" '
+                f'height="{max(dx_plot, 1.0):.2f}" fill="{c}"/>'
+            )
+
+    tm = traj.scenario.timing
+    for t_mark in (tm.t0 - tm.tau0, tm.t0, tm.t0 + tm.tau1):
+        if t_lo <= t_mark <= t_hi:
+            xpix = px(t_mark)
+        else:
+            xpix = px(min(max(t_mark, t_lo), t_hi))
+        parts.append(
+            f'<line class="phase-marker" x1="{xpix:.2f}" y1="{margin}" '
+            f'x2="{xpix:.2f}" y2="{height - margin}" stroke="black" '
+            'stroke-dasharray="4 3"/>'
+        )
+
+    parts.append(
+        f'<text x="{width / 2:.0f}" y="{height - 15}" text-anchor="middle">time t (s)</text>'
+    )
+    parts.append(
+        f'<text x="18" y="{height / 2:.0f}" text-anchor="middle" '
+        f'transform="rotate(-90 18 {height / 2:.0f})">position x (m)</text>'
+    )
+    parts.append(
+        f'<text x="{width - margin}" y="20" text-anchor="end">'
+        f"{field}: min={_fmt(vmin)} max={_fmt(vmax)}</text>"
+    )
+    parts.append("</svg>")
+    Path(svg_path).write_text("\n".join(parts) + "\n")
+
+
+def two_snapshot_trajectory():
+    """Four cells of width 1 at t = 0 and t = 1.  rho spans [0, 2] with the
+    mid value 1 and the value 2 / 64, whose green channel 80 / 32 = 2.5 rounds
+    half to even; v has its first minimum at 0.0 and later ones at -0.0, an
+    order in which np.min returns -0.0 but min() returns 0.0."""
+    g = RoadGrid(0.0, 4.0, 4)
+    snaps = [FlowState(g, np.array([0.0, 1.0, 2.0, 1.0]), np.array([0.0, 3.0, -0.0, 1.0]), 0.0),
+             FlowState(g, np.array([1.0, 1.0, 2 / 64, 2.0]), np.array([1.0, 2.0, -0.0, 4.0]), 1.0)]
+    return Trajectory(parse_scenario(GOOD_DOC), [SimpleNamespace(snapshots=snaps)],
+                      None, 0.0, 0.0, {})
+
+
+class TestWriterParity:
+    @pytest.mark.parametrize("model", ["first", "second"])
+    def test_snapshots_match_reference_bytes(self, model, request, tmp_path):
+        traj = request.getfixturevalue(f"{model}_model_trajectory")
+        for snap in traj.snapshots + two_snapshot_trajectory().snapshots:
+            write_snapshot(snap, tmp_path / "new.csv")
+            reference_write_snapshot(snap, tmp_path / "ref.csv")
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("field", ["rho", "v"])
+    @pytest.mark.parametrize("model", ["first", "second", "hand-built"])
+    def test_plot_matches_reference_bytes(self, model, field, request, tmp_path):
+        if model == "hand-built":
+            traj = two_snapshot_trajectory()
+        else:
+            traj = request.getfixturevalue(f"{model}_model_trajectory")
+        emit_plot(traj, field, tmp_path / "new.csv", tmp_path / "new.svg")
+        reference_emit_plot(traj, field, tmp_path / "ref.csv", tmp_path / "ref.svg")
+        for ext in ("csv", "svg"):
+            assert ((tmp_path / f"new.{ext}").read_bytes()
+                    == (tmp_path / f"ref.{ext}").read_bytes())
+
+    def test_rect_geometry_and_colour_ramp(self, tmp_path):
+        emit_plot(two_snapshot_trajectory(), "rho", tmp_path / "p.csv", tmp_path / "p.svg")
+        rects = [ln for ln in (tmp_path / "p.svg").read_text().splitlines()
+                 if ln.startswith("<rect x=")]
+        assert len(rects) == 8
+        # px(0) = 60, dt_plot = 520; py(0.5) = 360, dx_plot = 300 / 3
+        assert rects[0] == ('<rect x="-200.00" y="310.00" width="520.00" '
+                            'height="100.00" fill="#0000ff"/>')
+        assert rects[2].endswith('fill="#ff0000"/>')
+        # rho = 1 is half-way: 255 * 0.5 = 127.5 rounds to 128
+        assert rects[1].endswith('fill="#805080"/>')
+        assert rects[6].endswith('fill="#0402fb"/>')
+
+    def test_zero_minimum_keeps_its_first_sign(self, tmp_path):
+        emit_plot(two_snapshot_trajectory(), "v", tmp_path / "p.csv", tmp_path / "p.svg")
+        assert "v: min=0.0 max=4.0</text>" in (tmp_path / "p.svg").read_text()
+
+
 class TestReportAndPlot:
     def test_report_document(self, small_trajectory, tmp_path):
         p = tmp_path / "report.json"
@@ -267,6 +428,12 @@ class TestCli:
         assert snaps, "free-flow snapshots missing"
         doc = json.loads((out / "report.json").read_text())
         assert doc["mass_closure_residual"] < 1e-9
+
+    def test_simulate_out_is_a_file(self, config, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
 
     def test_simulate_model_override(self, config, tmp_path):
         out = tmp_path / "out2"

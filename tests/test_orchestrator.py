@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import sigflow.parabolic
 from sigflow import (
     CLOSED,
     BoundaryData,
@@ -158,13 +159,19 @@ class TestRun:
         ("first", "upstream_braking"),  # viscous only in the braking phase
         ("second", "free_flow"),
     ])
-    def test_phase_failures_are_annotated(self, model, phase):
-        # a NaN inflow density after t_bad fails in the first viscous phase
-        # (the finite-volume free flow samples its inflow before t0 - tau0)
+    def test_phase_failures_are_annotated(self, model, phase, monkeypatch):
+        # a viscous step that fails after t_bad fails the first viscous phase
+        # (the finite-volume free flow of the first model ends at t0 - tau0)
         s = reference_scenario(model)
         t_bad = s.timing.t0 - s.timing.tau0 if model == "first" else 0.0
-        rho_in = lambda t: np.where(np.asarray(t) > t_bad, np.nan, 0.08)
-        s = dataclasses.replace(s, inflow=BoundaryData(rho_in, s.inflow.v_in))
+        step = sigflow.parabolic.step_viscous
+
+        def failing_step(v, rho, t, *args):
+            if t > t_bad:
+                raise ValueError(f"injected fault at t = {t}")
+            return step(v, rho, t, *args)
+
+        monkeypatch.setattr(sigflow.parabolic, "step_viscous", failing_step)
         with pytest.raises(PhaseError) as exc:
             run(s)
         assert exc.value.phase == phase
