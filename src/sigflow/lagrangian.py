@@ -53,6 +53,10 @@ class MassField:
         v = np.asarray(self.v_hat, dtype=float)
         if not (xi.shape == rho.shape == v.shape):
             raise ValueError("xi, rho_hat, v_hat must have matching shapes")
+        if xi.ndim != 1 or xi.size < 2:
+            raise ValueError(f"need 1-D arrays of at least 2 samples, got {xi.shape}")
+        if not all(np.isfinite(u).all() for u in (xi, rho, v)):
+            raise ValueError("xi, rho_hat and v_hat must be finite")
         if np.any(np.diff(xi) <= 0):
             raise ValueError("xi must be strictly increasing")
         if np.any(rho <= 0):
@@ -106,6 +110,32 @@ def reconstruct_physical(field: MassField, grid: RoadGrid) -> FlowState:
     return FlowState(grid=grid, rho=rho, v=np.maximum(v, 0.0), t=field.t)
 
 
+def _gradient_operator(xi: np.ndarray):
+    """grad(f, out) writing np.gradient(f, xi) into out, bit for bit, with
+    numpy's spacing terms for this xi computed once instead of per call."""
+    dx = xi[1:] - xi[:-1]
+    d0, dn = dx[0], dx[-1]
+    uniform = (dx == d0).all()
+    if not uniform:
+        dx1, dx2 = dx[:-1], dx[1:]
+        s12 = dx1 + dx2
+        a, b, c = -dx2 / (dx1 * s12), (dx2 - dx1) / (dx1 * dx2), dx1 / (dx2 * s12)
+        tmp = np.empty_like(b)
+
+    def grad(f, out):
+        mid = out[1:-1]
+        if uniform:
+            np.divide(np.subtract(f[2:], f[:-2], out=mid), 2.0 * d0, out=mid)
+        else:
+            np.multiply(a, f[:-2], out=mid)
+            mid += np.multiply(b, f[1:-1], out=tmp)
+            mid += np.multiply(c, f[2:], out=tmp)
+        out[0], out[-1] = (f[1] - f[0]) / d0, (f[-1] - f[-2]) / dn
+        return out
+
+    return grad
+
+
 def advance_characteristics(
     field: MassField,
     inflow: Optional[BoundaryData],
@@ -132,49 +162,62 @@ def advance_characteristics(
             return 0.0
         return float(inflow.rho_in(t)) * float(inflow.v_in(t))
 
-    xi = np.array(field.xi, dtype=float)
-    rho = np.array(field.rho_hat, dtype=float)
-    v = np.array(field.v_hat, dtype=float)
-    spacing = float(np.median(np.diff(xi)))
+    # Rows: xi; (rho, v) of the state y, stage input, stage rate, RK4 sum; scratch.
+    # At most one characteristic enters per step: samples grow left from column s.
+    s = n_steps + 1
+    buf = np.empty((10, s + field.xi.size))
+    buf[:3, s:] = field.xi, field.rho_hat, field.v_hat
+    spacing = float(np.median(np.diff(field.xi)))
 
-    def rates(v_s, rho_s):
-        dv = force(np.maximum(v_s, 0.0)) if force is not None else np.zeros_like(v_s)
-        drho = -rho_s * rho_s * np.gradient(v_s, xi)
-        return dv, drho
+    def rates(y, k):
+        """Write (drho/dt, dv/dt) at y into k, with this step's grad and tmp."""
+        k[1] = force(np.maximum(y[1], 0.0, out=tmp)) if force is not None else 0.0
+        grad(y[1], k[0])
+        k[0] *= np.multiply(np.negative(y[0], out=tmp), y[0], out=tmp)
 
     dt = (t_end - field.t) / n_steps
+    h = 0.5 * dt
     t = field.t
     a_int = field.a_integral
     pending = 0.0
     for _ in range(n_steps):
-        k1v, k1r = rates(v, rho)
-        k2v, k2r = rates(v + 0.5 * dt * k1v, rho + 0.5 * dt * k1r)
-        k3v, k3r = rates(v + 0.5 * dt * k2v, rho + 0.5 * dt * k2r)
-        k4v, k4r = rates(v + dt * k3v, rho + dt * k3r)
-        v = v + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        rho = rho + (dt / 6.0) * (k1r + 2 * k2r + 2 * k3r + k4r)
+        w = buf[:, s:]
+        xi, y, ys, k, acc, tmp = w[0], w[1:3], w[3:5], w[5:7], w[7:9], w[9]
+        grad = _gradient_operator(xi)
+        # y + dt/6 (k1 + 2 k2 + 2 k3 + k4), every sum and product in the
+        # order that expression takes them, accumulated in place
+        rates(y, acc)
+        np.add(y, np.multiply(acc, h, out=ys), out=ys)
+        for c in (h, dt):
+            rates(ys, k)
+            np.add(y, np.multiply(k, c, out=ys), out=ys)
+            k *= 2
+            acc += k
+        rates(ys, k)
+        acc += k
+        y += np.multiply(acc, dt / 6.0, out=acc)
 
-        dA = 0.5 * dt * (a(t) + a(t + dt))
+        dA = h * (a(t) + a(t + dt))
         t = t + dt
-        xi = xi + dA
+        xi += dA
         a_int += dA
         pending += dA
 
-        if np.any(rho <= RHO_FLOOR):
+        if not np.minimum.reduce(y[0]) > RHO_FLOOR:  # NaN fails too
             raise BreakdownError(
                 f"density reached the positivity floor at t = {t}: characteristics "
                 "have crossed in physical space"
             )
         if pending >= spacing and inflow is not None:
-            xi = np.concatenate(([0.0], xi))
-            rho = np.concatenate(([float(inflow.rho_in(t))], rho))
-            v = np.concatenate(([float(inflow.v_in(t))], v))
+            s -= 1
+            buf[:3, s] = 0.0, float(inflow.rho_in(t)), float(inflow.v_in(t))
             pending = 0.0
-            if rho[0] <= RHO_FLOOR:
+            if buf[1, s] <= RHO_FLOOR:
                 raise BreakdownError(
                     f"boundary density vanished at entry time t = {t}"
                 )
 
+    xi, rho, v = buf[:3, s:].copy()
     return MassField(
         xi=xi, rho_hat=rho, v_hat=v, t=t, x_origin=field.x_origin, a_integral=a_int
     )
@@ -183,9 +226,11 @@ def advance_characteristics(
 def estimate_breakdown_time(state: FlowState) -> float:
     """First crossing time of the physical characteristics, or infinity.
 
-    With a velocity-independent force the characteristics are vertical
-    translates of each other, so they first cross at t = -1/min(v0') when
-    the initial velocity has a decreasing stretch.
+    Without a force the characteristics are straight lines, and they first
+    cross at t = -1/min(v0') when the initial velocity has a decreasing
+    stretch.  A non-increasing F(v), which every ForceLaw is, only shrinks
+    the velocity gap between a faster follower and a slower leader, so with
+    a force -1/min(v0') is a lower bound on the crossing time.
     """
     slope = np.gradient(state.v, state.grid.centers)
     m = float(np.min(slope))

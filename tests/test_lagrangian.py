@@ -9,10 +9,86 @@ from sigflow import (
     RoadGrid,
     advance_characteristics,
     estimate_breakdown_time,
+    initial_state,
     reconstruct_physical,
     to_mass_coordinates,
 )
-from sigflow.lagrangian import BreakdownError, PositivityError, _positions
+from sigflow.lagrangian import (
+    RHO_FLOOR,
+    BreakdownError,
+    PositivityError,
+    _gradient_operator,
+    _positions,
+)
+from tests.conftest import shipped_scenario
+
+
+def reference_advance_characteristics(field, inflow, force, t_end, n_steps):
+    """advance_characteristics written with one numpy expression per formula,
+    as it was before its RK4 step was made to work in place on preallocated
+    buffers; advance_characteristics must match it bit for bit wherever both
+    return, and raise the same error where it raises."""
+    if not t_end > field.t:
+        raise ValueError(f"t_end = {t_end} must exceed field time {field.t}")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+
+    def a(t: float) -> float:
+        if inflow is None:
+            return 0.0
+        return float(inflow.rho_in(t)) * float(inflow.v_in(t))
+
+    xi = np.array(field.xi, dtype=float)
+    rho = np.array(field.rho_hat, dtype=float)
+    v = np.array(field.v_hat, dtype=float)
+    spacing = float(np.median(np.diff(xi)))
+
+    def rates(v_s, rho_s):
+        dv = force(np.maximum(v_s, 0.0)) if force is not None else np.zeros_like(v_s)
+        drho = -rho_s * rho_s * np.gradient(v_s, xi)
+        return dv, drho
+
+    dt = (t_end - field.t) / n_steps
+    t = field.t
+    a_int = field.a_integral
+    pending = 0.0
+    for _ in range(n_steps):
+        k1v, k1r = rates(v, rho)
+        k2v, k2r = rates(v + 0.5 * dt * k1v, rho + 0.5 * dt * k1r)
+        k3v, k3r = rates(v + 0.5 * dt * k2v, rho + 0.5 * dt * k2r)
+        k4v, k4r = rates(v + dt * k3v, rho + dt * k3r)
+        v = v + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        rho = rho + (dt / 6.0) * (k1r + 2 * k2r + 2 * k3r + k4r)
+
+        dA = 0.5 * dt * (a(t) + a(t + dt))
+        t = t + dt
+        xi = xi + dA
+        a_int += dA
+        pending += dA
+
+        if np.any(rho <= RHO_FLOOR):
+            raise BreakdownError(
+                f"density reached the positivity floor at t = {t}: characteristics "
+                "have crossed in physical space"
+            )
+        if pending >= spacing and inflow is not None:
+            xi = np.concatenate(([0.0], xi))
+            rho = np.concatenate(([float(inflow.rho_in(t))], rho))
+            v = np.concatenate(([float(inflow.v_in(t))], v))
+            pending = 0.0
+            if rho[0] <= RHO_FLOOR:
+                raise BreakdownError(
+                    f"boundary density vanished at entry time t = {t}"
+                )
+
+    return MassField(
+        xi=xi, rho_hat=rho, v_hat=v, t=t, x_origin=field.x_origin, a_integral=a_int
+    )
+
+
+def bits(*values):
+    """The float64 bit patterns of arrays and scalars, for exact comparison."""
+    return [np.asarray(x, dtype=float).view(np.int64) for x in values]
 
 
 def state_from(rho_fn, v_fn, n=200, x_max=100.0):
@@ -100,8 +176,11 @@ class TestAdvance:
             t=0.0,
             x_origin=0.0,
         )
-        with pytest.raises(BreakdownError):
+        with pytest.raises(BreakdownError) as got:
             advance_characteristics(field, None, None, 100.0, 10)
+        with pytest.raises(BreakdownError) as expected:
+            reference_advance_characteristics(field, None, None, 100.0, 10)
+        assert str(got.value) == str(expected.value)  # same step, same message
 
     def test_rejects_bad_horizon(self):
         s = state_from(lambda x: np.full_like(x, 0.1), lambda x: np.zeros_like(x))
@@ -110,6 +189,78 @@ class TestAdvance:
             advance_characteristics(f, None, None, -1.0, 10)
         with pytest.raises(ValueError):
             advance_characteristics(f, None, None, 1.0, 0)
+
+
+    def test_nan_stops_the_first_step_with_a_nan_density(self):
+        # v_in turns NaN after t = 0.55: the influx of the step ending at
+        # t = 0.6 shifts every xi to NaN, so the next step's densities are NaN
+        s = state_from(lambda x: np.full_like(x, 0.1), lambda x: np.full_like(x, 10.0),
+                       n=20)
+        inflow = BoundaryData(rho_in=lambda t: 0.1,
+                              v_in=lambda t: np.nan if t > 0.55 else 10.0)
+        with pytest.raises(BreakdownError, match=r"at t = 0\.7"):
+            advance_characteristics(to_mass_coordinates(s), inflow, None, 1.0, 10)
+
+
+def parity_case(case):
+    """(field, inflow, force, t_end, n_steps) of one parity case."""
+    s = shipped_scenario(n_cells=600)
+    field = to_mass_coordinates(initial_state(s))
+    inflow, force = s.inflow, s.force
+    t_end = s.timing.t0 - s.timing.tau0
+    n_steps = 800
+    if case == "no_inflow":
+        inflow = None
+    elif case == "no_force":
+        force = None
+    elif case == "fast_inflow":
+        # rho_in * v_in ~ 10 veh/s: dA = 0.1 veh per step against a sample
+        # spacing of about 0.08 veh, so a characteristic enters on most steps
+        inflow = BoundaryData(rho_in=lambda t: 1.0 + 0.1 * np.sin(t),
+                              v_in=lambda t: 10.0)
+    elif case == "uniform":
+        # exactly equal steps of xi take np.gradient's scalar-spacing branch;
+        # at a spacing of 0.5 both branches are exact and cannot be told apart
+        k = 50
+        field = MassField(0.75 * np.arange(k), np.full(k, 0.1),
+                          5.0 + np.sqrt(np.arange(k)), 0.0, 0.0)
+        inflow, t_end, n_steps = None, 2.0, 100
+    elif case == "two_samples":
+        field = MassField(np.array([0.0, 0.3]), np.array([0.1, 0.12]),
+                          np.array([5.0, 6.0]), 0.0, 0.0)
+        inflow = BoundaryData(rho_in=lambda t: 0.5, v_in=lambda t: 3.0)
+        t_end, n_steps = 2.0, 50
+    return field, inflow, force, t_end, n_steps
+
+
+class TestAdvanceParity:
+    @pytest.mark.parametrize("case", ["shipped", "no_inflow", "no_force", "fast_inflow",
+                                      "uniform", "two_samples"])
+    def test_bitwise_equal_to_reference(self, case):
+        args = parity_case(case)
+        got = advance_characteristics(*args)
+        expected = reference_advance_characteristics(*args)
+        for name in ("xi", "rho_hat", "v_hat", "t", "a_integral"):
+            g, e = bits(getattr(got, name), getattr(expected, name))
+            assert np.array_equal(g, e), name
+        entered = got.xi.size - args[0].xi.size
+        if case == "fast_inflow":
+            assert entered > args[4] // 2
+        if case == "two_samples":
+            assert entered > 0
+
+    @pytest.mark.parametrize("xi", [
+        0.75 * np.arange(40.0),
+        np.cumsum(np.random.default_rng(4).uniform(0.1, 1.0, 40)),
+        np.array([0.0, 0.3]),
+        np.array([0.0, 0.2, 0.7]),
+    ], ids=["uniform", "non_uniform", "two", "three"])
+    def test_gradient_operator_is_np_gradient(self, xi):
+        grad = _gradient_operator(xi)
+        rng = np.random.default_rng(7)
+        for f in (np.sin(xi), rng.normal(size=xi.size)):
+            got = grad(f, np.empty_like(f))
+            assert np.array_equal(*bits(got, np.gradient(f, xi)))
 
 
 class TestReconstruct:
@@ -154,6 +305,20 @@ class TestMassFieldValidation:
     def test_rejects_non_monotone_xi(self):
         with pytest.raises(ValueError):
             MassField(np.array([0.0, 2.0, 1.0]), np.full(3, 0.1), np.zeros(3), 0.0, 0.0)
+
+    @pytest.mark.parametrize("xi, rho, v", [
+        ([0.0, np.nan, 2.0], [0.1, 0.1, 0.1], [1.0, 1.0, 1.0]),
+        ([0.0, 1.0, 2.0], [0.1, np.nan, 0.1], [1.0, 1.0, 1.0]),
+        ([0.0, 1.0, 2.0], [0.1, np.inf, 0.1], [1.0, 1.0, 1.0]),
+        ([0.0, 1.0, 2.0], [0.1, 0.1, 0.1], [1.0, np.inf, 1.0]),
+    ], ids=["nan_xi", "nan_rho", "inf_rho", "inf_v"])
+    def test_rejects_non_finite(self, xi, rho, v):
+        with pytest.raises(ValueError, match="finite"):
+            MassField(np.array(xi), np.array(rho), np.array(v), 0.0, 0.0)
+
+    def test_rejects_a_single_sample(self):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            MassField(np.array([0.0]), np.array([0.1]), np.array([1.0]), 0.0, 0.0)
 
     def test_rejects_non_positive_density(self):
         with pytest.raises(PositivityError):
