@@ -16,7 +16,6 @@ from .domain import (
 )
 from .hyperbolic import (
     ConservedState,
-    cfl_dt,
     numerical_flux,
     solve_hyperbolic,
 )

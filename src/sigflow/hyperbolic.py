@@ -201,11 +201,6 @@ def numerical_flux(rho_l, v_l, rho_r, v_r):
     return f_mass, f_mom
 
 
-def cfl_dt(state: FlowState, cfl: float) -> float:
-    """Largest stable time step at the given CFL ratio."""
-    return _cfl_step(state.grid.dx, float(np.maximum.reduce(np.abs(state.v))), cfl)
-
-
 def _cfl_step(dx: float, vmax: float, cfl: float) -> float:
     """cfl * dx / vmax, with vmax raised to the speed floor."""
     if not 0 < cfl <= 1:

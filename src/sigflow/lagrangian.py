@@ -150,7 +150,8 @@ def advance_characteristics(
     drho/dt = -rho^2 * dv/dxi (centered differences, one-sided at the ends),
     both advanced with classical RK4.  Characteristics entering through
     xi = 0 are seeded with the boundary values at their entry time, at a
-    spacing matching the initial sample resolution.
+    spacing matching the initial sample resolution.  BreakdownError stops
+    the step in which a density reaches RHO_FLOOR or becomes infinite.
     """
     if not t_end > field.t:
         raise ValueError(f"t_end = {t_end} must exceed field time {field.t}")
@@ -207,6 +208,11 @@ def advance_characteristics(
             raise BreakdownError(
                 f"density reached the positivity floor at t = {t}: characteristics "
                 "have crossed in physical space"
+            )
+        if not np.maximum.reduce(y[0]) < np.inf:
+            raise BreakdownError(
+                f"density became infinite at t = {t}: faster vehicles have "
+                "caught up with slower ones and formed a point mass"
             )
         if pending >= spacing and inflow is not None:
             s -= 1

@@ -9,6 +9,10 @@ exactly at the boundary nodes); density follows with
 conservative upwind advection against the freshly updated velocity, so the
 discrete mass change matches the boundary-flux ledger identically.
 
+scipy supplies gtsv and is imported at the first solve, not with this
+module, so a process that takes no viscous step (`sigflow validate`,
+`sigflow verify-oracle`) never loads it.
+
 State lives on n+1 equally spaced nodes of the unit interval.  In physical
 coordinates the nodes are equally spaced too, which lets snapshots reuse
 FlowState: the snapshot grid is chosen so its cell centers coincide with
@@ -19,11 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
+from numpy.linalg import LinAlgError
 
 from .domain import BoundaryData, FlowState, ForceLaw, RoadGrid
 from .hyperbolic import SolveResult, StepReport, _cfl_step, march
@@ -32,7 +36,12 @@ from .hyperbolic import SolveResult, StepReport, _cfl_step, march
 # a numerical guard, not a modeling choice.
 RHO_COEFF_FLOOR = 1e-9
 
-_gtsv = get_lapack_funcs("gtsv", dtype=np.float64)
+
+@cache
+def _gtsv():
+    """LAPACK dgtsv, fetched from scipy at the first solve."""
+    from scipy.linalg import get_lapack_funcs
+    return get_lapack_funcs("gtsv", dtype=np.float64)
 
 
 def solve_banded(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
@@ -46,7 +55,7 @@ def solve_banded(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
     input validation and band-array copies; the benchmark times it as the
     viscous step's LAPACK layer.
     """
-    _, _, _, x, info = _gtsv(sub, diag, sup, b, True, True, True, True)
+    _, _, _, x, info = _gtsv()(sub, diag, sup, b, True, True, True, True)
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:

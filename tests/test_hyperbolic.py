@@ -8,11 +8,10 @@ from sigflow import (
     FlowState,
     ForceLaw,
     RoadGrid,
-    cfl_dt,
     numerical_flux,
     solve_hyperbolic,
 )
-from sigflow.hyperbolic import step
+from sigflow.hyperbolic import _cfl_step, step
 
 
 def uniform_state(n=50, rho=0.1, v=10.0, x_max=100.0, t=0.0):
@@ -51,17 +50,17 @@ class TestNumericalFlux:
 
 class TestCflDt:
     def test_nominal(self):
-        assert cfl_dt(uniform_state(v=10.0, n=100), 0.5) == pytest.approx(0.05)
+        assert _cfl_step(1.0, 10.0, 0.5) == pytest.approx(0.05)
 
     def test_speed_floor_when_stopped(self):
-        dt = cfl_dt(uniform_state(v=0.0, n=100), 0.5)
+        dt = _cfl_step(1.0, 0.0, 0.5)
         assert dt == pytest.approx(0.5 * 1.0 / 1e-8)
 
     def test_rejects_bad_cfl(self):
         with pytest.raises(ValueError):
-            cfl_dt(uniform_state(), 0.0)
+            _cfl_step(1.0, 10.0, 0.0)
         with pytest.raises(ValueError):
-            cfl_dt(uniform_state(), 1.5)
+            _cfl_step(1.0, 10.0, 1.5)
 
 
 class TestStep:

@@ -201,6 +201,16 @@ class TestAdvance:
         with pytest.raises(BreakdownError, match=r"at t = 0\.7"):
             advance_characteristics(to_mass_coordinates(s), inflow, None, 1.0, 10)
 
+    def test_density_blow_up_stops_the_step_it_happens_in(self):
+        # an inflow faster than the road compresses the first samples until
+        # rho^2 * dv/dxi overflows within the first second of the 8 s horizon
+        s = shipped_scenario(n_cells=600)
+        field = to_mass_coordinates(initial_state(s))
+        inflow = BoundaryData(rho_in=lambda t: 0.1, v_in=lambda t: 30.0 + t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BreakdownError, match=r"became infinite at t = 0\.\d+:"):
+                advance_characteristics(field, inflow, s.force, 8.0, 800)
+
 
 def parity_case(case):
     """(field, inflow, force, t_end, n_steps) of one parity case."""
