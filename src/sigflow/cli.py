@@ -94,10 +94,6 @@ def cmd_simulate(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
-    if args.oracle_check:
-        code = _oracle_check(scenario)
-        if code != 0:
-            return code
     print(f"simulation complete: {len(traj.phases)} phases written to {out}")
     return 0
 
@@ -180,8 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--model", choices=["first", "second"], default=None,
                      help="override the scenario's model variant")
     sim.add_argument("--nx", type=int, default=None, help="override grid resolution")
-    sim.add_argument("--oracle-check", action="store_true",
-                     help="also compare the free-flow phase against the reference solution")
     sim.add_argument("--plot", choices=["rho", "v"], default=None,
                      help="emit space-time plot data for this field")
     sim.set_defaults(func=cmd_simulate)

@@ -113,10 +113,6 @@ class SolveResult:
         return self.snapshots[-1].t
 
     @property
-    def initial(self) -> FlowState:
-        return self.snapshots[0]
-
-    @property
     def final(self) -> FlowState:
         return self.snapshots[-1]
 

@@ -88,6 +88,12 @@ def to_mass_coordinates(state: FlowState) -> MassField:
     return MassField(xi=xi, rho_hat=rho_s, v_hat=v_s, t=state.t, x_origin=grid.x_min)
 
 
+def cumulative_count(state: FlowState) -> np.ndarray:
+    """The cumulative vehicle count N at the state's n+1 cell faces: 0 at
+    x_min, then the running sum of the cell masses."""
+    return np.concatenate(([0.0], np.cumsum(state.rho) * state.grid.dx))
+
+
 def _positions(field: MassField) -> np.ndarray:
     """Physical positions of the samples: the exact discrete inverse of the
     trapezoid accumulation used in to_mass_coordinates."""
@@ -181,47 +187,50 @@ def advance_characteristics(
     t = field.t
     a_int = field.a_integral
     pending = 0.0
-    for _ in range(n_steps):
-        w = buf[:, s:]
-        xi, y, ys, k, acc, tmp = w[0], w[1:3], w[3:5], w[5:7], w[7:9], w[9]
-        grad = _gradient_operator(xi)
-        # y + dt/6 (k1 + 2 k2 + 2 k3 + k4), every sum and product in the
-        # order that expression takes them, accumulated in place
-        rates(y, acc)
-        np.add(y, np.multiply(acc, h, out=ys), out=ys)
-        for c in (h, dt):
+    # an overflowing density is caught by the BreakdownError checks of its
+    # step, so numpy's overflow and invalid-value warnings are not raised
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            w = buf[:, s:]
+            xi, y, ys, k, acc, tmp = w[0], w[1:3], w[3:5], w[5:7], w[7:9], w[9]
+            grad = _gradient_operator(xi)
+            # y + dt/6 (k1 + 2 k2 + 2 k3 + k4), every sum and product in the
+            # order that expression takes them, accumulated in place
+            rates(y, acc)
+            np.add(y, np.multiply(acc, h, out=ys), out=ys)
+            for c in (h, dt):
+                rates(ys, k)
+                np.add(y, np.multiply(k, c, out=ys), out=ys)
+                k *= 2
+                acc += k
             rates(ys, k)
-            np.add(y, np.multiply(k, c, out=ys), out=ys)
-            k *= 2
             acc += k
-        rates(ys, k)
-        acc += k
-        y += np.multiply(acc, dt / 6.0, out=acc)
+            y += np.multiply(acc, dt / 6.0, out=acc)
 
-        dA = h * (a(t) + a(t + dt))
-        t = t + dt
-        xi += dA
-        a_int += dA
-        pending += dA
+            dA = h * (a(t) + a(t + dt))
+            t = t + dt
+            xi += dA
+            a_int += dA
+            pending += dA
 
-        if not np.minimum.reduce(y[0]) > RHO_FLOOR:  # NaN fails too
-            raise BreakdownError(
-                f"density reached the positivity floor at t = {t}: characteristics "
-                "have crossed in physical space"
-            )
-        if not np.maximum.reduce(y[0]) < np.inf:
-            raise BreakdownError(
-                f"density became infinite at t = {t}: faster vehicles have "
-                "caught up with slower ones and formed a point mass"
-            )
-        if pending >= spacing and inflow is not None:
-            s -= 1
-            buf[:3, s] = 0.0, float(inflow.rho_in(t)), float(inflow.v_in(t))
-            pending = 0.0
-            if buf[1, s] <= RHO_FLOOR:
+            if not np.minimum.reduce(y[0]) > RHO_FLOOR:  # NaN fails too
                 raise BreakdownError(
-                    f"boundary density vanished at entry time t = {t}"
+                    f"density reached the positivity floor at t = {t}: characteristics "
+                    "have crossed in physical space"
                 )
+            if not np.maximum.reduce(y[0]) < np.inf:
+                raise BreakdownError(
+                    f"density became infinite at t = {t}: faster vehicles have "
+                    "caught up with slower ones and formed a point mass"
+                )
+            if pending >= spacing and inflow is not None:
+                s -= 1
+                buf[:3, s] = 0.0, float(inflow.rho_in(t)), float(inflow.v_in(t))
+                pending = 0.0
+                if buf[1, s] <= RHO_FLOOR:
+                    raise BreakdownError(
+                        f"boundary density vanished at entry time t = {t}"
+                    )
 
     xi, rho, v = buf[:3, s:].copy()
     return MassField(

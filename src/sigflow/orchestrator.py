@@ -1,16 +1,15 @@
 """Full signal-cycle runs: free flow, flashing-green split, red-phase dual
 flows, green-light merge, and resume.
 
-`run` holds the phase plan, which is the same for both models.  The first
-model runs the hyperbolic solver outside the braking region and the viscous
-solver upstream of the light; the second model runs the viscous solver
-everywhere (with the driver force switched off upstream of the light during
-the red phase).  A small adapter per model supplies what differs: the
-free-flow start, the handoff at the split, the released-flow solver, the
-merge grid, and the open-road solver.  The upstream and downstream
-red-phase flows are independent sub-problems on overlapping strips; the
-merge assigns the upstream solution below the light and the downstream
-solution above it, which resolves the overlap.
+`run` holds the phase plan, which is the same for both models.  Both run
+the viscous solver upstream of the light during the red phase (driver
+force off); the model chooses the open-road solver of every other phase:
+the hyperbolic solver for the first model, the viscous solver for the
+second.  Every phase works on cells of the scenario's grid, except the
+braking strip, whose cells stretch with the moving braking boundary.  The
+upstream and downstream red-phase flows are independent sub-problems on
+overlapping strips; the merge takes the upstream solution below the light
+and the downstream solution above it, which resolves the overlap.
 """
 
 from __future__ import annotations
@@ -27,12 +26,12 @@ from .domain import (
     Scenario,
     default_braking_profile,
     initial_state,
-    sample_profile,
     validate_scenario,
 )
 from . import hyperbolic as hyp
 from . import parabolic as par
 from .hyperbolic import SolveResult
+from .lagrangian import cumulative_count
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -124,39 +123,44 @@ def merge(
 ) -> FlowState:
     """Merge the two red-phase flows onto one grid at the green-light time.
 
-    Cells below the light take the upstream (braking) solution, cells at or
-    above it take the downstream solution; the downstream strip below the
-    light is discarded.  Values are copied where sample positions coincide
-    and linearly interpolated otherwise.
+    Cells below the light take the upstream (braking) flow, cells at or
+    above it the downstream (released) flow; both are copied by index where
+    their cells are the target's.  An upstream strip with other cells (the
+    braking strip's, stretched over [x_min, x_light]) is remapped through
+    its cumulative count N, which keeps its mass.  The downstream strip
+    below the light is discarded.
     """
     if abs(upstream.t - t_merge) > 1e-12 or abs(downstream.t - t_merge) > 1e-12:
         raise ValueError(
             f"merge time mismatch: upstream t = {upstream.t}, downstream t = "
             f"{downstream.t}, expected {t_merge}"
         )
-    xt = target_grid.centers
-    below = xt < x_light
-    rho = np.empty(target_grid.n_cells)
-    v = np.empty(target_grid.n_cells)
-    rho[below] = _resample(xt[below], upstream.grid.centers, upstream.rho)
-    v[below] = _resample(xt[below], upstream.grid.centers, upstream.v)
-    rho[~below] = _resample(xt[~below], downstream.grid.centers, downstream.rho)
-    v[~below] = _resample(xt[~below], downstream.grid.centers, downstream.v)
+    n = target_grid.n_cells
+    i = target_grid.face_index(x_light)
+    x_i = target_grid.nearest_face(x_light)
+    down = downstream.grid
+    j = target_grid.face_index(down.x_min)
+    if not (j <= i and down.x_min == target_grid.nearest_face(down.x_min)
+            and down.n_cells == n - j and down.x_max == target_grid.x_max):
+        raise ValueError(
+            f"released strip {down} does not end the target grid {target_grid} "
+            f"with its cells from face {i} on"
+        )
+    up = upstream.grid
+    if up.x_min != target_grid.x_min or up.x_max < x_i:
+        raise ValueError(f"braking strip {up} does not cover {target_grid} up to x = {x_i}")
+    rho = np.empty(n)
+    v = np.empty(n)
+    if up.n_cells == i and up.x_max == x_i:
+        rho[:i] = upstream.rho
+        v[:i] = upstream.v
+    else:
+        counts = np.interp(target_grid.faces[: i + 1], up.faces, cumulative_count(upstream))
+        np.divide(np.diff(counts), target_grid.dx, out=rho[:i])
+        v[:i] = np.interp(target_grid.centers[:i], up.centers, upstream.v)
+    rho[i:] = downstream.rho[i - j :]
+    v[i:] = downstream.v[i - j :]
     return FlowState(grid=target_grid, rho=rho, v=v, t=t_merge)
-
-
-def _resample(xt: np.ndarray, xs: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Linear interpolation with an exact-copy fast path when the target
-    positions are a contiguous run of the source positions."""
-    if len(xt) == 0:
-        return np.empty(0)
-    scale = max(abs(xs[0]), abs(xs[-1]), 1.0)
-    j = np.searchsorted(xs, xt[0] - 1e-9 * scale)
-    if j + len(xt) <= len(xs) and np.allclose(
-        xs[j : j + len(xt)], xt, rtol=0.0, atol=1e-9 * scale
-    ):
-        return vals[j : j + len(xt)].copy()
-    return np.interp(xt, xs, vals)
 
 
 def run(s: Scenario) -> Trajectory:
@@ -171,26 +175,23 @@ def run(s: Scenario) -> Trajectory:
         raise ScenarioError(violations)
     tm = s.timing
     grid = s.grid
-    i_split = grid.face_index(tm.x0 - tm.h)
     x_split = grid.nearest_face(tm.x0 - tm.h)
     x_light = grid.nearest_face(tm.x0)
     t_brake = tm.t0 - tm.tau0
     t_green = tm.t0 + tm.tau1
-    if s.model == "second":
-        model = _SecondModel(s, x_split, grid.n_cells - i_split)
-    else:
-        model = _FirstModel(s, x_split)
+    open_road = _hyperbolic if s.model == "first" else _viscous
 
-    free = _run_phase("free_flow", model.free_flow, t_brake)
-    v_handoff, source, released = model.split(free.final)
+    free = _run_phase("free_flow", open_road, s, initial_state(s), s.inflow, t_brake)
+    source, released, _ = split_at(free.final, x_split)
     snapped = replace(tm, x0=x_light, h=x_light - x_split)
-    braking = default_braking_profile(snapped, v_handoff)
+    braking = default_braking_profile(snapped, float(source.v[-1]))
     upstream = _run_phase(
-        "upstream_braking", _braking_flow, s, braking, source, i_split, t_brake, t_green
+        "upstream_braking", _braking_flow, s, braking, source, t_green
     )
-    downstream = _run_phase("downstream_release", model.release, released, t_green)
-    merged = merge(upstream.final, downstream.final, model.merge_grid, x_light, t_green)
-    resume = _run_phase("resume", model.open_road, merged, s.t_end)
+    # no traffic enters the released flow through the split point
+    downstream = _run_phase("downstream_release", open_road, s, released, CLOSED, t_green)
+    merged = merge(upstream.final, downstream.final, grid, x_light, t_green)
+    resume = _run_phase("resume", open_road, s, merged, s.inflow, s.t_end)
 
     return Trajectory(
         scenario=s,
@@ -211,90 +212,37 @@ def _run_phase(name: str, solve, *args) -> SolveResult:
     return replace(result, name=name)
 
 
-def _viscous(s: Scenario, domain, inflow, force, rho, v, t_start, t_end,
-             right_v=None):
-    return par.solve_parabolic(
-        rho, v, domain, inflow, s.mu, force, t_start, t_end,
-        dt=s.parabolic_dt, snapshot_interval=s.snapshot_interval, right_v=right_v,
-        cfl=s.cfl,
+def _hyperbolic(s: Scenario, state: FlowState, inflow, t_end: float) -> SolveResult:
+    """The first model's open road: pressureless flow with the driver force."""
+    return hyp.solve_hyperbolic(
+        state, inflow, s.force, t_end,
+        cfl=s.cfl, snapshot_interval=s.snapshot_interval,
     )
 
 
-def _to_nodes(source: FlowState, domain: par.MovingDomain, t: float):
-    nodes = domain.nodes(t)
-    xs = source.grid.centers
-    return _resample(nodes, xs, source.rho), _resample(nodes, xs, source.v)
+def _viscous(s: Scenario, state: FlowState, inflow, t_end: float) -> SolveResult:
+    """The second model's open road: viscous flow with the driver force on
+    the state's cells."""
+    g = state.grid
+    domain = par.MovingDomain(left=g.x_min, right_of_t=g.x_max, n_cells=g.n_cells)
+    return _parabolic(s, state, domain, inflow, s.force, t_end)
 
 
-def _braking_flow(s: Scenario, braking, source: FlowState, n_cells: int,
-                  t_start: float, t_end: float) -> SolveResult:
+def _braking_flow(s: Scenario, braking, source: FlowState, t_end: float) -> SolveResult:
     """Viscous flow upstream of the light against the moving braking
     boundary, driver force off; the same in both models."""
     domain = par.MovingDomain(left=s.grid.x_min, right_of_t=braking.gamma,
-                              n_cells=n_cells)
-    return _viscous(s, domain, s.inflow, None, *_to_nodes(source, domain, t_start),
-                    t_start, t_end, right_v=braking.V)
+                              n_cells=source.grid.n_cells)
+    return _parabolic(s, source, domain, s.inflow, None, t_end, right_v=braking.V)
 
 
-class _FirstModel:
-    """Hyperbolic flow on the cell grid outside the braking zone."""
-
-    def __init__(self, s: Scenario, x_split: float):
-        self.s = s
-        self.x_split = x_split
-        self.merge_grid = s.grid
-
-    def _solve(self, state: FlowState, inflow, t_end: float) -> SolveResult:
-        return hyp.solve_hyperbolic(
-            state, inflow, self.s.force, t_end,
-            cfl=self.s.cfl, snapshot_interval=self.s.snapshot_interval,
-        )
-
-    def free_flow(self, t_end: float) -> SolveResult:
-        return self.open_road(initial_state(self.s), t_end)
-
-    def split(self, free: FlowState):
-        """(handoff velocity, braking-flow source, released-flow start)."""
-        up, down, _ = split_at(free, self.x_split)
-        return float(up.v[-1]), up, down
-
-    def release(self, down: FlowState, t_end: float) -> SolveResult:
-        # no traffic enters through the split point
-        return self._solve(down, CLOSED, t_end)
-
-    def open_road(self, state: FlowState, t_end: float) -> SolveResult:
-        return self._solve(state, self.s.inflow, t_end)
-
-
-class _SecondModel:
-    """Viscous flow on the node grid in every phase; the released flow runs on
-    the strip above the split with its upstream end sealed."""
-
-    def __init__(self, s: Scenario, x_split: float, n_strip: int):
-        g = s.grid
-        self.s = s
-        self.x_split = x_split
-        self.merge_grid = par.node_grid(g.x_min, g.x_max, g.n_cells)
-        self.road = par.MovingDomain(left=g.x_min, right_of_t=g.x_max, n_cells=g.n_cells)
-        self.strip = par.MovingDomain(left=x_split, right_of_t=g.x_max, n_cells=n_strip)
-
-    def free_flow(self, t_end: float) -> SolveResult:
-        nodes = self.road.nodes(0.0)
-        rho0 = sample_profile(self.s.rho0, nodes)
-        v0 = sample_profile(self.s.v0, nodes)
-        return _viscous(self.s, self.road, self.s.inflow, self.s.force, rho0, v0, 0.0, t_end)
-
-    def split(self, free: FlowState):
-        """(handoff velocity, braking-flow source, released-flow start)."""
-        return float(np.interp(self.x_split, free.grid.centers, free.v)), free, free
-
-    def release(self, free: FlowState, t_end: float) -> SolveResult:
-        return _viscous(self.s, self.strip, CLOSED, self.s.force,
-                        *_to_nodes(free, self.strip, free.t), free.t, t_end)
-
-    def open_road(self, state: FlowState, t_end: float) -> SolveResult:
-        return _viscous(self.s, self.road, self.s.inflow, self.s.force,
-                        state.rho, state.v, state.t, t_end)
+def _parabolic(s: Scenario, state: FlowState, domain, inflow, force, t_end: float,
+               right_v=None) -> SolveResult:
+    return par.solve_parabolic(
+        state, domain, inflow, s.mu, force, t_end,
+        dt=s.parabolic_dt, snapshot_interval=s.snapshot_interval, right_v=right_v,
+        cfl=s.cfl,
+    )
 
 
 def _adjustments(free, upstream, downstream, resume) -> dict:

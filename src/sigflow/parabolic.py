@@ -2,21 +2,22 @@
 
 The physical domain [left, right(t)] is mapped to the unit interval; the
 mesh motion enters the advection terms as a relative velocity, so the
-discrete system keeps a fixed size.  Velocity is updated with explicit
-upwind advection plus implicit diffusion (one tridiagonal solve, a direct
-call of LAPACK gtsv on the three diagonals; Dirichlet values imposed
-exactly at the boundary nodes); density follows with
-conservative upwind advection against the freshly updated velocity, so the
-discrete mass change matches the boundary-flux ledger identically.
+discrete system keeps a fixed size.  The layout is staggered (Harlow and
+Welch 1965): density is a cell average on n cells, velocity lives on the
+n+1 faces.  Velocity is updated with explicit upwind advection plus
+implicit diffusion (one tridiagonal solve, a direct call of LAPACK gtsv on
+the three diagonals); the inflow velocity and the prescribed downstream
+velocity are Dirichlet values of the two boundary faces.  Density follows
+with conservative upwind advection: every face flux is the upwind density
+times the face velocity relative to the mesh, so the mass sum(rho) * dx
+changes by exactly the two boundary fluxes of the ledger.
 
 scipy supplies gtsv and is imported at the first solve, not with this
 module, so a process that takes no viscous step (`sigflow validate`,
 `sigflow verify-oracle`) never loads it.
 
-State lives on n+1 equally spaced nodes of the unit interval.  In physical
-coordinates the nodes are equally spaced too, which lets snapshots reuse
-FlowState: the snapshot grid is chosen so its cell centers coincide with
-the mesh nodes (the boundary values are then part of the snapshot).
+Snapshots are FlowStates on the domain's cells, as the finite-volume
+solver's are; a cell's velocity is the mean of its two faces.
 """
 
 from __future__ import annotations
@@ -64,19 +65,16 @@ def solve_banded(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
 
 
 @lru_cache(maxsize=8)
-def _unit_mesh(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only node and face coordinates of the unit interval cut into n."""
-    dy = 1.0 / n
-    y = np.arange(n + 1) * dy
-    y_face = (np.arange(n) + 0.5) * dy
+def _unit_faces(n: int) -> np.ndarray:
+    """Read-only face coordinates of the unit interval cut into n cells."""
+    y = np.arange(n + 1) * (1.0 / n)
     y.flags.writeable = False
-    y_face.flags.writeable = False
-    return y, y_face
+    return y
 
 
 @dataclass(frozen=True)
 class MovingDomain:
-    """Domain [left, right_of_t(t)] discretized with n_cells intervals."""
+    """Domain [left, right_of_t(t)] discretized with n_cells cells."""
 
     left: float
     right_of_t: Union[Callable[[float], float], float]
@@ -97,29 +95,14 @@ class MovingDomain:
             )
         return r
 
-    def nodes(self, t: float) -> np.ndarray:
-        return self.left + (self.right(t) - self.left) * np.arange(
-            self.n_cells + 1
-        ) / self.n_cells
+    def grid(self, t: float) -> RoadGrid:
+        """The domain's cells at time t."""
+        return RoadGrid(self.left, self.right(t), self.n_cells)
 
 
-def node_grid(left: float, right: float, n_intervals: int) -> RoadGrid:
-    """Grid whose cell centers are the n_intervals+1 mesh nodes of [left, right]."""
-    s = (right - left) / n_intervals
-    return RoadGrid(left - 0.5 * s, right + 0.5 * s, n_intervals + 1)
-
-
-def node_state(
-    domain: MovingDomain, t: float, rho: np.ndarray, v: np.ndarray
-) -> FlowState:
-    grid = node_grid(domain.left, domain.right(t), domain.n_cells)
-    return FlowState(grid=grid, rho=np.asarray(rho, float), v=np.asarray(v, float), t=t)
-
-
-def _trapezoid_mass(rho: np.ndarray, length: float, dy: float) -> float:
-    w = np.full_like(rho, dy)
-    w[0] = w[-1] = 0.5 * dy
-    return float(length * np.sum(w * rho))
+def _mass(rho: np.ndarray, length: float) -> float:
+    """sum(rho) * dx, as FlowState.total_mass forms it."""
+    return float(np.sum(rho) * (length / rho.size))
 
 
 def step_viscous(
@@ -135,10 +118,13 @@ def step_viscous(
 ) -> tuple[np.ndarray, np.ndarray, StepReport]:
     """One semi-implicit update from t to t + dt; returns (v, rho, report).
 
-    The upstream node takes the inflow data; the downstream node takes the
-    prescribed velocity right_v, or a zero-gradient closure when it is None.
-    Density is extrapolated at the downstream end.  A non-finite density or
-    boundary flux raises ValueError in the step where it appears.
+    v holds the n+1 face velocities (the benchmark's `parabolic.node_steps`
+    counts len(v), so faces), rho the n cell densities.  The upstream face
+    takes the inflow velocity; the downstream face takes the prescribed
+    velocity right_v, or a zero-gradient closure when it is None.  The
+    inflow density is the upwind density of the upstream face; the
+    downstream face's ghost density copies the last cell.  A non-finite
+    density or boundary flux raises ValueError in the step where it appears.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -155,7 +141,7 @@ def step_viscous(
     # --- velocity: explicit upwind advection + force, implicit diffusion ---
     # advective speed relative to the mesh, in y units
     if moving:
-        y, y_face = _unit_mesh(n)
+        y = _unit_faces(n)
         c = y * Ldot
         np.subtract(v, c, out=c)
         c /= L_new
@@ -171,7 +157,7 @@ def step_viscous(
         # a NaN in v[-1] reaches no finite result under the zero-gradient
         # closure with positive speeds, so it is caught here
         raise ValueError(f"non-finite velocity at t = {t}")
-    # interior rows only: both boundary rows are replaced below
+    # interior faces only: both boundary rows are replaced below
     dv = (v[1:] - v[:-1]) / dy  # one difference serves both upwind branches
     c_in = c[1:-1]
     # where every speed is positive (the usual case) upwind is the left side
@@ -187,7 +173,12 @@ def step_viscous(
     if force is not None:
         b += dt * force(np.maximum(v, 0.0))
 
-    lam = np.maximum(rho, RHO_COEFF_FLOOR)
+    # an interior face's density is the mean of its two cells; the end
+    # entries stand in for the boundary rows, which are replaced below
+    lam = np.ones(n + 1)
+    np.add(rho[:-1], rho[1:], out=lam[1:-1])
+    lam[1:-1] *= 0.5
+    np.maximum(lam, RHO_COEFF_FLOOR, out=lam)
     np.divide(mu, lam, out=lam)
     np.multiply(dt, lam, out=lam)
     lam /= dy * dy * L_new * L_new
@@ -210,45 +201,40 @@ def step_viscous(
         # zero-gradient closure: v_n - v_{n-1} = 0
         sub[-1] = -1.0
         b[-1] = 0.0
-    # every lam the system uses enters diag, so diag and b cover the input
-    if not (np.logical_and.reduce(np.isfinite(diag))
-            and np.logical_and.reduce(np.isfinite(b))):
-        raise ValueError("array must not contain infs or NaNs")
+    # every interior lam enters diag, so diag sees every density
+    if not np.logical_and.reduce(np.isfinite(diag)):
+        raise ValueError(f"non-finite density at t = {t}")
+    if not np.logical_and.reduce(np.isfinite(b)):
+        raise ValueError(f"non-finite velocity or boundary data at t = {t + dt}")
     v_new = solve_banded(sub, diag, sup, b)
     if right_v is not None:
         v_new[-1] = v_right  # keep the Dirichlet value exact
     v_new[0] = v_left
 
     # --- density: conservative upwind advection with the new velocity ---
-    w_face = v_new[:-1] + v_new[1:]
-    np.multiply(0.5, w_face, out=w_face)
+    # face speeds relative to the mesh; the upwind density of face j is
+    # rho_ext[j] or rho_ext[j + 1], with the inflow density left of the first
+    # cell and the last cell copied right of the last one
     if moving:
-        w_face -= y_face * Ldot
-    if np.minimum.reduce(w_face) > 0:
-        rho_up = rho[:-1]
+        w = y * Ldot
+        np.subtract(v_new, w, out=w)
     else:
-        rho_up = np.where(w_face > 0, rho[:-1], rho[1:])
-    flux_mid = np.multiply(rho_up, w_face, out=w_face)
+        w = v_new
+    rho_ext = np.empty(n + 2)
+    rho_ext[0] = float(inflow.rho_in(t + dt))
+    rho_ext[1:-1] = rho
+    rho_ext[-1] = rho_ext[-2]
+    if np.minimum.reduce(w) > 0:
+        rho_up = rho_ext[:-1]
+    else:
+        rho_up = np.where(w > 0, rho_ext[:-1], rho_ext[1:])
+    flux = rho_up * w
 
-    # interior nodes own a control volume of width dy
-    mass = flux_mid[1:] - flux_mid[:-1]
-    np.multiply(dt / dy, mass, out=mass)
-    np.subtract(L_old * rho[1:-1], mass, out=mass)
-    rho_new = np.empty_like(rho)
-    # the casting of plain assignment, should rho not hold float64
-    np.divide(mass, L_new, out=rho_new[1:-1], casting="unsafe")
-    # downstream node: half control volume; zero-gradient ghost density
-    rho_last = rho.item(-1)
-    flux_right = rho_last * (v_new.item(-1) - Ldot)
-    rho_new[-1] = (
-        L_old * rho_last - (dt / (0.5 * dy)) * (flux_right - flux_mid.item(-1))
-    ) / L_new
-    # upstream node: Dirichlet density; the boundary flux is the residual that
-    # closes its half control volume, so the mass ledger is exact
-    rho_new[0] = float(inflow.rho_in(t + dt))
-    flux_left = flux_mid.item(0) + (0.5 * dy / dt) * (
-        L_new * rho_new.item(0) - L_old * rho.item(0)
-    )
+    rho_new = flux[1:] - flux[:-1]
+    np.multiply(dt / dy, rho_new, out=rho_new)
+    np.subtract(L_old * rho, rho_new, out=rho_new)
+    rho_new /= L_new
+    flux_left, flux_right = flux.item(0), flux.item(-1)
 
     # min and max propagate NaN, so together they flag any non-finite entry
     lo = np.minimum.reduce(rho_new)
@@ -258,7 +244,7 @@ def step_viscous(
     clamped = 0.0
     if lo < 0:
         # upwinding with CFL <= 1 keeps density non-negative up to roundoff
-        clamped = -_trapezoid_mass(np.minimum(rho_new, 0.0), L_new, dy)
+        clamped = -_mass(np.minimum(rho_new, 0.0), L_new)
         rho_new = np.maximum(rho_new, 0.0)
 
     report = StepReport(inflow=dt * flux_left, outflow=dt * flux_right, clamped=clamped)
@@ -273,41 +259,46 @@ def _finite(c_max: float, t: float) -> float:
 
 
 def solve_parabolic(
-    initial_rho: np.ndarray,
-    initial_v: np.ndarray,
+    initial: FlowState,
     domain: MovingDomain,
     inflow: BoundaryData,
     mu: float,
     force: Optional[ForceLaw],
-    t_start: float,
     t_end: float,
     dt: Optional[float] = None,
     snapshot_interval: Optional[float] = None,
     right_v: Optional[Callable[[float], float]] = None,
     cfl: float = 0.5,
 ) -> SolveResult:
-    """Advance the viscous system with steps from the advective CFL.
+    """Advance the viscous system from initial.t to t_end with steps from
+    the advective CFL.
 
-    The diffusion is implicit, so only the explicit upwind advection limits
-    the step: each step is the largest with max|c| dt/dy <= cfl, where c is
-    the mesh-relative speed of step_viscous.  dt, when given, caps every
-    step.  Snapshots are FlowStates on the node mesh mapped back to physical
-    coordinates.  right_v prescribes the downstream velocity (None: the
-    zero-gradient closure); the run metadata reports the residual between
-    it and the handed-off velocity there.
+    initial is a cell state on the domain's n cells.  Its densities are the
+    starting cell densities; an interior face starts at the mean velocity of
+    its two cells and an end face at its cell's velocity.  The diffusion is
+    implicit, so only the explicit upwind advection limits the step: each
+    step is the largest with max|c| dt/dy <= cfl, where c is the
+    mesh-relative face speed of step_viscous.  dt, when given, caps every
+    step.  Snapshots are cell FlowStates on domain.grid(t).  right_v
+    prescribes the downstream velocity (None: the zero-gradient closure);
+    the run metadata reports the residual between it and the handed-off
+    velocity there.
     """
     n = domain.n_cells
     dy = 1.0 / n
     if dt is not None and not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     cap = math.inf if dt is None else dt
-    rho = np.array(initial_rho, dtype=float)
-    v = np.array(initial_v, dtype=float)
-    if rho.shape != (n + 1,) or v.shape != (n + 1,):
+    if initial.grid.n_cells != n:
         raise ValueError(
-            f"initial fields must have {n + 1} node values, got "
-            f"{rho.shape} and {v.shape}"
+            f"initial state has {initial.grid.n_cells} cells, the domain {n}"
         )
+    rho = initial.rho.copy()
+    v = np.empty(n + 1)
+    np.add(initial.v[:-1], initial.v[1:], out=v[1:-1])
+    v[1:-1] *= 0.5
+    v[0], v[-1] = initial.v[0], initial.v[-1]
+    t_start = initial.t
 
     if right_v is not None:
         compat_residual = abs(float(right_v(t_start)) - float(v[-1]))
@@ -315,7 +306,7 @@ def solve_parabolic(
         compat_residual = None
 
     moving = callable(domain.right_of_t)
-    y = _unit_mesh(n)[0]
+    y = _unit_faces(n)
 
     def step_size(state, t: float) -> float:
         """At most the cap and the time left, with max|c| h/dy <= cfl."""
@@ -340,14 +331,18 @@ def solve_parabolic(
         v, rho, report = step_viscous(*state, t, h, mu, inflow, domain, force, right_v)
         return (v, rho), report
 
+    def snapshot(state, t: float) -> FlowState:
+        v = state[0]
+        v_cell = v[:-1] + v[1:]
+        v_cell *= 0.5
+        return FlowState(grid=domain.grid(t), rho=state[1], v=v_cell, t=t)
+
     return march(
         (v, rho), t_start, t_end, snapshot_interval,
         max_dt=step_size,
         advance=advance,
-        snapshot=lambda state, t: node_state(domain, t, state[1], state[0]),
-        mass=lambda state, t: _trapezoid_mass(
-            state[1], domain.right(t) - domain.left, dy
-        ),
+        snapshot=snapshot,
+        mass=lambda state, t: _mass(state[1], domain.right(t) - domain.left),
         metadata={
             "solver": "parabolic",
             "cfl": cfl,

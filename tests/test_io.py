@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -447,6 +448,25 @@ class TestCli:
         assert main(["verify-oracle", "--config", str(config)]) == 0
         out = capsys.readouterr().out
         assert "L1(rho)" in out and "refinement ratio" in out
+
+    def test_verify_oracle_breakdown_fails_cleanly_under_warnings_as_errors(
+            self, tmp_path, capsys):
+        # the shipped scenario with an inflow faster than the road (and a
+        # Courant number the inflow's ghost speed allows): the reference
+        # density overflows at t = 0.15 s, which must end in exit code 1 and
+        # a message, not in numpy's overflow warning raised as an error
+        text = (Path(__file__).resolve().parent.parent / "scenarios"
+                / "intersection.yaml").read_text()
+        text = text.replace("  v_in: 10.0", "  v_in: linear_ramp(start=30.0, end=38.0, "
+                            "x_start=0.0, x_end=8.0)")
+        text = text.replace("  cfl: 0.5 ", "  cfl: 0.1 ")
+        p = tmp_path / "fast_inflow.yaml"
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["verify-oracle", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert "oracle comparison failed" in err and "became infinite" in err
 
     def test_verify_oracle_rejects_vacuum(self, tmp_path, capsys):
         p = tmp_path / "vac.yaml"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,17 @@ class TestAdvance:
         field = to_mass_coordinates(initial_state(s))
         inflow = BoundaryData(rho_in=lambda t: 0.1, v_in=lambda t: 30.0 + t)
         with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BreakdownError, match=r"became infinite at t = 0\.\d+:"):
+                advance_characteristics(field, inflow, s.force, 8.0, 800)
+
+    def test_density_blow_up_raises_no_numpy_warning(self):
+        # with RuntimeWarning raised as an error (as CI's smoke step runs),
+        # the overflow in the blow-up step must not pre-empt BreakdownError
+        s = shipped_scenario(n_cells=600)
+        field = to_mass_coordinates(initial_state(s))
+        inflow = BoundaryData(rho_in=lambda t: 0.1, v_in=lambda t: 30.0 + t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(BreakdownError, match=r"became infinite at t = 0\.\d+:"):
                 advance_characteristics(field, inflow, s.force, 8.0, 800)
 

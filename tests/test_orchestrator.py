@@ -17,6 +17,7 @@ from sigflow import (
     solve_hyperbolic,
     split_at,
 )
+from sigflow.lagrangian import cumulative_count
 from sigflow.orchestrator import Trajectory
 from tests.conftest import reference_scenario, shipped_scenario
 
@@ -24,6 +25,19 @@ from tests.conftest import reference_scenario, shipped_scenario
 def uniform_state(n=60, rho=0.1, v=10.0, x_max=600.0, t=0.0):
     g = RoadGrid(0.0, x_max, n)
     return FlowState(g, np.full(n, rho), np.full(n, v), t)
+
+
+def assert_stopped_at_light(traj):
+    """During red the braking strip ends at the light, and its ledger shows
+    no vehicle leaving through it."""
+    tm = traj.scenario.timing
+    braking = traj.phase("upstream_braking")
+    red = [k for k, snap in enumerate(braking.snapshots)
+           if tm.t0 <= snap.t <= tm.t0 + tm.tau1]
+    assert len(red) >= 2
+    for k in red:
+        assert braking.snapshots[k].grid.x_max == 400.0
+        assert braking.ledger[k]["outflow_cum"] == braking.ledger[red[0]]["outflow_cum"]
 
 
 class TestSplit:
@@ -96,6 +110,35 @@ class TestMerge:
         expect = np.sum(up.rho) * 10.0 + np.sum(down.rho[6:]) * 10.0
         assert out.total_mass == pytest.approx(expect, rel=1e-14)
 
+    def test_stretched_braking_strip_is_remapped_by_its_count(self):
+        # 17 braking cells over [0, 400] onto the 40 road cells below the
+        # light; the released strip's cells from the light on are copied by
+        # index
+        g = RoadGrid(0.0, 600.0, 60)
+        rng = np.random.default_rng(23)
+        up = FlowState(RoadGrid(0.0, 400.0, 17), rng.uniform(0.0, 0.3, 17),
+                       rng.uniform(0.0, 10.0, 17), 4.0)
+        down = FlowState(RoadGrid(340.0, 600.0, 26), rng.uniform(0.0, 0.1, 26),
+                         rng.uniform(0.0, 14.0, 26), 4.0)
+        out = merge(up, down, g, 400.0, 4.0)
+        assert np.sum(out.rho[:40]) * g.dx == pytest.approx(up.total_mass,
+                                                            rel=1e-13, abs=0.0)
+        assert np.array_equal(out.rho[40:], down.rho[6:])
+        assert np.array_equal(out.v[40:], down.v[6:])
+        # the road faces carry the strip's count
+        np.testing.assert_allclose(
+            cumulative_count(out)[:41],
+            np.interp(g.faces[:41], up.grid.faces, cumulative_count(up)),
+            rtol=0.0, atol=1e-13)
+
+    def test_misaligned_released_strip_is_rejected(self):
+        g = RoadGrid(0.0, 600.0, 60)
+        up = uniform_state(n=40, x_max=400.0, t=1.0)
+        down = FlowState(RoadGrid(345.0, 600.0, 26), np.full(26, 0.1),
+                         np.full(26, 5.0), 1.0)
+        with pytest.raises(ValueError, match="released strip"):
+            merge(up, down, g, 400.0, 1.0)
+
 
 class TestRunFirstModel:
     def test_phase_plan_tiles_the_horizon(self, first_model_trajectory):
@@ -110,13 +153,7 @@ class TestRunFirstModel:
         assert traj.phase("resume").t_end == traj.scenario.t_end
 
     def test_stopped_at_light_during_red(self, first_model_trajectory):
-        traj = first_model_trajectory
-        tm = traj.scenario.timing
-        braking = traj.phase("upstream_braking")
-        for snap in braking.snapshots:
-            if tm.t0 <= snap.t <= tm.t0 + tm.tau1:
-                assert snap.v[-1] == 0.0
-                assert abs(snap.grid.centers[-1] - 400.0) < 1e-9
+        assert_stopped_at_light(first_model_trajectory)
 
     def test_compatibility_residual_vanishes_with_default_profile(
         self, first_model_trajectory
@@ -204,12 +241,7 @@ class TestRun:
 
 class TestRunSecondModel:
     def test_stopped_at_light_during_red(self, second_model_trajectory):
-        traj = second_model_trajectory
-        tm = traj.scenario.timing
-        braking = traj.phase("upstream_braking")
-        for snap in braking.snapshots:
-            if tm.t0 <= snap.t <= tm.t0 + tm.tau1:
-                assert snap.v[-1] == 0.0
+        assert_stopped_at_light(second_model_trajectory)
 
     def test_all_phases_viscous(self, second_model_trajectory):
         assert all(p.solver == "parabolic" for p in second_model_trajectory.phases)
@@ -293,10 +325,8 @@ def cumulative_count_w1(a: FlowState, b: FlowState) -> float:
     face sets."""
     xa = a.grid.faces
     xb = b.grid.faces
-    na = np.concatenate(([0.0], np.cumsum(a.rho) * a.grid.dx))
-    nb = np.concatenate(([0.0], np.cumsum(b.rho) * b.grid.dx))
     x = np.union1d(xa, xb)
-    d = np.abs(np.interp(x, xa, na) - np.interp(x, xb, nb))
+    d = np.abs(np.interp(x, xa, cumulative_count(a)) - np.interp(x, xb, cumulative_count(b)))
     return float(np.sum(0.5 * (d[1:] + d[:-1]) * np.diff(x)))
 
 

@@ -6,20 +6,15 @@ import scipy.linalg
 
 from sigflow import (
     BoundaryData,
+    FlowState,
     ForceLaw,
     MovingDomain,
+    RoadGrid,
     solve_parabolic,
     step_viscous,
 )
 from sigflow.hyperbolic import StepReport
-from sigflow.parabolic import (
-    RHO_COEFF_FLOOR,
-    _trapezoid_mass,
-    _unit_mesh,
-    node_grid,
-    node_state,
-    solve_banded,
-)
+from sigflow.parabolic import RHO_COEFF_FLOOR, solve_banded
 
 
 def fixed_domain(n=40, left=0.0, right=100.0):
@@ -30,15 +25,23 @@ def const_inflow(v, rho):
     return BoundaryData(rho_in=lambda t: rho, v_in=lambda t: v)
 
 
+def cells(dom, rho, v, t=0.0):
+    """A cell state on the domain's grid at t; scalars fill every cell."""
+    n = dom.n_cells
+    return FlowState(dom.grid(t), np.broadcast_to(rho, n).astype(float),
+                     np.broadcast_to(v, n).astype(float), t)
+
+
 def reference_step_viscous(v, rho, t, dt, mu, inflow, domain, force, right_v=None):
-    """step_viscous written with one numpy expression per formula, as it was
-    before its per-step numpy calls were cut; step_viscous must match it bit
-    for bit wherever both return."""
+    """The staggered step written with one numpy expression per formula:
+    v on the n+1 faces, rho on the n cells.  step_viscous, which works in
+    place with fewer numpy calls, must match it bit for bit wherever both
+    return."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     n = domain.n_cells
     dy = 1.0 / n
-    y, y_face = _unit_mesh(n)
+    y = np.arange(n + 1) * (1.0 / n)
     L_old = domain.right(t) - domain.left
     L_new = domain.right(t + dt) - domain.left
     Ldot = (L_new - L_old) / dt
@@ -54,23 +57,18 @@ def reference_step_viscous(v, rho, t, dt, mu, inflow, domain, force, right_v=Non
     if force is not None:
         b += dt * force(np.maximum(v, 0.0))
 
-    k = mu / np.maximum(rho, RHO_COEFF_FLOOR)
-    lam = dt * k / (dy * dy * L_new * L_new)
-
-    diag = 1.0 + 2.0 * lam
-    diag[0] = diag[-1] = 1.0
-    sup = -lam[:-1]
-    sup[0] = 0.0
-    sub = -lam[1:]
+    rho_face = 0.5 * (rho[:-1] + rho[1:])
+    lam = dt * (mu / np.maximum(rho_face, RHO_COEFF_FLOOR)) / (dy * dy * L_new * L_new)
+    diag = np.concatenate(([1.0], 1.0 + 2.0 * lam, [1.0]))
+    sup = np.concatenate(([0.0], -lam))
+    sub = np.concatenate((-lam, [-1.0 if right_v is None else 0.0]))
 
     v_left = float(inflow.v_in(t + dt))
     b[0] = v_left
     if right_v is not None:
         v_right = float(right_v(t + dt))
-        sub[-1] = 0.0
         b[-1] = v_right
     else:
-        sub[-1] = -1.0
         b[-1] = 0.0
     if not (np.isfinite(diag).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
@@ -79,29 +77,18 @@ def reference_step_viscous(v, rho, t, dt, mu, inflow, domain, force, right_v=Non
         v_new[-1] = v_right
     v_new[0] = v_left
 
-    w_face = 0.5 * (v_new[:-1] + v_new[1:]) - y_face * Ldot
-    rho_up = np.where(w_face > 0, rho[:-1], rho[1:])
-    flux_mid = rho_up * w_face
-
-    rho_new = np.empty_like(rho)
-    rho_new[1:-1] = (
-        L_old * rho[1:-1] - (dt / dy) * (flux_mid[1:] - flux_mid[:-1])
-    ) / L_new
-    w_right = v_new[-1] - Ldot
-    flux_right = rho[-1] * w_right
-    rho_new[-1] = (
-        L_old * rho[-1] - (dt / (0.5 * dy)) * (flux_right - flux_mid[-1])
-    ) / L_new
-    rho_new[0] = float(inflow.rho_in(t + dt))
-    flux_left = flux_mid[0] + (0.5 * dy / dt) * (L_new * rho_new[0] - L_old * rho[0])
+    w = v_new - y * Ldot
+    rho_ext = np.concatenate(([float(inflow.rho_in(t + dt))], rho, [rho[-1]]))
+    flux = np.where(w > 0, rho_ext[:-1], rho_ext[1:]) * w
+    rho_new = (L_old * rho - (dt / dy) * (flux[1:] - flux[:-1])) / L_new
 
     clamped = 0.0
     if (rho_new < 0).any():
-        clamped = -_trapezoid_mass(np.minimum(rho_new, 0.0), L_new, dy)
+        clamped = -float(np.sum(np.minimum(rho_new, 0.0)) * (L_new / n))
         rho_new = np.maximum(rho_new, 0.0)
 
     report = StepReport(
-        inflow=dt * float(flux_left), outflow=dt * float(flux_right), clamped=clamped
+        inflow=dt * float(flux[0]), outflow=dt * float(flux[-1]), clamped=clamped
     )
     return v_new, rho_new, report
 
@@ -115,13 +102,9 @@ def assert_bitwise(a, b):
 
 
 class TestGeometry:
-    def test_node_grid_centers_are_nodes(self):
-        g = node_grid(0.0, 100.0, 20)
-        np.testing.assert_allclose(g.centers, np.linspace(0.0, 100.0, 21))
-
-    def test_moving_domain_nodes(self):
+    def test_moving_domain_grid(self):
         dom = MovingDomain(left=0.0, right_of_t=lambda t: 100.0 + 10.0 * t, n_cells=10)
-        np.testing.assert_allclose(dom.nodes(2.0), np.linspace(0.0, 120.0, 11))
+        assert dom.grid(2.0) == RoadGrid(0.0, 120.0, 10)
 
     def test_right_must_exceed_left(self):
         dom = MovingDomain(left=50.0, right_of_t=lambda t: 50.0 - t, n_cells=10)
@@ -134,7 +117,7 @@ class TestStepViscous:
         dom = fixed_domain()
         n = dom.n_cells
         v = np.full(n + 1, 8.0)
-        rho = np.full(n + 1, 0.1)
+        rho = np.full(n, 0.1)
         v1, rho1, rep = step_viscous(v, rho, 0.0, 1e-3, 2.0, const_inflow(8.0, 0.1),
                                      dom, None, right_v=lambda t: 8.0)
         np.testing.assert_allclose(v1, 8.0, rtol=0, atol=1e-13)
@@ -146,46 +129,48 @@ class TestStepViscous:
         n = dom.n_cells
         rng = np.random.default_rng(7)
         v = 5.0 + rng.uniform(-1.0, 1.0, n + 1)
-        rho = np.full(n + 1, 0.1)
-        v1, rho1, _ = step_viscous(v, rho, 0.0, 1e-3, 2.0, const_inflow(4.25, 0.09),
-                                   dom, None, right_v=lambda t: 6.5)
+        rho = np.full(n, 0.1)
+        v1, rho1, rep = step_viscous(v, rho, 0.0, 1e-3, 2.0, const_inflow(4.25, 0.09),
+                                     dom, None, right_v=lambda t: 6.5)
         assert v1[0] == 4.25
         assert v1[-1] == 6.5
-        assert rho1[0] == 0.09
+        # the inflow density is the upwind density of the first face
+        assert rep.inflow == 1e-3 * (0.09 * 4.25)
 
     def test_zero_gradient_right_closure(self):
         dom = fixed_domain()
         n = dom.n_cells
         v = np.linspace(4.0, 9.0, n + 1)
-        rho = np.full(n + 1, 0.1)
+        rho = np.full(n, 0.1)
         v1, _, _ = step_viscous(v, rho, 0.0, 1e-3, 2.0, const_inflow(4.0, 0.1), dom, None)
         assert v1[-1] == pytest.approx(v1[-2], rel=1e-13)
 
     def test_density_update_matches_donor_cell_formula(self):
         # independent re-derivation of one conservative upwind step on the
-        # interior nodes, fixed domain
+        # cells, fixed domain: every face speed is positive, so each face
+        # carries the density of the cell left of it (the inflow density at
+        # the first face)
         dom = fixed_domain(n=10, right=10.0)
         n, dt = dom.n_cells, 1e-3
         dy = 1.0 / n
         rng = np.random.default_rng(3)
         v = 6.0 + rng.uniform(-0.5, 0.5, n + 1)
-        rho = 0.1 + rng.uniform(0.0, 0.05, n + 1)
-        bc = const_inflow(float(v[0]), float(rho[0]))
-        v1, rho1, _ = step_viscous(v, rho, 0.0, dt, 2.0, bc, dom, None,
-                                   right_v=lambda t: float(v[-1]))
+        rho = 0.1 + rng.uniform(0.0, 0.05, n)
+        bc = const_inflow(float(v[0]), 0.12)
+        v1, rho1, rep = step_viscous(v, rho, 0.0, dt, 2.0, bc, dom, None,
+                                     right_v=lambda t: float(v[-1]))
 
         L = 10.0
-        w = 0.5 * (v1[:-1] + v1[1:])  # face speeds; the mesh is at rest
-        up = np.where(w > 0, rho[:-1], rho[1:])
-        flux = up * w
-        expect = rho[1:-1] - (dt / (dy * L)) * np.diff(flux)
-        np.testing.assert_allclose(rho1[1:-1], expect, rtol=0, atol=1e-15)
+        flux = np.concatenate(([0.12], rho)) * v1  # the mesh is at rest
+        expect = rho - (dt / (dy * L)) * np.diff(flux)
+        np.testing.assert_allclose(rho1, expect, rtol=0, atol=1e-15)
+        assert (rep.inflow, rep.outflow) == pytest.approx((dt * flux[0], dt * flux[-1]))
 
     def test_moving_mesh_preserves_uniform_density(self):
         dom = MovingDomain(left=0.0, right_of_t=lambda t: 100.0 + 20.0 * t, n_cells=40)
         n = dom.n_cells
         v = np.zeros(n + 1)
-        rho = np.full(n + 1, 0.1)
+        rho = np.full(n, 0.1)
         bc = const_inflow(0.0, 0.1)
         for k in range(200):
             v, rho, _ = step_viscous(v, rho, k * 1e-3, 1e-3, 2.0, bc, dom, None,
@@ -197,7 +182,7 @@ class TestStepViscous:
         dom = fixed_domain(n=40, right=10.0)  # dy L = 0.25
         n = dom.n_cells
         v = np.full(n + 1, 10.0)
-        rho = np.full(n + 1, 0.1)
+        rho = np.full(n, 0.1)
         bc = const_inflow(10.0, 0.1)
         with pytest.raises(RuntimeError):
             step_viscous(v, rho, 0.0, 0.1, 2.0, bc, dom, None)
@@ -207,7 +192,7 @@ class TestStepViscous:
         n = dom.n_cells
         with pytest.raises(ValueError):
             step_viscous(
-                np.zeros(n + 1), np.full(n + 1, 0.1), 0.0, 0.0, 2.0,
+                np.zeros(n + 1), np.full(n, 0.1), 0.0, 0.0, 2.0,
                 const_inflow(0.0, 0.1), dom, None,
             )
 
@@ -215,7 +200,7 @@ class TestStepViscous:
         dom = fixed_domain()
         n = dom.n_cells
         v = np.full(n + 1, 8.0)
-        rho = np.full(n + 1, 0.1)
+        rho = np.full(n, 0.1)
         bc = const_inflow(8.0, 0.1)
         bad_rho = rho.copy()
         bad_rho[n // 2] = np.nan
@@ -235,14 +220,14 @@ class TestStepViscous:
 
     @pytest.mark.parametrize("node", ["interior_inf", "first_nan", "last_nan"])
     def test_rejects_non_finite_density_in_the_same_step(self, node):
-        # none of these reaches the tridiagonal system: mu / inf is 0, and
-        # the end nodes' rows are replaced by the boundary conditions
+        # a NaN reaches the diffusion coefficient of a neighbouring face; an
+        # infinite density gives mu / inf = 0 there and a non-finite update
         dom = fixed_domain()
         n = dom.n_cells
         v = np.full(n + 1, 8.0)
-        rho = np.full(n + 1, 0.1)
+        rho = np.full(n, 0.1)
         i, value = {"interior_inf": (n // 2, np.inf), "first_nan": (0, np.nan),
-                    "last_nan": (n, np.nan)}[node]
+                    "last_nan": (n - 1, np.nan)}[node]
         rho[i] = value
         with pytest.raises(ValueError, match="non-finite density"), \
                 np.errstate(invalid="ignore"):
@@ -254,7 +239,7 @@ class TestStepViscous:
         n = dom.n_cells
         rng = np.random.default_rng(3)
         v = 8.0 + rng.uniform(-1.0, 1.0, n + 1)
-        rho = 0.1 + rng.uniform(0.0, 0.05, n + 1)
+        rho = 0.1 + rng.uniform(0.0, 0.05, n)
         v0, rho0 = v.copy(), rho.copy()
         v1, rho1, _ = step_viscous(v, rho, 0.0, 1e-3, 2.0, const_inflow(8.0, 0.1), dom,
                                    ForceLaw(1.0, 16.0, 4.0), right_v=right_v)
@@ -268,16 +253,16 @@ def _bitwise_cases():
     rng = np.random.default_rng(17)
     n = 24
     wavy_v = 8.0 + rng.uniform(-1.0, 1.0, n + 1)
-    wavy_rho = 0.1 + rng.uniform(0.0, 0.05, n + 1)
+    wavy_rho = 0.1 + rng.uniform(0.0, 0.05, n)
     # stopped in the middle: zero speeds take the other upwind branch
     queue_v = np.where(np.arange(n + 1) > n // 2, 0.0, 6.0)
     fixed = MovingDomain(0.0, 100.0, n)
     growing = MovingDomain(0.0, lambda t: 100.0 + 15.0 * t, n)  # outruns the flow
     stopped = MovingDomain(0.0, lambda t: 100.0, n)  # callable, Ldot == 0.0
     # a Dirichlet speed far above the state's pulls more out of the last
-    # node than its half cell holds, so the step clamps
+    # cell than it holds, so the step clamps
     empty_v = np.full(n + 1, 5.0)
-    last_only = np.zeros(n + 1)
+    last_only = np.zeros(n)
     last_only[-1] = 0.1
     return {
         "fixed-force-zero_gradient": (wavy_v, wavy_rho, fixed, law, None),
@@ -355,73 +340,69 @@ class TestSolveParabolic:
     def test_stopped_traffic_stays_stopped(self):
         dom = fixed_domain(n=30)
         n = dom.n_cells
-        rho = 0.1 + 0.04 * np.sin(np.linspace(0.0, np.pi, n + 1))
-        v = np.zeros(n + 1)
+        rho = 0.1 + 0.04 * np.sin(np.pi * (np.arange(n) + 0.5) / n)
         bc = const_inflow(0.0, float(rho[0]))
-        res = solve_parabolic(rho, v, dom, bc, 2.0, None, 0.0, 3.0, 1e-3,
+        res = solve_parabolic(cells(dom, rho, 0.0), dom, bc, 2.0, None, 3.0, 1e-3,
                               snapshot_interval=1.0, right_v=lambda t: 0.0)
         np.testing.assert_array_equal(res.final.v, 0.0)
         np.testing.assert_allclose(res.final.rho, rho, rtol=0, atol=1e-14)
 
     def test_uniform_acceleration_under_force(self):
         dom = fixed_domain(n=30)
-        n = dom.n_cells
-        rho = np.full(n + 1, 0.1)
-        v = np.full(n + 1, 5.0)
         ramp = lambda t: 5.0 + 1.5 * t
         bc = BoundaryData(rho_in=lambda t: 0.1, v_in=ramp)
-        res = solve_parabolic(rho, v, dom, bc, 2.0, ForceLaw(1.5, 16.0, 4.0),
-                              0.0, 2.0, 1e-3, right_v=ramp)
+        res = solve_parabolic(cells(dom, 0.1, 5.0), dom, bc, 2.0,
+                              ForceLaw(1.5, 16.0, 4.0), 2.0, 1e-3, right_v=ramp)
         np.testing.assert_allclose(res.final.v, 8.0, rtol=0, atol=1e-10)
 
     def test_mass_ledger_closes(self):
         dom = MovingDomain(left=0.0, right_of_t=lambda t: 100.0 + 15.0 * t, n_cells=30)
         n = dom.n_cells
         rng = np.random.default_rng(11)
-        rho = 0.1 + rng.uniform(0.0, 0.05, n + 1)
-        v = 8.0 + rng.uniform(-1.0, 1.0, n + 1)
+        rho = 0.1 + rng.uniform(0.0, 0.05, n)
+        v = 8.0 + rng.uniform(-1.0, 1.0, n)
         bc = BoundaryData(rho_in=lambda t: float(rho[0]), v_in=lambda t: float(v[0]))
-        res = solve_parabolic(rho, v, dom, bc, 2.0, None, 0.0, 2.0, 1e-3,
+        res = solve_parabolic(cells(dom, rho, v), dom, bc, 2.0, None, 2.0, 1e-3,
                               snapshot_interval=0.5)
         m0 = res.ledger[0]["total_mass"]
         m1 = res.ledger[-1]["total_mass"]
         residual = (m1 - m0) - (res.influx - res.outflux + res.clamped)
         assert abs(residual) < 1e-11 * max(m0, 1.0)
+        # the ledger's mass is the snapshots' sum(rho) * dx
+        assert [r["total_mass"] for r in res.ledger] == [s.total_mass for s in res.snapshots]
 
     def test_compatibility_residual_reported(self):
         dom = fixed_domain(n=20)
-        n = dom.n_cells
-        rho = np.full(n + 1, 0.1)
-        v = np.full(n + 1, 7.0)
-        res = solve_parabolic(rho, v, dom, const_inflow(7.0, 0.1), 2.0, None,
-                              0.0, 0.1, 1e-3, right_v=lambda t: 6.25)
+        res = solve_parabolic(cells(dom, 0.1, 7.0), dom, const_inflow(7.0, 0.1), 2.0,
+                              None, 0.1, 1e-3, right_v=lambda t: 6.25)
         assert res.metadata["compatibility_residual"] == pytest.approx(0.75)
 
-    def test_snapshots_carry_boundary_nodes(self):
+    def test_snapshots_cover_the_moving_domain(self):
         dom = MovingDomain(left=0.0, right_of_t=lambda t: 100.0 + 10.0 * t, n_cells=20)
-        n = dom.n_cells
-        rho = np.full(n + 1, 0.1)
-        v = np.zeros(n + 1)
-        res = solve_parabolic(rho, v, dom, const_inflow(0.0, 0.1), 2.0, None,
-                              0.0, 2.0, 1e-3, snapshot_interval=1.0,
+        res = solve_parabolic(cells(dom, 0.1, 0.0), dom, const_inflow(0.0, 0.1), 2.0,
+                              None, 2.0, 1e-3, snapshot_interval=1.0,
                               right_v=lambda t: 0.0)
         assert [s.t for s in res.snapshots] == [0.0, 1.0, 2.0]
         for snap in res.snapshots:
-            np.testing.assert_allclose(snap.grid.centers[0], 0.0, atol=1e-12)
-            np.testing.assert_allclose(
-                snap.grid.centers[-1], dom.right(snap.t), atol=1e-12
-            )
+            assert snap.grid == RoadGrid(0.0, dom.right(snap.t), 20)
+
+    def test_cell_velocity_is_the_mean_of_its_faces(self):
+        # faces start at the mean of their cells (the end faces at their
+        # cell's value), and a snapshot cell holds the mean of its faces
+        dom = fixed_domain(n=5)
+        v = np.array([2.0, 4.0, 8.0, 6.0, 6.0])
+        res = solve_parabolic(cells(dom, 0.1, v), dom, const_inflow(2.0, 0.1), 2.0,
+                              None, 0.0)
+        faces = np.array([2.0, 3.0, 6.0, 7.0, 6.0, 6.0])
+        np.testing.assert_array_equal(res.final.v, 0.5 * (faces[:-1] + faces[1:]))
 
     @pytest.mark.parametrize("right_v", [None, lambda t: 0.0])
     def test_snapshots_share_no_memory(self, right_v):
-        # node_state does not copy the step's arrays, so a buffer reused
-        # across steps would rewrite earlier snapshots
+        # the snapshots hold the step's arrays without copying them, so a
+        # buffer reused across steps would rewrite earlier snapshots
         dom = MovingDomain(left=0.0, right_of_t=lambda t: 100.0 + 10.0 * t, n_cells=20)
-        n = dom.n_cells
-        rho = np.full(n + 1, 0.1)
-        v = np.full(n + 1, 5.0)
-        res = solve_parabolic(rho, v, dom, const_inflow(5.0, 0.1), 2.0,
-                              ForceLaw(1.0, 16.0, 4.0), 0.0, 0.02, 1e-3,
+        res = solve_parabolic(cells(dom, 0.1, 5.0), dom, const_inflow(5.0, 0.1), 2.0,
+                              ForceLaw(1.0, 16.0, 4.0), 0.02, 1e-3,
                               snapshot_interval=2e-3, right_v=right_v)
         assert len(res.snapshots) == 11
         arrays = [a for snap in res.snapshots for a in (snap.rho, snap.v)]
@@ -430,9 +411,9 @@ class TestSolveParabolic:
 
     def test_rejects_wrong_field_length(self):
         dom = fixed_domain(n=20)
-        with pytest.raises(ValueError):
-            solve_parabolic(np.full(20, 0.1), np.zeros(20), dom,
-                            const_inflow(0.0, 0.1), 2.0, None, 0.0, 1.0, 1e-3)
+        with pytest.raises(ValueError, match="21 cells"):
+            solve_parabolic(cells(fixed_domain(n=21), 0.1, 0.0), dom,
+                            const_inflow(0.0, 0.1), 2.0, None, 1.0, 1e-3)
 
 
 class TestStepSize:
@@ -442,8 +423,8 @@ class TestStepSize:
     def test_fixed_domain_takes_the_largest_cfl_step(self, cfl, viscous_steps):
         # max|c| = 10 / 100 per second, dy = 1/40: the step is cfl / 4 s
         dom = fixed_domain(n=40)
-        res = solve_parabolic(np.full(41, 0.1), np.full(41, 10.0), dom,
-                              const_inflow(10.0, 0.1), 2.0, None, 0.0, 1.0, cfl=cfl)
+        res = solve_parabolic(cells(dom, 0.1, 10.0), dom, const_inflow(10.0, 0.1),
+                              2.0, None, 1.0, cfl=cfl)
         dts = [dt for _, dt, _, _ in viscous_steps]
         assert dts == pytest.approx([cfl / 4] * round(4 / cfl), rel=1e-12)
         assert res.metadata["steps"] == len(dts)
@@ -454,8 +435,8 @@ class TestStepSize:
         # the CFL step is near 0.125 s; every step but the last, which lands
         # on t_end, is the cap exactly
         dom = MovingDomain(left=0.0, right_of_t=right, n_cells=40)
-        res = solve_parabolic(np.full(41, 0.1), np.full(41, 10.0), dom,
-                              const_inflow(10.0, 0.1), 2.0, None, 0.0, 0.25, 0.01)
+        res = solve_parabolic(cells(dom, 0.1, 10.0), dom, const_inflow(10.0, 0.1),
+                              2.0, None, 0.25, 0.01)
         dts = [dt for _, dt, _, _ in viscous_steps]
         assert len(dts) == res.metadata["steps"] == 25
         assert dts[:-1] == [0.01] * 24
@@ -464,8 +445,8 @@ class TestStepSize:
 
     def test_cap_above_the_cfl_step_does_not_bind(self, viscous_steps):
         dom = fixed_domain(n=40)
-        solve_parabolic(np.full(41, 0.1), np.full(41, 10.0), dom,
-                        const_inflow(10.0, 0.1), 2.0, None, 0.0, 1.0, 0.5)
+        solve_parabolic(cells(dom, 0.1, 10.0), dom, const_inflow(10.0, 0.1), 2.0,
+                        None, 1.0, 0.5)
         dts = [dt for _, dt, _, _ in viscous_steps]
         assert dts == pytest.approx([0.125] * 8, rel=1e-12)
 
@@ -473,9 +454,8 @@ class TestStepSize:
         # the right end moves at 40 m/s against fluid at 2 m/s: a step sized
         # with the mesh at rest (0.625 s) would break the CFL bound ~9 times
         dom = MovingDomain(left=0.0, right_of_t=lambda t: 100.0 + 40.0 * t, n_cells=40)
-        res = solve_parabolic(np.full(41, 0.1), np.full(41, 2.0), dom,
-                              const_inflow(2.0, 0.1), 2.0, None, 0.0, 1.0,
-                              snapshot_interval=0.5)
+        res = solve_parabolic(cells(dom, 0.1, 2.0), dom, const_inflow(2.0, 0.1), 2.0,
+                              None, 1.0, snapshot_interval=0.5)
         ratios = [r for _, _, r, _ in viscous_steps]
         assert max(ratios) <= 0.5 * (1 + 1e-12)
         assert max(ratios) > 0.45  # the bound is active, not merely met
@@ -484,16 +464,19 @@ class TestStepSize:
 
     @pytest.mark.parametrize("dt", [None, 1e-3])
     def test_nan_velocity_at_the_downstream_end_is_rejected(self, dt):
-        # under the zero-gradient closure with positive speeds the step's
-        # results never depend on v[-1]
+        # a cell state refuses a NaN velocity before any step; a NaN on the
+        # last face never reaches a finite result under the zero-gradient
+        # closure with positive speeds, so step_viscous checks for it
         dom = fixed_domain(n=10)
-        v = np.full(11, 8.0)
+        v = np.full(10, 8.0)
         v[-1] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            solve_parabolic(np.full(11, 0.1), v, dom, const_inflow(8.0, 0.1), 2.0,
-                            None, 0.0, 1.0, dt)
+            solve_parabolic(cells(dom, 0.1, v), dom, const_inflow(8.0, 0.1), 2.0,
+                            None, 1.0, dt)
+        v = np.full(11, 8.0)
+        v[-1] = np.nan
         with pytest.raises(ValueError, match="non-finite velocity at t = 0.0"):
-            step_viscous(v, np.full(11, 0.1), 0.0, 1e-3, 2.0, const_inflow(8.0, 0.1),
+            step_viscous(v, np.full(10, 0.1), 0.0, 1e-3, 2.0, const_inflow(8.0, 0.1),
                          dom, None)
 
     def test_non_finite_domain_length_ends_the_step_search(self):
@@ -502,30 +485,19 @@ class TestStepSize:
                            n_cells=10)
         with pytest.raises(ValueError, match="non-finite velocity at t = 0.0"), \
                 np.errstate(invalid="ignore"):
-            solve_parabolic(np.full(11, 0.1), np.full(11, 8.0), dom,
-                            const_inflow(8.0, 0.1), 2.0, None, 0.0, 1.0)
+            solve_parabolic(cells(dom, 0.1, 8.0), dom, const_inflow(8.0, 0.1), 2.0,
+                            None, 1.0)
 
     @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan])
     def test_rejects_a_bad_cap(self, dt):
+        dom = fixed_domain(n=10)
         with pytest.raises(ValueError, match="dt must be positive"):
-            solve_parabolic(np.full(11, 0.1), np.full(11, 8.0), fixed_domain(n=10),
-                            const_inflow(8.0, 0.1), 2.0, None, 0.0, 1.0, dt)
+            solve_parabolic(cells(dom, 0.1, 8.0), dom, const_inflow(8.0, 0.1), 2.0,
+                            None, 1.0, dt)
 
     def test_step_range_is_none_without_steps(self):
-        res = solve_parabolic(np.full(11, 0.1), np.full(11, 8.0), fixed_domain(n=10),
-                              const_inflow(8.0, 0.1), 2.0, None, 1.0, 1.0)
+        dom = fixed_domain(n=10)
+        res = solve_parabolic(cells(dom, 0.1, 8.0, t=1.0), dom, const_inflow(8.0, 0.1),
+                              2.0, None, 1.0)
         assert (res.metadata["steps"], res.metadata["dt_min"], res.metadata["dt_max"]) \
             == (0, None, None)
-
-
-class TestTrapezoidMass:
-    def test_matches_node_state_cell_sum(self):
-        dom = fixed_domain(n=16)
-        n = dom.n_cells
-        rng = np.random.default_rng(5)
-        rho = 0.1 + rng.uniform(0.0, 0.1, n + 1)
-        mass = _trapezoid_mass(rho, 100.0, 1.0 / n)
-        # the node snapshot weights the end nodes fully; correct for that
-        snap = node_state(dom, 0.0, rho, np.zeros(n + 1))
-        s = snap.grid.dx
-        assert snap.total_mass - 0.5 * s * (rho[0] + rho[-1]) == pytest.approx(mass)
