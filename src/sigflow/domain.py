@@ -212,8 +212,6 @@ def default_braking_profile(timing: SignalTiming, v_handoff: float) -> BrakingPr
     """
     if v_handoff < 0:
         raise ValueError(f"v_handoff must be >= 0, got {v_handoff}")
-    if timing.tau0 <= 0:
-        raise ValueError(f"tau0 must be positive, got {timing.tau0}")
     x0, h, t0, tau0 = timing.x0, timing.h, timing.t0, timing.tau0
     t_start = t0 - tau0
 
@@ -252,7 +250,6 @@ class Scenario:
     mu: float
     t_end: float
     cfl: float = 0.5  # sets the steps of both solvers
-    parabolic_dt: Optional[float] = None  # caps the viscous step; None: no cap
     snapshot_interval: float = 1.0
 
 
@@ -280,8 +277,6 @@ def validate_scenario(s: Scenario, oracle_requested: bool = False) -> list[str]:
         out.append(f"mu: viscosity must be positive, got {s.mu}")
     if not 0 < s.cfl <= 1:
         out.append(f"cfl: must lie in (0, 1], got {s.cfl}")
-    if s.parabolic_dt is not None and not s.parabolic_dt > 0:
-        out.append(f"parabolic_dt: must be positive, got {s.parabolic_dt}")
     if not s.snapshot_interval > 0:
         out.append(f"snapshot_interval: must be positive, got {s.snapshot_interval}")
 

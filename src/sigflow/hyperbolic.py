@@ -47,10 +47,6 @@ class ConservedState:
     def to_flow_state(self) -> FlowState:
         return FlowState(self.grid, self.m.copy(), self.velocities(), self.t)
 
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.m) * self.grid.dx)
-
 
 @dataclass
 class StepReport:
@@ -125,7 +121,6 @@ def march(
     max_dt: Callable,
     advance: Callable,
     snapshot: Callable,
-    mass: Callable,
     metadata: dict,
 ) -> SolveResult:
     """Advance a solver state from t_start to t_end, recording snapshots and
@@ -134,15 +129,15 @@ def march(
     advance(state, t, dt) returns (state, StepReport) for one step of at
     most max_dt(state, t).  Steps are shortened to land exactly on every
     snapshot time and on t_end, where snapshot(state, t) gives the
-    FlowState and mass(state, t) the total mass for the ledger.  The result's
-    metadata adds the step count and the smallest and largest step taken
-    (None when no step was taken).
+    FlowState; the ledger takes each total mass from that snapshot.  The
+    result's metadata adds the step count and the smallest and largest step
+    taken (None when no step was taken).
     """
     if t_end < t_start:
         raise ValueError(f"t_end = {t_end} precedes t_start = {t_start}")
     ledger = MassLedger()
     snapshots = [snapshot(state, t_start)]
-    ledger.record(t_start, mass(state, t_start))
+    ledger.record(t_start, snapshots[-1].total_mass)
 
     horizon = t_end - t_start
     if snapshot_interval is None or snapshot_interval <= 0:
@@ -165,7 +160,7 @@ def march(
             # land exactly on the snapshot time so phase handoffs compare equal
             t = t_next
             snapshots.append(snapshot(state, t))
-            ledger.record(t, mass(state, t))
+            ledger.record(t, snapshots[-1].total_mass)
             k_snap += 1
 
     return SolveResult(
@@ -287,11 +282,12 @@ def solve_hyperbolic(
     return march(
         (start, start.velocities()), initial.t, t_end, snapshot_interval,
         # the checks FlowState makes, without building one: the largest |v|
-        # of the noise-clipped velocities is max(v) or below the speed floor
+        # of the noise-clipped velocities is max(v) or below the speed floor;
+        # step's CFL check also sees the inflow ghost's speed
         max_dt=lambda state, t: _cfl_step(
-            grid.dx, check_flow_fields(state[0].m, state[1]), cfl),
+            grid.dx, max(check_flow_fields(state[0].m, state[1]),
+                         abs(float(inflow.v_in(t)))), cfl),
         advance=advance,
         snapshot=lambda state, t: at(state[0], t).to_flow_state(),
-        mass=lambda state, t: state[0].total_mass,
         metadata={"solver": "hyperbolic", "cfl": cfl},
     )

@@ -240,8 +240,7 @@ def _parabolic(s: Scenario, state: FlowState, domain, inflow, force, t_end: floa
                right_v=None) -> SolveResult:
     return par.solve_parabolic(
         state, domain, inflow, s.mu, force, t_end,
-        dt=s.parabolic_dt, snapshot_interval=s.snapshot_interval, right_v=right_v,
-        cfl=s.cfl,
+        snapshot_interval=s.snapshot_interval, right_v=right_v, cfl=s.cfl,
     )
 
 

@@ -10,7 +10,9 @@ the three diagonals); the inflow velocity and the prescribed downstream
 velocity are Dirichlet values of the two boundary faces.  Density follows
 with conservative upwind advection: every face flux is the upwind density
 times the face velocity relative to the mesh, so the mass sum(rho) * dx
-changes by exactly the two boundary fluxes of the ledger.
+changes by exactly the two boundary fluxes of the ledger.  The diffusion
+being implicit, only the explicit advection limits the step, and
+solve_parabolic sizes every step from the advective CFL number alone.
 
 scipy supplies gtsv and is imported at the first solve, not with this
 module, so a process that takes no viscous step (`sigflow validate`,
@@ -150,8 +152,7 @@ def step_viscous(
     cfl = float(np.maximum.reduce(np.abs(c))) * dt / dy
     if cfl > 1.0 + 1e-12:
         raise RuntimeError(
-            f"advective CFL violated at t = {t}: |c| dt/dy = {cfl:.3f} > 1; "
-            "reduce the parabolic time step"
+            f"advective CFL violated at t = {t}: |c| dt/dy = {cfl:.3f} > 1"
         )
     if math.isnan(cfl):
         # a NaN in v[-1] reaches no finite result under the zero-gradient
@@ -265,7 +266,6 @@ def solve_parabolic(
     mu: float,
     force: Optional[ForceLaw],
     t_end: float,
-    dt: Optional[float] = None,
     snapshot_interval: Optional[float] = None,
     right_v: Optional[Callable[[float], float]] = None,
     cfl: float = 0.5,
@@ -278,17 +278,14 @@ def solve_parabolic(
     its two cells and an end face at its cell's velocity.  The diffusion is
     implicit, so only the explicit upwind advection limits the step: each
     step is the largest with max|c| dt/dy <= cfl, where c is the
-    mesh-relative face speed of step_viscous.  dt, when given, caps every
-    step.  Snapshots are cell FlowStates on domain.grid(t).  right_v
-    prescribes the downstream velocity (None: the zero-gradient closure);
-    the run metadata reports the residual between it and the handed-off
-    velocity there.
+    mesh-relative face speed of step_viscous; no other setting sizes it.
+    Snapshots are cell FlowStates on domain.grid(t).  right_v prescribes
+    the downstream velocity (None: the zero-gradient closure); the run
+    metadata reports the residual between it and the handed-off velocity
+    there.
     """
     n = domain.n_cells
     dy = 1.0 / n
-    if dt is not None and not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    cap = math.inf if dt is None else dt
     if initial.grid.n_cells != n:
         raise ValueError(
             f"initial state has {initial.grid.n_cells} cells, the domain {n}"
@@ -309,12 +306,12 @@ def solve_parabolic(
     y = _unit_faces(n)
 
     def step_size(state, t: float) -> float:
-        """At most the cap and the time left, with max|c| h/dy <= cfl."""
+        """At most the time left, with max|c| h/dy <= cfl."""
         v = state[0]
         L_old = domain.right(t) - domain.left
         c_max = float(np.maximum.reduce(np.abs(v))) / L_old  # mesh at rest
         # the domain is only evaluated inside the run
-        h = min(cap, t_end - t, _cfl_step(dy, _finite(c_max, t), cfl))
+        h = min(t_end - t, _cfl_step(dy, _finite(c_max, t), cfl))
         # on a moving mesh c depends on Ldot over the step itself: h is
         # accepted once it meets the bound at its own Ldot, and a rejected h
         # is retried 1 % below the bound so that the search ends
@@ -342,7 +339,6 @@ def solve_parabolic(
         max_dt=step_size,
         advance=advance,
         snapshot=snapshot,
-        mass=lambda state, t: _mass(state[1], domain.right(t) - domain.left),
         metadata={
             "solver": "parabolic",
             "cfl": cfl,

@@ -29,16 +29,8 @@ _TOP_KEYS = {"model", "grid", "signal", "force", "mu", "t_end", "numerics", "pro
 _GRID_KEYS = {"x_min", "x_max", "n_cells"}
 _SIGNAL_KEYS = {"x0", "t0", "tau0", "tau1", "h"}
 _FORCE_KEYS = {"f0", "v_star", "delta"}
-_NUMERICS_KEYS = {"cfl", "parabolic_dt", "snapshot_interval"}
+_NUMERICS_KEYS = {"cfl", "snapshot_interval"}
 _PROFILE_KEYS = {"rho0", "v0", "rho_in", "v_in"}
-
-
-def _require(doc: dict, key: str, errors: list, where: str = ""):
-    path = f"{where}.{key}" if where else key
-    if key not in doc:
-        errors.append(f"{path}: missing required key")
-        return None
-    return doc[key]
 
 
 def _check_keys(doc: dict, allowed: set, errors: list, where: str):
@@ -84,7 +76,7 @@ def parse_scenario(text: str) -> Scenario:
         profiles = {}
     _check_keys(profiles, _PROFILE_KEYS, errors, "profiles")
 
-    mu = _number(_require(doc, "mu", errors), "mu", errors) if "mu" in doc else None
+    mu = _number(doc["mu"], "mu", errors) if "mu" in doc else None
     if "mu" not in doc:
         errors.append("mu: missing required key")
     t_end = _number(doc["t_end"], "t_end", errors) if "t_end" in doc else None
@@ -108,11 +100,11 @@ def parse_scenario(text: str) -> Scenario:
     else:
         errors.append("force: missing required key (use 'off' to disable)")
 
-    # a missing or null key takes the default; parabolic_dt has none (no cap)
-    cfl, parabolic_dt, snapshot_interval = (
+    # a missing or null key takes the default
+    cfl, snapshot_interval = (
         None if numerics.get(key) is None
         else _number(numerics[key], f"numerics.{key}", errors)
-        for key in ("cfl", "parabolic_dt", "snapshot_interval")
+        for key in ("cfl", "snapshot_interval")
     )
 
     fns = {}
@@ -139,7 +131,6 @@ def parse_scenario(text: str) -> Scenario:
         mu=mu,
         t_end=t_end,
         cfl=0.5 if cfl is None else cfl,
-        parabolic_dt=parabolic_dt,
         snapshot_interval=t_end / 50.0 if snapshot_interval is None else snapshot_interval,
     )
     violations = validate_scenario(scenario)

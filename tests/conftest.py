@@ -38,7 +38,6 @@ def reference_scenario(model="first", n_cells=150, mu=2.0, force=ForceLaw(1.0, 1
         mu=mu,
         t_end=t_end,
         cfl=0.5,
-        parabolic_dt=1e-3,
         snapshot_interval=1.0,
     )
 
@@ -64,7 +63,6 @@ def stationary_scenario(model="first", n_cells=120):
         force=None,
         mu=1.0,
         t_end=10.0,
-        parabolic_dt=2e-3,
         snapshot_interval=1.0,
     )
 

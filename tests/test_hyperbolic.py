@@ -191,6 +191,27 @@ class TestSolve:
         assert res.metadata["dt_min"] == min(dts)
         assert res.metadata["dt_max"] == max(dts) == pytest.approx(0.1)
 
+    def test_inflow_faster_than_the_road_sizes_the_steps(self, monkeypatch):
+        # step's CFL check sees the inflow ghost at 25 m/s; a step sized from
+        # the road's 10 m/s alone would break its bound 2.5 times over
+        import sigflow.hyperbolic as hyp
+
+        ratios = []
+        real_step = hyp.step
+
+        def recording(state, dt, inflow, force, v):
+            smax = max(float(np.max(np.abs(v))), abs(inflow.v_in(state.t)))
+            ratios.append(dt * smax / state.grid.dx)
+            return real_step(state, dt, inflow, force, v)
+
+        monkeypatch.setattr(hyp, "step", recording)
+        res = solve_hyperbolic(uniform_state(v=10.0), inflow_const(0.1, 25.0), None,
+                               2.0, snapshot_interval=0.5)
+        assert res.final.t == 2.0
+        assert res.metadata["steps"] == len(ratios)
+        assert max(ratios) <= 0.5 * (1 + 1e-12)
+        assert max(ratios) > 0.45  # the inflow speed is what limits the step
+
     def test_velocities_are_computed_once_per_step(self, monkeypatch):
         calls = []
         real = ConservedState.velocities

@@ -26,7 +26,7 @@ signal: {x0: 200.0, t0: 6.0, tau0: 2.0, tau1: 3.0, h: 50.0}
 force: {f0: 1.0, v_star: 16.0, delta: 4.0}
 mu: 2.0
 t_end: 10.0
-numerics: {parabolic_dt: 0.001, snapshot_interval: 1.0}
+numerics: {snapshot_interval: 1.0}
 profiles:
   rho0: sine(base=0.1, amp=0.02, wavelength=150)
   v0: 10.0
@@ -92,30 +92,13 @@ class TestParseScenario:
         assert s.timing.x0 == 200.0
         assert s.mu == 2.0
         assert s.cfl == 0.5  # default
-        assert s.parabolic_dt == 0.001
         assert s.rho0(0.0) == pytest.approx(0.1)
         assert s.inflow.v_in(3.0) == pytest.approx(10.0)
 
     def test_snapshot_interval_defaults_to_horizon_fraction(self):
-        doc = GOOD_DOC.replace("numerics: {parabolic_dt: 0.001, snapshot_interval: 1.0}",
-                               "")
+        doc = GOOD_DOC.replace("numerics: {snapshot_interval: 1.0}", "")
         s = parse_scenario(doc)
         assert s.snapshot_interval == pytest.approx(10.0 / 50.0)
-
-    @pytest.mark.parametrize("numerics", ["", "numerics: {parabolic_dt: null}"])
-    def test_parabolic_dt_is_an_optional_cap(self, numerics):
-        doc = GOOD_DOC.replace(
-            "numerics: {parabolic_dt: 0.001, snapshot_interval: 1.0}", numerics)
-        assert parse_scenario(doc).parabolic_dt is None
-
-    @pytest.mark.parametrize("value, message", [("0.0", "must be positive"),
-                                                ("fast", "expected a number")])
-    def test_bad_parabolic_dt_reported(self, value, message):
-        doc = GOOD_DOC.replace("parabolic_dt: 0.001", f"parabolic_dt: {value}")
-        with pytest.raises(ScenarioFileError) as exc:
-            parse_scenario(doc)
-        assert any(e.startswith(("parabolic_dt", "numerics.parabolic_dt"))
-                   and message in e for e in exc.value.errors)
 
     @pytest.mark.parametrize("old, new", [("f0: 1.0", "f0: .inf"),
                                           ("v_star: 16.0", "v_star: .inf"),
@@ -140,9 +123,17 @@ class TestParseScenario:
         assert s.force is None
 
     def test_unknown_key_reported(self):
-        with pytest.raises(ScenarioFileError) as exc:
-            parse_scenario(GOOD_DOC + "\nturbo: true\n")
-        assert any("turbo" in e for e in exc.value.errors)
+        # cfl alone sets the viscous steps: a file that still caps them with
+        # numerics.parabolic_dt is refused, not silently run uncapped
+        for doc, line in [
+            (GOOD_DOC + "\nturbo: true\n", "turbo: unknown key"),
+            (GOOD_DOC.replace("numerics: {snapshot_interval: 1.0}",
+                              "numerics: {parabolic_dt: 0.001, snapshot_interval: 1.0}"),
+             "numerics.parabolic_dt: unknown key"),
+        ]:
+            with pytest.raises(ScenarioFileError) as exc:
+                parse_scenario(doc)
+            assert line in exc.value.errors
 
     def test_bad_timing_reported_with_path(self):
         bad = GOOD_DOC.replace("tau0: 2.0", "tau0: -1.0")
@@ -156,6 +147,7 @@ class TestParseScenario:
         errs = "\n".join(exc.value.errors)
         for key in ("grid", "signal", "mu", "t_end", "force", "profiles"):
             assert key in errs
+        assert "mu: missing required key" in exc.value.errors
 
     def test_not_yaml(self):
         with pytest.raises(ScenarioFileError):

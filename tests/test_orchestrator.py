@@ -331,12 +331,11 @@ def cumulative_count_w1(a: FlowState, b: FlowState) -> float:
 
 
 class TestCflSteps:
-    """The shipped scenario sets no parabolic_dt: viscous steps follow the CFL."""
+    """Viscous steps follow the CFL in every phase of the shipped scenario."""
 
     @pytest.mark.parametrize("model", ["first", "second"])
     def test_every_viscous_step_meets_the_cfl_bound(self, model, viscous_steps):
         s = shipped_scenario(model)
-        assert s.parabolic_dt is None
         traj = run(s)
         ratios = [r for _, _, r, _ in viscous_steps]
         assert all(r <= s.cfl * (1 + 1e-12) for r in ratios)  # rounding only

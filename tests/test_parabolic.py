@@ -342,7 +342,7 @@ class TestSolveParabolic:
         n = dom.n_cells
         rho = 0.1 + 0.04 * np.sin(np.pi * (np.arange(n) + 0.5) / n)
         bc = const_inflow(0.0, float(rho[0]))
-        res = solve_parabolic(cells(dom, rho, 0.0), dom, bc, 2.0, None, 3.0, 1e-3,
+        res = solve_parabolic(cells(dom, rho, 0.0), dom, bc, 2.0, None, 3.0,
                               snapshot_interval=1.0, right_v=lambda t: 0.0)
         np.testing.assert_array_equal(res.final.v, 0.0)
         np.testing.assert_allclose(res.final.rho, rho, rtol=0, atol=1e-14)
@@ -352,7 +352,7 @@ class TestSolveParabolic:
         ramp = lambda t: 5.0 + 1.5 * t
         bc = BoundaryData(rho_in=lambda t: 0.1, v_in=ramp)
         res = solve_parabolic(cells(dom, 0.1, 5.0), dom, bc, 2.0,
-                              ForceLaw(1.5, 16.0, 4.0), 2.0, 1e-3, right_v=ramp)
+                              ForceLaw(1.5, 16.0, 4.0), 2.0, right_v=ramp)
         np.testing.assert_allclose(res.final.v, 8.0, rtol=0, atol=1e-10)
 
     def test_mass_ledger_closes(self):
@@ -362,7 +362,7 @@ class TestSolveParabolic:
         rho = 0.1 + rng.uniform(0.0, 0.05, n)
         v = 8.0 + rng.uniform(-1.0, 1.0, n)
         bc = BoundaryData(rho_in=lambda t: float(rho[0]), v_in=lambda t: float(v[0]))
-        res = solve_parabolic(cells(dom, rho, v), dom, bc, 2.0, None, 2.0, 1e-3,
+        res = solve_parabolic(cells(dom, rho, v), dom, bc, 2.0, None, 2.0,
                               snapshot_interval=0.5)
         m0 = res.ledger[0]["total_mass"]
         m1 = res.ledger[-1]["total_mass"]
@@ -374,13 +374,13 @@ class TestSolveParabolic:
     def test_compatibility_residual_reported(self):
         dom = fixed_domain(n=20)
         res = solve_parabolic(cells(dom, 0.1, 7.0), dom, const_inflow(7.0, 0.1), 2.0,
-                              None, 0.1, 1e-3, right_v=lambda t: 6.25)
+                              None, 0.1, right_v=lambda t: 6.25)
         assert res.metadata["compatibility_residual"] == pytest.approx(0.75)
 
     def test_snapshots_cover_the_moving_domain(self):
         dom = MovingDomain(left=0.0, right_of_t=lambda t: 100.0 + 10.0 * t, n_cells=20)
         res = solve_parabolic(cells(dom, 0.1, 0.0), dom, const_inflow(0.0, 0.1), 2.0,
-                              None, 2.0, 1e-3, snapshot_interval=1.0,
+                              None, 2.0, snapshot_interval=1.0,
                               right_v=lambda t: 0.0)
         assert [s.t for s in res.snapshots] == [0.0, 1.0, 2.0]
         for snap in res.snapshots:
@@ -402,7 +402,7 @@ class TestSolveParabolic:
         # buffer reused across steps would rewrite earlier snapshots
         dom = MovingDomain(left=0.0, right_of_t=lambda t: 100.0 + 10.0 * t, n_cells=20)
         res = solve_parabolic(cells(dom, 0.1, 5.0), dom, const_inflow(5.0, 0.1), 2.0,
-                              ForceLaw(1.0, 16.0, 4.0), 0.02, 1e-3,
+                              ForceLaw(1.0, 16.0, 4.0), 0.02,
                               snapshot_interval=2e-3, right_v=right_v)
         assert len(res.snapshots) == 11
         arrays = [a for snap in res.snapshots for a in (snap.rho, snap.v)]
@@ -413,11 +413,11 @@ class TestSolveParabolic:
         dom = fixed_domain(n=20)
         with pytest.raises(ValueError, match="21 cells"):
             solve_parabolic(cells(fixed_domain(n=21), 0.1, 0.0), dom,
-                            const_inflow(0.0, 0.1), 2.0, None, 1.0, 1e-3)
+                            const_inflow(0.0, 0.1), 2.0, None, 1.0)
 
 
 class TestStepSize:
-    """solve_parabolic's steps: the advective CFL, with dt as a cap."""
+    """solve_parabolic's steps: the advective CFL alone sets them."""
 
     @pytest.mark.parametrize("cfl", [0.5, 0.25])
     def test_fixed_domain_takes_the_largest_cfl_step(self, cfl, viscous_steps):
@@ -429,26 +429,6 @@ class TestStepSize:
         assert dts == pytest.approx([cfl / 4] * round(4 / cfl), rel=1e-12)
         assert res.metadata["steps"] == len(dts)
         assert (res.metadata["dt_min"], res.metadata["dt_max"]) == (min(dts), max(dts))
-
-    @pytest.mark.parametrize("right", [100.0, lambda t: 100.0 + 15.0 * t])
-    def test_explicit_cap_is_used_verbatim(self, right, viscous_steps):
-        # the CFL step is near 0.125 s; every step but the last, which lands
-        # on t_end, is the cap exactly
-        dom = MovingDomain(left=0.0, right_of_t=right, n_cells=40)
-        res = solve_parabolic(cells(dom, 0.1, 10.0), dom, const_inflow(10.0, 0.1),
-                              2.0, None, 0.25, 0.01)
-        dts = [dt for _, dt, _, _ in viscous_steps]
-        assert len(dts) == res.metadata["steps"] == 25
-        assert dts[:-1] == [0.01] * 24
-        assert dts[-1] == pytest.approx(0.01, rel=1e-9)
-        assert res.metadata["dt_max"] <= 0.01
-
-    def test_cap_above_the_cfl_step_does_not_bind(self, viscous_steps):
-        dom = fixed_domain(n=40)
-        solve_parabolic(cells(dom, 0.1, 10.0), dom, const_inflow(10.0, 0.1), 2.0,
-                        None, 1.0, 0.5)
-        dts = [dt for _, dt, _, _ in viscous_steps]
-        assert dts == pytest.approx([0.125] * 8, rel=1e-12)
 
     def test_moving_mesh_speed_limits_the_step(self, viscous_steps):
         # the right end moves at 40 m/s against fluid at 2 m/s: a step sized
@@ -462,8 +442,7 @@ class TestStepSize:
         assert all(moving for *_, moving in viscous_steps)
         assert res.metadata["steps"] == len(viscous_steps)
 
-    @pytest.mark.parametrize("dt", [None, 1e-3])
-    def test_nan_velocity_at_the_downstream_end_is_rejected(self, dt):
+    def test_nan_velocity_at_the_downstream_end_is_rejected(self):
         # a cell state refuses a NaN velocity before any step; a NaN on the
         # last face never reaches a finite result under the zero-gradient
         # closure with positive speeds, so step_viscous checks for it
@@ -472,7 +451,7 @@ class TestStepSize:
         v[-1] = np.nan
         with pytest.raises(ValueError, match="finite"):
             solve_parabolic(cells(dom, 0.1, v), dom, const_inflow(8.0, 0.1), 2.0,
-                            None, 1.0, dt)
+                            None, 1.0)
         v = np.full(11, 8.0)
         v[-1] = np.nan
         with pytest.raises(ValueError, match="non-finite velocity at t = 0.0"):
@@ -487,13 +466,6 @@ class TestStepSize:
                 np.errstate(invalid="ignore"):
             solve_parabolic(cells(dom, 0.1, 8.0), dom, const_inflow(8.0, 0.1), 2.0,
                             None, 1.0)
-
-    @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan])
-    def test_rejects_a_bad_cap(self, dt):
-        dom = fixed_domain(n=10)
-        with pytest.raises(ValueError, match="dt must be positive"):
-            solve_parabolic(cells(dom, 0.1, 8.0), dom, const_inflow(8.0, 0.1), 2.0,
-                            None, 1.0, dt)
 
     def test_step_range_is_none_without_steps(self):
         dom = fixed_domain(n=10)
