@@ -442,16 +442,18 @@ class TestStepSize:
         assert all(moving for *_, moving in viscous_steps)
         assert res.metadata["steps"] == len(viscous_steps)
 
-    def test_nan_velocity_at_the_downstream_end_is_rejected(self):
-        # a cell state refuses a NaN velocity before any step; a NaN on the
-        # last face never reaches a finite result under the zero-gradient
-        # closure with positive speeds, so step_viscous checks for it
+    @pytest.mark.parametrize("snapshot_interval", [None, 1e-3])
+    def test_nan_velocity_at_the_downstream_end_is_rejected(self, snapshot_interval):
+        # a cell state refuses a NaN velocity before any step, with or without
+        # snapshots; a NaN on the last face never reaches a finite result
+        # under the zero-gradient closure with positive speeds, so
+        # step_viscous checks for it
         dom = fixed_domain(n=10)
         v = np.full(10, 8.0)
         v[-1] = np.nan
         with pytest.raises(ValueError, match="finite"):
             solve_parabolic(cells(dom, 0.1, v), dom, const_inflow(8.0, 0.1), 2.0,
-                            None, 1.0)
+                            None, 1.0, snapshot_interval)
         v = np.full(11, 8.0)
         v[-1] = np.nan
         with pytest.raises(ValueError, match="non-finite velocity at t = 0.0"):
