@@ -36,7 +36,6 @@ from .orchestrator import (
     split_at,
 )
 from .parabolic import (
-    MovingDomain,
     solve_parabolic,
     step_viscous,
 )

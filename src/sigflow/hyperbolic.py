@@ -131,16 +131,22 @@ def march(
     snapshot time and on t_end, where snapshot(state, t) gives the
     FlowState; the ledger takes each total mass from that snapshot.  The
     result's metadata adds the step count and the smallest and largest step
-    taken (None when no step was taken).
+    taken (None when no step was taken).  A non-finite t_end, or a
+    snapshot_interval that is neither None nor positive, raises ValueError
+    before the first step.
     """
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     if t_end < t_start:
         raise ValueError(f"t_end = {t_end} precedes t_start = {t_start}")
+    if snapshot_interval is not None and not snapshot_interval > 0:
+        raise ValueError(f"snapshot_interval must be positive, got {snapshot_interval}")
     ledger = MassLedger()
     snapshots = [snapshot(state, t_start)]
     ledger.record(t_start, snapshots[-1].total_mass)
 
     horizon = t_end - t_start
-    if snapshot_interval is None or snapshot_interval <= 0:
+    if snapshot_interval is None:
         snapshot_interval = horizon if horizon > 0 else 1.0
 
     t = t_start

@@ -223,24 +223,18 @@ def _hyperbolic(s: Scenario, state: FlowState, inflow, t_end: float) -> SolveRes
 def _viscous(s: Scenario, state: FlowState, inflow, t_end: float) -> SolveResult:
     """The second model's open road: viscous flow with the driver force on
     the state's cells."""
-    g = state.grid
-    domain = par.MovingDomain(left=g.x_min, right_of_t=g.x_max, n_cells=g.n_cells)
-    return _parabolic(s, state, domain, inflow, s.force, t_end)
+    return par.solve_parabolic(
+        state, inflow, s.mu, s.force, t_end,
+        snapshot_interval=s.snapshot_interval, cfl=s.cfl,
+    )
 
 
 def _braking_flow(s: Scenario, braking, source: FlowState, t_end: float) -> SolveResult:
     """Viscous flow upstream of the light against the moving braking
     boundary, driver force off; the same in both models."""
-    domain = par.MovingDomain(left=s.grid.x_min, right_of_t=braking.gamma,
-                              n_cells=source.grid.n_cells)
-    return _parabolic(s, source, domain, s.inflow, None, t_end, right_v=braking.V)
-
-
-def _parabolic(s: Scenario, state: FlowState, domain, inflow, force, t_end: float,
-               right_v=None) -> SolveResult:
     return par.solve_parabolic(
-        state, domain, inflow, s.mu, force, t_end,
-        snapshot_interval=s.snapshot_interval, right_v=right_v, cfl=s.cfl,
+        source, s.inflow, s.mu, None, t_end,
+        snapshot_interval=s.snapshot_interval, braking=braking, cfl=s.cfl,
     )
 
 

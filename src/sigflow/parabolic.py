@@ -1,18 +1,21 @@
-"""Semi-implicit solver for the viscous flow on a fixed or moving domain.
+"""Semi-implicit solver for the viscous flow on the road or the braking strip.
 
-The physical domain [left, right(t)] is mapped to the unit interval; the
-mesh motion enters the advection terms as a relative velocity, so the
-discrete system keeps a fixed size.  The layout is staggered (Harlow and
-Welch 1965): density is a cell average on n cells, velocity lives on the
-n+1 faces.  Velocity is updated with explicit upwind advection plus
-implicit diffusion (one tridiagonal solve, a direct call of LAPACK gtsv on
-the three diagonals); the inflow velocity and the prescribed downstream
-velocity are Dirichlet values of the two boundary faces.  Density follows
-with conservative upwind advection: every face flux is the upwind density
-times the face velocity relative to the mesh, so the mass sum(rho) * dx
-changes by exactly the two boundary fluxes of the ledger.  The diffusion
-being implicit, only the explicit advection limits the step, and
-solve_parabolic sizes every step from the advective CFL number alone.
+The domain [x_min, right(t)] is mapped to the unit interval; the right end
+stays at the grid's x_max on the open road and follows the braking boundary
+gamma(t) of a BrakingProfile on the braking strip.  The mesh motion enters
+the advection terms as a relative velocity, so the discrete system keeps a
+fixed size.  The layout is staggered (Harlow and Welch 1965): density is a
+cell average on n cells, velocity lives on the n+1 faces.  Velocity is
+updated with explicit upwind advection plus implicit diffusion (one
+tridiagonal solve, a direct call of LAPACK gtsv on the three diagonals);
+the inflow velocity is the Dirichlet value of the upstream face, and the
+downstream face holds the braking velocity V(t) or, on the open road, a
+zero-gradient closure.  Density follows with conservative upwind
+advection: every face flux is the upwind density times the face velocity
+relative to the mesh, so the mass sum(rho) * dx changes by exactly the two
+boundary fluxes of the ledger.  The diffusion being implicit, only the
+explicit advection limits the step, and solve_parabolic sizes every step
+from the advective CFL number alone.
 
 scipy supplies gtsv and is imported at the first solve, not with this
 module, so a process that takes no viscous step (`sigflow validate`,
@@ -25,14 +28,13 @@ solver's are; a cell's velocity is the mean of its two faces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .domain import BoundaryData, FlowState, ForceLaw, RoadGrid
+from .domain import BoundaryData, BrakingProfile, FlowState, ForceLaw, RoadGrid
 from .hyperbolic import SolveResult, StepReport, _cfl_step, march
 
 # Floor applied to the density in the diffusion coefficient mu/rho only;
@@ -74,32 +76,15 @@ def _unit_faces(n: int) -> np.ndarray:
     return y
 
 
-@dataclass(frozen=True)
-class MovingDomain:
-    """Domain [left, right_of_t(t)] discretized with n_cells cells."""
-
-    left: float
-    right_of_t: Union[Callable[[float], float], float]
-    n_cells: int
-
-    def __post_init__(self):
-        if self.n_cells < 4:
-            raise ValueError(f"n_cells must be >= 4, got {self.n_cells}")
-
-    def right(self, t: float) -> float:
-        if callable(self.right_of_t):
-            r = float(self.right_of_t(t))
-        else:
-            r = float(self.right_of_t)
-        if not r > self.left:
-            raise ValueError(
-                f"right boundary {r} at t = {t} does not exceed left = {self.left}"
-            )
-        return r
-
-    def grid(self, t: float) -> RoadGrid:
-        """The domain's cells at time t."""
-        return RoadGrid(self.left, self.right(t), self.n_cells)
+def _braking_end(braking: BrakingProfile, x_min: float, t: float) -> float:
+    """gamma(t), which must be a finite position above x_min."""
+    r = float(braking.gamma(t))
+    if not x_min < r < math.inf:
+        raise ValueError(
+            f"braking boundary {r} at t = {t} is not a finite position above "
+            f"x_min = {x_min}"
+        )
+    return r
 
 
 def _mass(rho: np.ndarray, length: float) -> float:
@@ -114,26 +99,31 @@ def step_viscous(
     dt: float,
     mu: float,
     inflow: BoundaryData,
-    domain: MovingDomain,
+    grid: RoadGrid,
     force: Optional[ForceLaw],
-    right_v: Optional[Callable[[float], float]] = None,
+    braking: Optional[BrakingProfile] = None,
 ) -> tuple[np.ndarray, np.ndarray, StepReport]:
     """One semi-implicit update from t to t + dt; returns (v, rho, report).
 
     v holds the n+1 face velocities (the benchmark's `parabolic.node_steps`
-    counts len(v), so faces), rho the n cell densities.  The upstream face
-    takes the inflow velocity; the downstream face takes the prescribed
-    velocity right_v, or a zero-gradient closure when it is None.  The
-    inflow density is the upwind density of the upstream face; the
+    counts len(v), so faces), rho the n cell densities, and grid is the
+    state's RoadGrid at t.  The upstream face takes the inflow velocity.
+    Without braking the right end stays at grid.x_max and the downstream
+    face takes a zero-gradient closure; with it the right end moves to
+    braking.gamma(t + dt) and the downstream face takes braking.V(t + dt).
+    The inflow density is the upwind density of the upstream face; the
     downstream face's ghost density copies the last cell.  A non-finite
     density or boundary flux raises ValueError in the step where it appears.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    n = domain.n_cells
+    n = grid.n_cells
     dy = 1.0 / n
-    L_old = domain.right(t) - domain.left
-    L_new = domain.right(t + dt) - domain.left
+    L_old = grid.x_max - grid.x_min
+    if braking is None:
+        L_new = L_old
+    else:
+        L_new = _braking_end(braking, grid.x_min, t + dt) - grid.x_min
     Ldot = (L_new - L_old) / dt
     # On a fixed interval (and on the braking strip once it has stopped)
     # Ldot is +0.0, every mesh-velocity term y * Ldot is +0.0 and x - 0.0
@@ -194,8 +184,8 @@ def step_viscous(
 
     v_left = float(inflow.v_in(t + dt))
     b[0] = v_left
-    if right_v is not None:
-        v_right = float(right_v(t + dt))
+    if braking is not None:
+        v_right = float(braking.V(t + dt))
         sub[-1] = 0.0
         b[-1] = v_right
     else:
@@ -208,7 +198,7 @@ def step_viscous(
     if not np.logical_and.reduce(np.isfinite(b)):
         raise ValueError(f"non-finite velocity or boundary data at t = {t + dt}")
     v_new = solve_banded(sub, diag, sup, b)
-    if right_v is not None:
+    if braking is not None:
         v_new[-1] = v_right  # keep the Dirichlet value exact
     v_new[0] = v_left
 
@@ -261,35 +251,31 @@ def _finite(c_max: float, t: float) -> float:
 
 def solve_parabolic(
     initial: FlowState,
-    domain: MovingDomain,
     inflow: BoundaryData,
     mu: float,
     force: Optional[ForceLaw],
     t_end: float,
     snapshot_interval: Optional[float] = None,
-    right_v: Optional[Callable[[float], float]] = None,
+    braking: Optional[BrakingProfile] = None,
     cfl: float = 0.5,
 ) -> SolveResult:
     """Advance the viscous system from initial.t to t_end with steps from
     the advective CFL.
 
-    initial is a cell state on the domain's n cells.  Its densities are the
-    starting cell densities; an interior face starts at the mean velocity of
-    its two cells and an end face at its cell's velocity.  The diffusion is
-    implicit, so only the explicit upwind advection limits the step: each
-    step is the largest with max|c| dt/dy <= cfl, where c is the
+    The solver runs on initial.grid's cells, from initial's densities; an
+    interior face starts at the mean velocity of its two cells and an end
+    face at its cell's velocity.  Without braking the right end stays at
+    initial.grid.x_max under the zero-gradient closure.  With a
+    BrakingProfile it moves along braking.gamma(t), read from gamma also at
+    initial.t, and its face holds braking.V(t); the run metadata reports
+    the residual between V and the handed-off velocity there.  The
+    diffusion is implicit, so only the explicit upwind advection limits the
+    step: each step is the largest with max|c| dt/dy <= cfl, where c is the
     mesh-relative face speed of step_viscous; no other setting sizes it.
-    Snapshots are cell FlowStates on domain.grid(t).  right_v prescribes
-    the downstream velocity (None: the zero-gradient closure); the run
-    metadata reports the residual between it and the handed-off velocity
-    there.
+    Snapshots are cell FlowStates on the cells at their time.
     """
-    n = domain.n_cells
+    x_min, n = initial.grid.x_min, initial.grid.n_cells
     dy = 1.0 / n
-    if initial.grid.n_cells != n:
-        raise ValueError(
-            f"initial state has {initial.grid.n_cells} cells, the domain {n}"
-        )
     rho = initial.rho.copy()
     v = np.empty(n + 1)
     np.add(initial.v[:-1], initial.v[1:], out=v[1:-1])
@@ -297,26 +283,31 @@ def solve_parabolic(
     v[0], v[-1] = initial.v[0], initial.v[-1]
     t_start = initial.t
 
-    if right_v is not None:
-        compat_residual = abs(float(right_v(t_start)) - float(v[-1]))
-    else:
+    if braking is None:
         compat_residual = None
+    else:
+        compat_residual = abs(float(braking.V(t_start)) - float(v[-1]))
 
-    moving = callable(domain.right_of_t)
+    def grid(t: float) -> RoadGrid:
+        """The cells at t; a braking strip's right end is gamma(t), also at
+        t_start."""
+        if braking is None:
+            return initial.grid
+        return RoadGrid(x_min, _braking_end(braking, x_min, t), n)
+
     y = _unit_faces(n)
 
     def step_size(state, t: float) -> float:
         """At most the time left, with max|c| h/dy <= cfl."""
         v = state[0]
-        L_old = domain.right(t) - domain.left
+        L_old = grid(t).x_max - x_min
         c_max = float(np.maximum.reduce(np.abs(v))) / L_old  # mesh at rest
-        # the domain is only evaluated inside the run
         h = min(t_end - t, _cfl_step(dy, _finite(c_max, t), cfl))
         # on a moving mesh c depends on Ldot over the step itself: h is
         # accepted once it meets the bound at its own Ldot, and a rejected h
         # is retried 1 % below the bound so that the search ends
-        while moving:
-            L_new = domain.right(t + h) - domain.left
+        while braking is not None:
+            L_new = _braking_end(braking, x_min, t + h) - x_min
             c = np.abs(v - y * ((L_new - L_old) / h))
             h_cfl = _cfl_step(dy, _finite(float(np.maximum.reduce(c)) / L_new, t), cfl)
             if h <= h_cfl:
@@ -325,14 +316,14 @@ def solve_parabolic(
         return h
 
     def advance(state, t: float, h: float):
-        v, rho, report = step_viscous(*state, t, h, mu, inflow, domain, force, right_v)
+        v, rho, report = step_viscous(*state, t, h, mu, inflow, grid(t), force, braking)
         return (v, rho), report
 
     def snapshot(state, t: float) -> FlowState:
         v = state[0]
         v_cell = v[:-1] + v[1:]
         v_cell *= 0.5
-        return FlowState(grid=domain.grid(t), rho=state[1], v=v_cell, t=t)
+        return FlowState(grid=grid(t), rho=state[1], v=v_cell, t=t)
 
     return march(
         (v, rho), t_start, t_end, snapshot_interval,

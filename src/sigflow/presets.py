@@ -82,8 +82,6 @@ _CALL_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z_0-9]*)\s*\((.*)\)\s*$", re.S)
 
 def parse_preset(spec) -> Callable:
     """Build a profile callable from a preset string or mapping."""
-    if callable(spec):
-        return spec
     if isinstance(spec, (int, float)):
         return constant(float(spec))
     if isinstance(spec, str):

@@ -100,14 +100,15 @@ def viscous_steps(monkeypatch):
     steps = []
     step = sigflow.parabolic.step_viscous
 
-    def recording(v, rho, t, dt, mu, inflow, domain, force, right_v=None):
-        n = domain.n_cells
-        L_old = domain.right(t) - domain.left
-        L_new = domain.right(t + dt) - domain.left
+    def recording(v, rho, t, dt, mu, inflow, grid, force, braking=None):
+        n = grid.n_cells
+        L_old = grid.x_max - grid.x_min
+        right_new = grid.x_max if braking is None else float(braking.gamma(t + dt))
+        L_new = right_new - grid.x_min
         y = np.arange(n + 1) / n
         c = (v - y * ((L_new - L_old) / dt)) / L_new
         steps.append((t, dt, float(np.max(np.abs(c))) * dt * n, L_new != L_old))
-        return step(v, rho, t, dt, mu, inflow, domain, force, right_v)
+        return step(v, rho, t, dt, mu, inflow, grid, force, braking)
 
     monkeypatch.setattr(sigflow.parabolic, "step_viscous", recording)
     return steps

@@ -13,9 +13,9 @@ import pytest
 import sigflow.parabolic
 from sigflow import (
     BoundaryData,
+    BrakingProfile,
     FlowState,
     ForceLaw,
-    MovingDomain,
     RoadGrid,
     SignalTiming,
     advance_characteristics,
@@ -99,11 +99,13 @@ class TestCriterion2UniformAcceleration:
         hyp_dev = float(np.max(np.abs(
             solve_hyperbolic(init, bc, force, 2.0).final.v - 8.0)))
 
-        dom = MovingDomain(left=0.0, right_of_t=100.0, n_cells=30)
         ramp = lambda t: 5.0 + 1.5 * t
         pbc = BoundaryData(rho_in=lambda t: 0.1, v_in=ramp)
-        start_cells = FlowState(dom.grid(0.0), np.full(30, 0.1), np.full(30, 5.0), 0.0)
-        res = solve_parabolic(start_cells, dom, pbc, 2.0, force, 2.0, right_v=ramp)
+        start_cells = FlowState(RoadGrid(0.0, 100.0, 30), np.full(30, 0.1),
+                                np.full(30, 5.0), 0.0)
+        # both ends hold the ramp: the right end stays at 100 m
+        fixed_end = BrakingProfile(gamma=lambda t: 100.0, V=ramp)
+        res = solve_parabolic(start_cells, pbc, 2.0, force, 2.0, braking=fixed_end)
         par_dev = float(np.max(np.abs(res.final.v - 8.0)))
 
         field = to_mass_coordinates(init)
@@ -194,7 +196,7 @@ class TestCriterion6MaximumPrinciple:
         faces = _record_faces(monkeypatch)
         start = time.perf_counter()
         rng = np.random.default_rng(2024)
-        dom = MovingDomain(left=0.0, right_of_t=100.0, n_cells=40)
+        grid = RoadGrid(0.0, 100.0, 40)
         y = (np.arange(40) + 0.5) / 40  # cell centers
         worst = -np.inf
         steps = 0
@@ -216,7 +218,7 @@ class TestCriterion6MaximumPrinciple:
             rho = np.full(40, rng.uniform(0.05, 0.2))
             bc = BoundaryData(rho_in=lambda t, r=rho: float(r[0]), v_in=left_v)
             faces.clear()
-            res = solve_parabolic(FlowState(dom.grid(0.0), rho, v0, 0.0), dom, bc,
+            res = solve_parabolic(FlowState(grid, rho, v0, 0.0), bc,
                                   rng.uniform(0.5, 4.0), None, 3.0,
                                   snapshot_interval=0.25)
             steps += res.metadata["steps"]
@@ -339,16 +341,15 @@ class TestCriterion10ParabolicTimeConvergence:
         start = time.perf_counter()
         tm = SignalTiming(x0=400.0, t0=12.0, tau0=4.0, tau1=8.0, h=60.0)
         braking = default_braking_profile(tm, v_handoff=12.0)
-        dom = MovingDomain(left=0.0, right_of_t=braking.gamma, n_cells=85)
-        cells = dom.grid(8.0)
+        cells = RoadGrid(0.0, braking.gamma(8.0), 85)
         rho = 0.1 + 0.02 * np.sin(2 * np.pi * cells.centers / 300.0)
         v = 12.0 - 2.0 * np.sin(np.pi * cells.centers / 340.0)
         bc = BoundaryData(rho_in=lambda t: float(rho[0]), v_in=lambda t: 12.0)
 
         finals = []
         for cfl in (0.4, 0.2, 0.1, 0.05):
-            res = solve_parabolic(FlowState(cells, rho, v, 8.0), dom, bc, 2.0, None,
-                                  20.0, right_v=braking.V, cfl=cfl)
+            res = solve_parabolic(FlowState(cells, rho, v, 8.0), bc, 2.0, None,
+                                  20.0, braking=braking, cfl=cfl)
             finals.append(res.final)
 
         def dist(a, b):

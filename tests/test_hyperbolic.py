@@ -1,6 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
+import sigflow.hyperbolic
+import sigflow.parabolic
 from sigflow import (
     CLOSED,
     BoundaryData,
@@ -10,6 +14,7 @@ from sigflow import (
     RoadGrid,
     numerical_flux,
     solve_hyperbolic,
+    solve_parabolic,
 )
 from sigflow.hyperbolic import _cfl_step, step
 
@@ -239,3 +244,23 @@ class TestSolve:
                 1.0,
             )
 
+    @pytest.mark.parametrize("solver", ["hyperbolic", "parabolic"])
+    def test_bad_horizon_or_interval_is_rejected_before_a_step(self, solver, monkeypatch):
+        # both solvers march the same loop; t_end = inf comes last, because
+        # a run toward it would not end without the check
+        def no_step(*args):
+            raise AssertionError("a step was taken")
+
+        state, inflow = uniform_state(), inflow_const(0.1, 10.0)
+        if solver == "hyperbolic":
+            monkeypatch.setattr(sigflow.hyperbolic, "step", no_step)
+            solve = functools.partial(solve_hyperbolic, state, inflow, None)
+        else:
+            monkeypatch.setattr(sigflow.parabolic, "step_viscous", no_step)
+            solve = functools.partial(solve_parabolic, state, inflow, 2.0, None)
+        for interval in (np.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="snapshot_interval must be positive"):
+                solve(3.0, snapshot_interval=interval)
+        for t_end in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="t_end must be finite"):
+                solve(t_end)
