@@ -23,7 +23,7 @@ from . import lagrangian as lag
 from . import orchestrator as orch
 from .domain import RoadGrid, initial_state, validate_scenario
 from .hyperbolic import solve_hyperbolic
-from .output import emit_plot, write_report, write_snapshot
+from .output import write_outputs, write_report
 from .scenario_io import ScenarioFileError, parse_scenario
 
 log = logging.getLogger("sigflow")
@@ -83,13 +83,7 @@ def cmd_simulate(args) -> int:
     log.info("run finished in %.2f s", elapsed)
 
     try:
-        for phase in traj.phases:
-            for i, snap in enumerate(phase.snapshots):
-                write_snapshot(snap, out / f"{phase.name}_{i:04d}.csv")
-        write_report(traj, out / "report.json", timings={"total": elapsed})
-        if args.plot:
-            emit_plot(traj, args.plot, out / f"plot_{args.plot}.csv",
-                      out / f"plot_{args.plot}.svg")
+        write_outputs(traj, out, args.plot, timings={"total": elapsed})
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -1,4 +1,11 @@
-"""Snapshot, report, and plot-data writers."""
+"""Snapshot, report, and plot-data writers.
+
+Every float in a CSV is written as its repr, which round-trips.
+write_outputs writes all of a run's files and formats each value once: a
+grid's cell centres once for every snapshot on that grid, a snapshot's time
+once for all its rows, and the plotted field once for both the snapshot and
+the plot files.  Its memos live for one call.
+"""
 
 from __future__ import annotations
 
@@ -8,29 +15,48 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import FlowState
+from .domain import FlowState, RoadGrid
 from .orchestrator import REPORT_SCHEMA_VERSION, Trajectory, mass_balance_report
 
 
-def _write(path, text: str, what: str) -> None:
+def _write(path, chunks, what: str) -> None:
+    """Write the strings in chunks to path, in turn, through one handle."""
     path = Path(path)
     try:
-        path.write_text(text)
+        with path.open("w") as f:
+            f.writelines(chunks)
     except OSError as e:
         raise OSError(f"cannot write {what} to {path}: {e}") from e
 
 
-def _csv(header: str, *columns: np.ndarray) -> str:
+def _reprs(values: np.ndarray) -> list:
     # repr of a Python float is round-trip safe
-    rows = np.column_stack(columns).tolist()
-    return "\n".join([header] + [",".join(map(repr, row)) for row in rows]) + "\n"
+    return list(map(repr, values.tolist()))
+
+
+def _grid_key(grid: RoadGrid) -> tuple:
+    # bit patterns, not values: a float key would merge -0.0 and 0.0
+    return float(grid.x_min).hex(), float(grid.x_max).hex(), grid.n_cells
+
+
+def _centres_text(grid: RoadGrid, memo: dict) -> list:
+    """The reprs of grid's cell centres, formatted once per grid in memo."""
+    key = _grid_key(grid)
+    if key not in memo:
+        memo[key] = _reprs(grid.centers)
+    return memo[key]
+
+
+def _snapshot_text(t: str, x: list, rho: list, v: list) -> str:
+    rows = "\n".join(map(",".join, zip(x, rho, v)))
+    return f"# t={t}\nx,rho,v\n{rows}\n"
 
 
 def write_snapshot(state: FlowState, path) -> None:
     """Write one state as CSV: header x,rho,v with the time in a comment."""
-    text = f"# t={float(state.t)!r}\n" + _csv("x,rho,v", state.grid.centers,
-                                              state.rho, state.v)
-    _write(path, text, "snapshot")
+    text = _snapshot_text(repr(float(state.t)), _reprs(state.grid.centers),
+                          _reprs(state.rho), _reprs(state.v))
+    _write(path, [text], "snapshot")
 
 
 def read_snapshot(path) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
@@ -59,30 +85,78 @@ def write_report(
         doc["mass_closure_residual"] = abs(report["global"]["residual"])
     if timings is not None:
         doc["phase_timings_s"] = timings
-    _write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n", "report")
+    _write(path, [json.dumps(doc, indent=2, sort_keys=True) + "\n"], "report")
+
+
+def write_outputs(traj: Trajectory, out, plot: Optional[str] = None,
+                  timings: Optional[dict] = None) -> None:
+    """Write a run's files into the directory out: each phase's snapshots as
+    <phase>_<i:04d>.csv, report.json (with timings), and for plot 'rho' or
+    'v' plot_<plot>.csv and plot_<plot>.svg.  The bytes are those of
+    write_snapshot, write_report and emit_plot; each float is formatted at
+    most once."""
+    if plot is not None:
+        _check_field(plot)
+    out = Path(out)
+    centres = {}
+    columns = {}  # id(snapshot) -> (t, x, plotted field) as text
+    for phase in traj.phases:
+        for i, snap in enumerate(phase.snapshots):
+            t, x = repr(float(snap.t)), _centres_text(snap.grid, centres)
+            rho, v = _reprs(snap.rho), _reprs(snap.v)
+            _write(out / f"{phase.name}_{i:04d}.csv", [_snapshot_text(t, x, rho, v)],
+                   "snapshot")
+            if plot is not None:
+                columns[id(snap)] = (t, x, rho if plot == "rho" else v)
+    write_report(traj, out / "report.json", timings=timings)
+    if plot is not None:
+        _write_plot(traj, plot, columns, out / f"plot_{plot}.csv",
+                    out / f"plot_{plot}.svg")
+
+
+def _check_field(field: str) -> None:
+    if field not in ("rho", "v"):
+        raise ValueError(f"field must be 'rho' or 'v', got {field!r}")
 
 
 def emit_plot(traj: Trajectory, field: str, csv_path, svg_path) -> None:
     """Write space-time heatmap data (CSV: t,x,value, one row per snapshot
     cell) and a self-contained SVG rendering, one rect per snapshot cell,
     with axis labels and the signal timeline marked."""
-    if field not in ("rho", "v"):
-        raise ValueError(f"field must be 'rho' or 'v', got {field!r}")
+    _check_field(field)
+    centres = {}
+    columns = {id(snap): (repr(float(snap.t)), _centres_text(snap.grid, centres),
+                          _reprs(getattr(snap, field)))
+               for snap in traj.snapshots}
+    _write_plot(traj, field, columns, csv_path, svg_path)
+
+
+def _write_plot(traj: Trajectory, field: str, columns: dict, csv_path, svg_path) -> None:
+    """emit_plot's files, from the text of each snapshot's t, x and field
+    in columns (keyed by id of the snapshot)."""
     snapshots = traj.snapshots
     if not snapshots:
         raise ValueError("trajectory has no snapshots to plot")
+    texts = [columns[id(snap)] for snap in snapshots]
+
+    def csv_chunks():
+        yield "t,x,value\n"
+        for t, x, val in texts:
+            lead = t + ","
+            yield lead + ("\n" + lead).join(map(",".join, zip(x, val))) + "\n"
+
+    _write(csv_path, csv_chunks(), "plot data")
 
     n = [snap.grid.n_cells for snap in snapshots]
-    t = np.repeat([snap.t for snap in snapshots], n)
+    times = np.array([snap.t for snap in snapshots], dtype=float)
     x = np.concatenate([snap.grid.centers for snap in snapshots])
     val = np.concatenate([getattr(snap, field) for snap in snapshots])
     dx = np.repeat([snap.grid.dx for snap in snapshots], n)
-    _write(csv_path, _csv("t,x,value", t, x, val), "plot data")
 
     # argmin/argmax return the first extreme, as min()/max() do, so the
     # sign of a zero extreme is kept in the label
     vmin, vmax = float(val[val.argmin()]), float(val[val.argmax()])
-    t_lo, t_hi = t.min(), t.max()
+    t_lo, t_hi = times.min(), times.max()
     x_lo = x.min()
     span_t = (t_hi - t_lo) or 1.0
     span_x = (x.max() - x_lo) or 1.0
@@ -96,47 +170,58 @@ def emit_plot(traj: Trajectory, field: str, csv_path, svg_path) -> None:
 
     # one rect per sample; the red-phase flows share their snapshot times,
     # so the width comes from the distinct times
-    dt_plot = pw * (span_t / max(np.unique(t).size - 1, 1)) / span_t
+    dt_plot = pw * (span_t / max(np.unique(times).size - 1, 1)) / span_t
     dx_plot = ph * (dx / span_x)
-    rect_x = px(t) - dt_plot / 2
+    rect_x = (px(times) - dt_plot / 2).tolist()
     rect_y = height - margin - ph * (x - x_lo) / span_x - dx_plot / 2
-    rect_h = np.maximum(dx_plot, 1.0)
+    rect_h = np.maximum(dx_plot, 1.0).tolist()
     # blue -> red ramp; np.rint rounds half to even, as round() does
     frac = np.clip((val - vmin) / span_v, 0.0, 1.0)
     rgb = (np.rint(255 * frac).astype(int) << 16
            | np.rint(80 * (1.0 - np.abs(2 * frac - 1.0))).astype(int) << 8
            | np.rint(255 * (1.0 - frac)).astype(int))
     rect_w = f"{max(dt_plot, 1.0):.2f}"
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    parts += [
-        f'<rect x="{rx:.2f}" y="{ry:.2f}" width="{rect_w}" height="{rh:.2f}" '
-        f'fill="#{c:06x}"/>'
-        for rx, ry, rh, c in zip(rect_x.tolist(), rect_y.tolist(), rect_h.tolist(),
-                                 rgb.tolist())
-    ]
 
-    tm = traj.scenario.timing
-    marks = np.clip([tm.t0 - tm.tau0, tm.t0, tm.t0 + tm.tau1], t_lo, t_hi)
-    parts += [
-        f'<line class="phase-marker" x1="{xpix:.2f}" y1="{margin}" '
-        f'x2="{xpix:.2f}" y2="{height - margin}" stroke="black" '
-        'stroke-dasharray="4 3"/>'
-        for xpix in px(marks).tolist()
-    ]
+    def svg_chunks():
+        yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">\n'
+               f'<rect width="{width}" height="{height}" fill="white"/>\n')
+        # a rect's y depends only on its snapshot's grid, and its x and
+        # height only on the snapshot
+        y_text = {}
+        start = 0
+        for k, snap in enumerate(snapshots):
+            stop = start + n[k]
+            key = _grid_key(snap.grid)
+            if key not in y_text:
+                y_text[key] = [f"{ry:.2f}" for ry in rect_y[start:stop].tolist()]
+            cells = [None] * (2 * n[k])
+            cells[::2] = y_text[key]
+            cells[1::2] = rgb[start:stop].tolist()
+            rect = (f'<rect x="{rect_x[k]:.2f}" y="%s" width="{rect_w}" '
+                    f'height="{rect_h[start]:.2f}" fill="#%06x"/>\n')
+            yield (rect * n[k]) % tuple(cells)
+            start = stop
 
-    parts.append(
-        f'<text x="{width / 2:.0f}" y="{height - 15}" text-anchor="middle">time t (s)</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{height / 2:.0f}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {height / 2:.0f})">position x (m)</text>'
-    )
-    parts.append(
-        f'<text x="{width - margin}" y="20" text-anchor="end">'
-        f"{field}: min={vmin!r} max={vmax!r}</text>"
-    )
-    parts.append("</svg>")
-    _write(svg_path, "\n".join(parts) + "\n", "plot")
+        tm = traj.scenario.timing
+        marks = np.clip([tm.t0 - tm.tau0, tm.t0, tm.t0 + tm.tau1], t_lo, t_hi)
+        parts = [
+            f'<line class="phase-marker" x1="{xpix:.2f}" y1="{margin}" '
+            f'x2="{xpix:.2f}" y2="{height - margin}" stroke="black" '
+            'stroke-dasharray="4 3"/>'
+            for xpix in px(marks).tolist()
+        ]
+        parts.append(
+            f'<text x="{width / 2:.0f}" y="{height - 15}" text-anchor="middle">time t (s)</text>'
+        )
+        parts.append(
+            f'<text x="18" y="{height / 2:.0f}" text-anchor="middle" '
+            f'transform="rotate(-90 18 {height / 2:.0f})">position x (m)</text>'
+        )
+        parts.append(
+            f'<text x="{width - margin}" y="20" text-anchor="end">'
+            f"{field}: min={vmin!r} max={vmax!r}</text>"
+        )
+        parts.append("</svg>")
+        yield "\n".join(parts) + "\n"
+
+    _write(svg_path, svg_chunks(), "plot")

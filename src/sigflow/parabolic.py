@@ -41,6 +41,10 @@ from .hyperbolic import SolveResult, StepReport, _cfl_step, march
 # a numerical guard, not a modeling choice.
 RHO_COEFF_FLOOR = 1e-9
 
+# How far, in units of the strip length, gamma at the start may lie from the
+# initial state's right end: the two differ only by rounding in a handover.
+HANDOVER_RTOL = 4 * math.ulp(1.0)
+
 
 @cache
 def _gtsv():
@@ -267,7 +271,9 @@ def solve_parabolic(
     face at its cell's velocity.  Without braking the right end stays at
     initial.grid.x_max under the zero-gradient closure.  With a
     BrakingProfile it moves along braking.gamma(t), read from gamma also at
-    initial.t, and its face holds braking.V(t); the run metadata reports
+    initial.t, where it must lie within rounding (HANDOVER_RTOL of the
+    length) of initial.grid.x_max or a ValueError naming the time is
+    raised; its face holds braking.V(t), and the run metadata reports
     the residual between V and the handed-off velocity there.  The
     diffusion is implicit, so only the explicit upwind advection limits the
     step: each step is the largest with max|c| dt/dy <= cfl, where c is the
@@ -287,6 +293,14 @@ def solve_parabolic(
         compat_residual = None
     else:
         compat_residual = abs(float(braking.V(t_start)) - float(v[-1]))
+        # the cells are laid on [x_min, gamma(t_start)]: an initial state
+        # ending elsewhere would change its mass before the first step
+        start_end, x_max = _braking_end(braking, x_min, t_start), initial.grid.x_max
+        if abs(start_end - x_max) > HANDOVER_RTOL * (x_max - x_min):
+            raise ValueError(
+                f"braking boundary {start_end} at t = {t_start} is not the initial "
+                f"state's right end {x_max}"
+            )
 
     def grid(t: float) -> RoadGrid:
         """The cells at t; a braking strip's right end is gamma(t), also at

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,8 +19,17 @@ from sigflow import (
 )
 from sigflow.cli import main
 from sigflow.domain import sample_profile
-from sigflow.output import emit_plot, read_snapshot, write_report, write_snapshot
+from sigflow.output import (
+    emit_plot,
+    read_snapshot,
+    write_outputs,
+    write_report,
+    write_snapshot,
+)
 from sigflow.presets import PresetError, parse_preset
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SHIPPED = Path(__file__).resolve().parent.parent / "scenarios" / "intersection.yaml"
 
 GOOD_DOC = """
 model: first
@@ -305,8 +317,18 @@ def two_snapshot_trajectory():
     g = RoadGrid(0.0, 4.0, 4)
     snaps = [FlowState(g, np.array([0.0, 1.0, 2.0, 1.0]), np.array([0.0, 3.0, -0.0, 1.0]), 0.0),
              FlowState(g, np.array([1.0, 1.0, 2 / 64, 2.0]), np.array([1.0, 2.0, -0.0, 4.0]), 1.0)]
-    return Trajectory(parse_scenario(GOOD_DOC), [SimpleNamespace(snapshots=snaps)],
-                      None, 0.0, 0.0, {})
+    # one closed phase, enough for write_report
+    phase = SimpleNamespace(name="hand_built", solver="none", t_start=0.0, t_end=1.0,
+                            snapshots=snaps, ledger=[{"total_mass": 4.0}] * 2,
+                            influx=0.0, outflux=0.0, clamped=0.0)
+    return Trajectory(parse_scenario(GOOD_DOC), [phase], None, 0.0, 0.0, {})
+
+
+def trajectory(model, request):
+    """The session trajectory of a model, or the hand-built one."""
+    if model == "hand-built":
+        return two_snapshot_trajectory()
+    return request.getfixturevalue(f"{model}_model_trajectory")
 
 
 class TestWriterParity:
@@ -321,15 +343,39 @@ class TestWriterParity:
     @pytest.mark.parametrize("field", ["rho", "v"])
     @pytest.mark.parametrize("model", ["first", "second", "hand-built"])
     def test_plot_matches_reference_bytes(self, model, field, request, tmp_path):
-        if model == "hand-built":
-            traj = two_snapshot_trajectory()
-        else:
-            traj = request.getfixturevalue(f"{model}_model_trajectory")
+        traj = trajectory(model, request)
         emit_plot(traj, field, tmp_path / "new.csv", tmp_path / "new.svg")
         reference_emit_plot(traj, field, tmp_path / "ref.csv", tmp_path / "ref.svg")
         for ext in ("csv", "svg"):
             assert ((tmp_path / f"new.{ext}").read_bytes()
                     == (tmp_path / f"ref.{ext}").read_bytes())
+
+    @pytest.mark.parametrize("plot", ["rho", "v", None])
+    @pytest.mark.parametrize("model", ["first", "second", "hand-built"])
+    def test_write_outputs_matches_reference_bytes(self, model, plot, request, tmp_path):
+        # every file, from the snapshot pass's strings, as the reference
+        # writers format each value afresh
+        traj = trajectory(model, request)
+        new, ref = tmp_path / "new", tmp_path / "ref"
+        new.mkdir()
+        ref.mkdir()
+        write_outputs(traj, new, plot, timings={"total": 1.5})
+        for phase in traj.phases:
+            for i, snap in enumerate(phase.snapshots):
+                reference_write_snapshot(snap, ref / f"{phase.name}_{i:04d}.csv")
+        write_report(traj, ref / "report.json", timings={"total": 1.5})
+        if plot is not None:
+            reference_emit_plot(traj, plot, ref / f"plot_{plot}.csv",
+                                ref / f"plot_{plot}.svg")
+        names = sorted(p.name for p in ref.iterdir())
+        assert sorted(p.name for p in new.iterdir()) == names
+        for name in names:
+            assert (new / name).read_bytes() == (ref / name).read_bytes(), name
+
+    def test_write_outputs_rejects_unknown_field_before_writing(self, tmp_path):
+        with pytest.raises(ValueError, match="field must be"):
+            write_outputs(two_snapshot_trajectory(), tmp_path, "speed")
+        assert not any(tmp_path.iterdir())
 
     def test_rect_geometry_and_colour_ramp(self, tmp_path):
         emit_plot(two_snapshot_trajectory(), "rho", tmp_path / "p.csv", tmp_path / "p.svg")
@@ -422,6 +468,17 @@ class TestCli:
         doc = json.loads((out / "report.json").read_text())
         assert doc["mass_closure_residual"] < 1e-9
 
+    @pytest.mark.parametrize("name, what", [("free_flow_0000.csv", "snapshot"),
+                                            ("report.json", "report"),
+                                            ("plot_rho.csv", "plot data"),
+                                            ("plot_rho.svg", "plot")])
+    def test_simulate_cannot_write_a_file(self, config, tmp_path, capsys, name, what):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(["simulate", "--config", str(config), "--out", str(out),
+                     "--plot", "rho"]) == 1
+        assert f"error: cannot write {what} to {out / name}: " in capsys.readouterr().err
+
     def test_simulate_out_is_a_file(self, config, tmp_path, capsys):
         out = tmp_path / "taken"
         out.write_text("")
@@ -466,6 +523,39 @@ class TestCli:
             "rho0: sine(base=0.1, amp=0.02, wavelength=150)", "rho0: 0.0"))
         assert main(["verify-oracle", "--config", str(p)]) == 2
         assert "rho0" in capsys.readouterr().err
+
+
+def without_timings(report: Path) -> dict:
+    doc = json.loads(report.read_text())
+    doc.pop("phase_timings_s")
+    return doc
+
+
+class TestSimulateCalls:
+    def test_no_state_carries_over_between_calls(self, tmp_path, capsys):
+        # two calls in one process, each against a fresh process running the
+        # same command: a formatting memo that outlived a call would show as
+        # a stale grid or field in the second call's files
+        commands = [["simulate", "--config", str(SHIPPED), "--nx", n, "--plot", field]
+                    for n, field in [("150", "rho"), ("600", "v")]]
+        for k, argv in enumerate(commands):
+            assert main(argv + ["--out", str(tmp_path / f"in_process_{k}")]) == 0
+        capsys.readouterr()
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        for k, argv in enumerate(commands):
+            subprocess.run([sys.executable, "-m", "sigflow.cli", *argv,
+                            "--out", str(tmp_path / f"fresh_{k}")],
+                           check=True, capture_output=True, env=env)
+            inproc, fresh = tmp_path / f"in_process_{k}", tmp_path / f"fresh_{k}"
+            names = sorted(p.name for p in fresh.iterdir())
+            assert sorted(p.name for p in inproc.iterdir()) == names
+            assert f"plot_{argv[-1]}.svg" in names
+            for name in names:
+                if name == "report.json":
+                    assert (without_timings(inproc / name)
+                            == without_timings(fresh / name))
+                else:
+                    assert (inproc / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 class TestSampleScenarioFile:

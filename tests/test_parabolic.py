@@ -414,15 +414,25 @@ class TestSolveParabolic:
 
     def test_snapshots_cover_the_moving_domain(self):
         # the cells follow gamma from the first snapshot on, even where
-        # initial.grid ends elsewhere (the braking strip's split face and
+        # initial.grid ends a bit off it (the braking strip's split face and
         # gamma at the braking onset can differ in the last bit)
         braking = BrakingProfile(gamma=growing(10.0), V=lambda t: 0.0)
-        res = solve_parabolic(cells(road(n=20, right=90.0), 0.1, 0.0),
+        res = solve_parabolic(cells(road(n=20, right=np.nextafter(100.0, 0.0)), 0.1, 0.0),
                               const_inflow(0.0, 0.1), 2.0, None, 2.0,
                               snapshot_interval=1.0, braking=braking)
         assert [s.t for s in res.snapshots] == [0.0, 1.0, 2.0]
         for snap in res.snapshots:
             assert snap.grid == RoadGrid(0.0, 100.0 + 10.0 * snap.t, 20)
+
+    @pytest.mark.parametrize("right", [90.0, 110.0])
+    def test_initial_state_must_end_at_gamma(self, right):
+        # laid on [0, gamma(0.5)] = [0, 105], 0.1 veh/m on [0, right] would
+        # silently start the ledger at 10.5 veh
+        braking = BrakingProfile(gamma=growing(10.0), V=lambda t: 0.0)
+        with pytest.raises(ValueError, match=r"braking boundary 105\.0 at t = 0\.5 is not "
+                           rf"the initial state's right end {right}"):
+            solve_parabolic(cells(road(n=20, right=right), 0.1, 0.0, t=0.5),
+                            const_inflow(0.0, 0.1), 2.0, None, 2.0, braking=braking)
 
     def test_cell_velocity_is_the_mean_of_its_faces(self):
         # faces start at the mean of their cells (the end faces at their
