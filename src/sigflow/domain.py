@@ -39,8 +39,15 @@ class RoadGrid:
     n_cells: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValueError(
+                f"x_min and x_max must be finite, got x_min={self.x_min}, x_max={self.x_max}"
+            )
         if not self.x_max > self.x_min:
             raise ValueError(f"x_max ({self.x_max}) must exceed x_min ({self.x_min})")
+        # a float count, even 150.0, fails later in array sizing and indexing
+        if isinstance(self.n_cells, bool) or not isinstance(self.n_cells, (int, np.integer)):
+            raise TypeError(f"n_cells must be an integer, got {self.n_cells!r}")
         if self.n_cells < 4:
             raise ValueError(f"n_cells must be >= 4, got {self.n_cells}")
 
@@ -273,15 +280,17 @@ def validate_scenario(s: Scenario, oracle_requested: bool = False) -> list[str]:
 
     if s.model not in ("first", "second"):
         out.append(f"model: must be 'first' or 'second', got {s.model!r}")
-    if not s.mu > 0:
-        out.append(f"mu: viscosity must be positive, got {s.mu}")
+    if not (s.mu > 0 and math.isfinite(s.mu)):
+        out.append(f"mu: viscosity must be finite and positive, got {s.mu}")
     if not 0 < s.cfl <= 1:
         out.append(f"cfl: must lie in (0, 1], got {s.cfl}")
     if not s.snapshot_interval > 0:
         out.append(f"snapshot_interval: must be positive, got {s.snapshot_interval}")
 
     tm = s.timing
-    if not s.t_end >= tm.t0 + tm.tau1:
+    if not math.isfinite(s.t_end):
+        out.append(f"t_end: must be finite, got {s.t_end}")
+    elif not s.t_end >= tm.t0 + tm.tau1:
         out.append(
             f"t_end: must reach the end of the red phase t0 + tau1 = "
             f"{tm.t0 + tm.tau1}, got {s.t_end}"
@@ -327,14 +336,15 @@ def validate_scenario(s: Scenario, oracle_requested: bool = False) -> list[str]:
             "transformation is otherwise not invertible)"
         )
 
-    ts = np.linspace(0.0, s.t_end, 64)
-    rho_in = sample_profile(s.inflow.rho_in, ts)
-    v_in = sample_profile(s.inflow.v_in, ts)
-    if np.any(rho_in < 0) or not np.all(np.isfinite(rho_in)):
-        out.append("inflow.rho_in: boundary density must be finite and non-negative "
-                   "for all t")
-    if np.any(v_in < 0) or not np.all(np.isfinite(v_in)):
-        out.append("inflow.v_in: boundary velocity must be finite and non-negative "
-                   "for all t")
+    if math.isfinite(s.t_end):  # the inflow is sampled on [0, t_end]
+        ts = np.linspace(0.0, s.t_end, 64)
+        rho_in = sample_profile(s.inflow.rho_in, ts)
+        v_in = sample_profile(s.inflow.v_in, ts)
+        if np.any(rho_in < 0) or not np.all(np.isfinite(rho_in)):
+            out.append("inflow.rho_in: boundary density must be finite and non-negative "
+                       "for all t")
+        if np.any(v_in < 0) or not np.all(np.isfinite(v_in)):
+            out.append("inflow.v_in: boundary velocity must be finite and non-negative "
+                       "for all t")
 
     return out

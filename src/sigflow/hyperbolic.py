@@ -30,22 +30,21 @@ class ConservedState:
     grid: RoadGrid
     m: np.ndarray
     q: np.ndarray
-    t: float
 
     @staticmethod
     def from_flow_state(state: FlowState) -> "ConservedState":
         m = np.array(state.rho, dtype=float)
         q = m * state.v
         q[m <= VACUUM_RHO] = 0.0
-        return ConservedState(state.grid, m, q, state.t)
+        return ConservedState(state.grid, m, q)
 
     def velocities(self) -> np.ndarray:
         v = np.zeros_like(self.m)
         np.divide(self.q, self.m, out=v, where=self.m > VACUUM_RHO)
         return v
 
-    def to_flow_state(self) -> FlowState:
-        return FlowState(self.grid, self.m.copy(), self.velocities(), self.t)
+    def to_flow_state(self, t: float) -> FlowState:
+        return FlowState(self.grid, self.m.copy(), self.velocities(), t)
 
 
 @dataclass
@@ -55,32 +54,6 @@ class StepReport:
     inflow: float = 0.0   # veh entering through the left face
     outflow: float = 0.0  # veh leaving through the right face
     clamped: float = 0.0  # veh added when lifting negative cells to zero
-
-
-@dataclass
-class MassLedger:
-    """Cumulative boundary-flux ledger recorded alongside each snapshot."""
-
-    records: list = field(default_factory=list)
-    inflow_cum: float = 0.0
-    outflow_cum: float = 0.0
-    clamped_cum: float = 0.0
-
-    def absorb(self, report: StepReport):
-        self.inflow_cum += report.inflow
-        self.outflow_cum += report.outflow
-        self.clamped_cum += report.clamped
-
-    def record(self, t: float, total_mass: float):
-        self.records.append(
-            {
-                "t": t,
-                "total_mass": total_mass,
-                "inflow_cum": self.inflow_cum,
-                "outflow_cum": self.outflow_cum,
-                "clamped_cum": self.clamped_cum,
-            }
-        )
 
 
 @dataclass
@@ -129,7 +102,8 @@ def march(
     advance(state, t, dt) returns (state, StepReport) for one step of at
     most max_dt(state, t).  Steps are shortened to land exactly on every
     snapshot time and on t_end, where snapshot(state, t) gives the
-    FlowState; the ledger takes each total mass from that snapshot.  The
+    FlowState.  Each ledger row takes its total mass from that snapshot
+    and the running sums of the steps' StepReports up to its time.  The
     result's metadata adds the step count and the smallest and largest step
     taken (None when no step was taken).  A non-finite t_end, or a
     snapshot_interval that is neither None nor positive, raises ValueError
@@ -141,10 +115,17 @@ def march(
         raise ValueError(f"t_end = {t_end} precedes t_start = {t_start}")
     if snapshot_interval is not None and not snapshot_interval > 0:
         raise ValueError(f"snapshot_interval must be positive, got {snapshot_interval}")
-    ledger = MassLedger()
-    snapshots = [snapshot(state, t_start)]
-    ledger.record(t_start, snapshots[-1].total_mass)
+    snapshots, ledger = [], []
+    inflow_cum = outflow_cum = clamped_cum = 0.0
 
+    def record(t: float):
+        # the current state's snapshot and ledger row, with the sums so far
+        snapshots.append(snapshot(state, t))
+        ledger.append({"t": t, "total_mass": snapshots[-1].total_mass,
+                       "inflow_cum": inflow_cum, "outflow_cum": outflow_cum,
+                       "clamped_cum": clamped_cum})
+
+    record(t_start)
     horizon = t_end - t_start
     if snapshot_interval is None:
         snapshot_interval = horizon if horizon > 0 else 1.0
@@ -161,20 +142,21 @@ def march(
         t = t + dt
         steps += 1
         dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
-        ledger.absorb(report)
+        inflow_cum += report.inflow
+        outflow_cum += report.outflow
+        clamped_cum += report.clamped
         if t >= t_next - 1e-13:
             # land exactly on the snapshot time so phase handoffs compare equal
             t = t_next
-            snapshots.append(snapshot(state, t))
-            ledger.record(t, snapshots[-1].total_mass)
+            record(t)
             k_snap += 1
 
     return SolveResult(
         snapshots=snapshots,
-        ledger=ledger.records,
-        influx=ledger.inflow_cum,
-        outflux=ledger.outflow_cum,
-        clamped=ledger.clamped_cum,
+        ledger=ledger,
+        influx=inflow_cum,
+        outflux=outflow_cum,
+        clamped=clamped_cum,
         metadata=dict(metadata, steps=steps, dt_min=dt_min if steps else None,
                       dt_max=dt_max if steps else None),
     )
@@ -207,24 +189,24 @@ def _cfl_step(dx: float, vmax: float, cfl: float) -> float:
 
 def step(
     state: ConservedState,
+    t: float,
     dt: float,
     inflow: BoundaryData,
     force: Optional[ForceLaw],
-    v: Optional[np.ndarray] = None,
+    v: np.ndarray,
 ) -> tuple[ConservedState, StepReport]:
-    """One first-order finite-volume update: transport, then force source.
+    """One first-order finite-volume update from t to t + dt: transport,
+    then force source.
 
     The left ghost cell carries the inflow data; the right ghost copies the
-    last cell (zero-gradient outflow).  v, if given, is state.velocities().
+    last cell (zero-gradient outflow).  v is state.velocities().
     """
     grid = state.grid
     dx = grid.dx
-    if v is None:
-        v = state.velocities()
     # Sampled at the step start: the interior data also represents time t
     # (the force source has already been applied), so this keeps spatially
     # uniform accelerating states exactly uniform.
-    rho_lg, v_lg = float(inflow.rho_in(state.t)), float(inflow.v_in(state.t))
+    rho_lg, v_lg = float(inflow.rho_in(t)), float(inflow.v_in(t))
     rho_rg, v_rg = float(state.m[-1]), float(v[-1])
 
     smax = max(float(np.maximum.reduce(np.abs(v))), abs(v_lg), abs(v_rg))
@@ -254,7 +236,7 @@ def step(
         np.divide(q_new, m_new, out=v_mid, where=~vac)
         q_new = q_new + dt * m_new * force(np.maximum(v_mid, 0.0))
 
-    return ConservedState(grid, m_new, q_new, state.t + dt), report
+    return ConservedState(grid, m_new, q_new), report
 
 
 def solve_hyperbolic(
@@ -273,15 +255,10 @@ def solve_hyperbolic(
     """
     grid = initial.grid
 
-    def at(state: ConservedState, t: float) -> ConservedState:
-        # each step starts at the loop's time, which lands exactly on the
-        # snapshot times; the inflow data is sampled there
-        return ConservedState(grid, state.m, state.q, t)
-
     def advance(state, t: float, dt: float):
         # the state carries its velocities, which both the step size and
         # the step read
-        new, report = step(at(state[0], t), dt, inflow, force, state[1])
+        new, report = step(state[0], t, dt, inflow, force, state[1])
         return (new, new.velocities()), report
 
     start = ConservedState.from_flow_state(initial)
@@ -294,6 +271,6 @@ def solve_hyperbolic(
             grid.dx, max(check_flow_fields(state[0].m, state[1]),
                          abs(float(inflow.v_in(t)))), cfl),
         advance=advance,
-        snapshot=lambda state, t: at(state[0], t).to_flow_state(),
+        snapshot=lambda state, t: state[0].to_flow_state(t),
         metadata={"solver": "hyperbolic", "cfl": cfl},
     )

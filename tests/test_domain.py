@@ -39,6 +39,10 @@ class TestRoadGrid:
         with pytest.raises(ValueError):
             RoadGrid(0.0, 100.0, 3)
 
+    def test_accepts_a_numpy_integer_count(self):
+        # the count check refuses floats and bools, not numpy integers
+        assert RoadGrid(0.0, 100.0, np.int64(8)).dx == 12.5
+
 
 class TestFlowState:
     def test_mass(self):

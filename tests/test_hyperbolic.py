@@ -13,10 +13,12 @@ from sigflow import (
     ForceLaw,
     RoadGrid,
     numerical_flux,
+    run,
     solve_hyperbolic,
     solve_parabolic,
 )
 from sigflow.hyperbolic import _cfl_step, step
+from tests.conftest import reference_scenario
 
 
 def uniform_state(n=50, rho=0.1, v=10.0, x_max=100.0, t=0.0):
@@ -72,7 +74,7 @@ class TestStep:
     def test_uniform_state_is_exactly_preserved(self):
         state = ConservedState.from_flow_state(uniform_state(rho=0.1, v=10.0))
         bc = inflow_const(0.1, 10.0)
-        out, rep = step(state, 0.05, bc, None)
+        out, rep = step(state, 0.0, 0.05, bc, None, state.velocities())
         np.testing.assert_array_equal(out.m, state.m)
         np.testing.assert_array_equal(out.q, state.q)
         assert rep.inflow == pytest.approx(0.05 * 1.0)
@@ -81,14 +83,14 @@ class TestStep:
     def test_source_is_pointwise(self):
         state = ConservedState.from_flow_state(uniform_state(rho=0.1, v=5.0))
         bc = inflow_const(0.1, 5.0)
-        out, _ = step(state, 0.1, bc, ForceLaw(1.5, 16.0, 4.0))
+        out, _ = step(state, 0.0, 0.1, bc, ForceLaw(1.5, 16.0, 4.0), state.velocities())
         np.testing.assert_allclose(out.velocities(), 5.15, rtol=0, atol=1e-13)
 
     def test_rejects_cfl_violation(self):
         state = ConservedState.from_flow_state(uniform_state(v=10.0, n=100))
         bc = CLOSED
         with pytest.raises(ValueError):
-            step(state, 1.0, bc, None)  # dx/smax = 0.1
+            step(state, 0.0, 1.0, bc, None, state.velocities())  # dx/smax = 0.1
 
     def test_vacuum_stays_at_rest(self):
         g = RoadGrid(0.0, 100.0, 50)
@@ -98,7 +100,7 @@ class TestStep:
         v[30:] = 8.0
         state = ConservedState.from_flow_state(FlowState(g, rho, v, 0.0))
         bc = CLOSED
-        out, rep = step(state, 0.05, bc, None)
+        out, rep = step(state, 0.0, 0.05, bc, None, state.velocities())
         assert np.all(out.m[:30] == 0.0)
         assert np.all(out.q[:30] == 0.0)
         assert rep.inflow == 0.0
@@ -184,9 +186,9 @@ class TestSolve:
         dts = []
         real_step = hyp.step
 
-        def recording(state, dt, *args):
+        def recording(state, t, dt, *args):
             dts.append(dt)
-            return real_step(state, dt, *args)
+            return real_step(state, t, dt, *args)
 
         monkeypatch.setattr(hyp, "step", recording)
         res = solve_hyperbolic(uniform_state(), inflow_const(0.1, 10.0), None, 2.1,
@@ -204,10 +206,10 @@ class TestSolve:
         ratios = []
         real_step = hyp.step
 
-        def recording(state, dt, inflow, force, v):
-            smax = max(float(np.max(np.abs(v))), abs(inflow.v_in(state.t)))
+        def recording(state, t, dt, inflow, force, v):
+            smax = max(float(np.max(np.abs(v))), abs(inflow.v_in(t)))
             ratios.append(dt * smax / state.grid.dx)
-            return real_step(state, dt, inflow, force, v)
+            return real_step(state, t, dt, inflow, force, v)
 
         monkeypatch.setattr(hyp, "step", recording)
         res = solve_hyperbolic(uniform_state(v=10.0), inflow_const(0.1, 25.0), None,
@@ -222,7 +224,7 @@ class TestSolve:
         real = ConservedState.velocities
 
         def counting(self):
-            calls.append(self.t)
+            calls.append(self)
             return real(self)
 
         monkeypatch.setattr(ConservedState, "velocities", counting)
@@ -264,3 +266,49 @@ class TestSolve:
         for t_end in (np.nan, np.inf):
             with pytest.raises(ValueError, match="t_end must be finite"):
                 solve(t_end)
+
+
+@pytest.mark.parametrize("model", ["first", "second"])
+def test_ledger_is_the_running_sum_of_the_step_reports(model, monkeypatch):
+    # every StepReport that step and step_viscous return, in order, with the
+    # time march hands each step; the first model runs both solvers
+    reports, starts = [], []
+
+    def recording(real):
+        def wrapper(*args, **kwargs):
+            out = real(*args, **kwargs)
+            reports.append(out[-1])
+            return out
+        return wrapper
+
+    def timed_march(*args, advance, **kwargs):
+        def timed(state, t, dt):
+            starts.append(t)
+            return advance(state, t, dt)
+        return real_march(*args, advance=timed, **kwargs)
+
+    real_march = sigflow.hyperbolic.march
+    monkeypatch.setattr(sigflow.hyperbolic, "step", recording(sigflow.hyperbolic.step))
+    monkeypatch.setattr(sigflow.parabolic, "step_viscous",
+                        recording(sigflow.parabolic.step_viscous))
+    monkeypatch.setattr(sigflow.hyperbolic, "march", timed_march)
+    monkeypatch.setattr(sigflow.parabolic, "march", timed_march)
+    traj = run(reference_scenario(model))
+
+    assert len(reports) == len(starts) == sum(p.metadata["steps"] for p in traj.phases)
+    end = 0
+    for phase in traj.phases:
+        begin, end = end, end + phase.metadata["steps"]
+        steps = list(zip(starts[begin:end], reports[begin:end]))
+        for row in phase.ledger:
+            inflow = outflow = clamped = 0.0
+            for t, report in steps:
+                if t < row["t"]:
+                    inflow += report.inflow
+                    outflow += report.outflow
+                    clamped += report.clamped
+            assert (row["inflow_cum"], row["outflow_cum"], row["clamped_cum"]) == (
+                inflow, outflow, clamped), (phase.name, row["t"])
+        last = phase.ledger[-1]
+        assert (phase.influx, phase.outflux, phase.clamped) == (
+            last["inflow_cum"], last["outflow_cum"], last["clamped_cum"])

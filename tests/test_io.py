@@ -121,13 +121,32 @@ class TestParseScenario:
         assert any(e.startswith("force:") for e in exc.value.errors)
 
     @pytest.mark.parametrize("old, new", [("rho_in: 0.1", "rho_in: .nan"),
-                                          ("v_in: 10.0", "v_in: .inf")])
+                                          ("v_in: 10.0", "v_in: .inf"),
+                                          ("t_end: 10.0", "t_end: .inf"),
+                                          ("mu: 2.0", "mu: .inf")])
     def test_non_finite_inflow_reported(self, old, new):
+        # named as a violation, without a warning from sampling the inflow
+        # up to t_end (RuntimeWarnings fail the suite)
         with pytest.raises(ScenarioFileError) as exc:
             parse_scenario(GOOD_DOC.replace(old, new))
         key = old.split(":")[0]
-        assert any(e.startswith(f"inflow.{key}:") and "finite" in e
+        where = f"inflow.{key}" if key.endswith("_in") else key
+        assert any(e.startswith(f"{where}:") and "finite" in e
                    for e in exc.value.errors)
+
+    @pytest.mark.parametrize("old, new", [("n_cells: 60", "n_cells: 60.0"),
+                                          ("n_cells: 60", "n_cells: 60.5"),
+                                          ("x_max: 300.0", "x_max: .inf")])
+    def test_bad_grid_reported(self, old, new, tmp_path, capsys):
+        # a count that is not an integer, or an end that is not finite, is a
+        # grid error, not a failure inside simulate
+        with pytest.raises(ScenarioFileError) as exc:
+            parse_scenario(GOOD_DOC.replace(old, new))
+        assert all(e.startswith("grid:") for e in exc.value.errors)
+        p = tmp_path / "bad.yaml"
+        p.write_text(GOOD_DOC.replace(old, new))
+        assert main(["validate", "--config", str(p)]) == 2
+        assert "grid:" in capsys.readouterr().err
 
     def test_force_off(self):
         s = parse_scenario(GOOD_DOC.replace(
