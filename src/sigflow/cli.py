@@ -122,6 +122,57 @@ def _oracle_errors(scenario, n_cells: int):
     return l1_rho, l1_v
 
 
+def _call_pair(func, first, second):
+    """Return (func(*first), func(*second)).
+
+    Where os.fork exists, the second call runs at the same time as the
+    first, in a child process that sends its result or exception back
+    through a pipe and leaves by os._exit, so it runs no exit hooks and
+    flushes none of this process's buffers.  The child is reaped on every
+    path.  Elsewhere the calls run in order.  Either way an exception of the
+    first call wins over one of the second, and the second's is raised here
+    as that call raised it.  ChildProcessError when the child ends without
+    sending its outcome."""
+    if not hasattr(os, "fork"):
+        return func(*first), func(*second)
+    import pickle
+    import signal
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (True, func(*second))
+            except BaseException as e:  # noqa: BLE001 - re-raised in the parent
+                outcome = (False, e)
+            sent = pickle.dumps(outcome)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(sent)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            result = func(*first)
+            sent = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)  # its result is not wanted
+        raise
+    finally:
+        _, wait_status = os.waitpid(pid, 0)
+    if not sent:
+        raise ChildProcessError(
+            f"the child process of the second call exited with status "
+            f"{os.waitstatus_to_exitcode(wait_status)} before sending its outcome")
+    ok, value = pickle.loads(sent)
+    if not ok:
+        raise value
+    return result, value
+
+
 def _oracle_check(scenario) -> int:
     violations = validate_scenario(scenario, oracle_requested=True)
     if violations:
@@ -130,9 +181,8 @@ def _oracle_check(scenario) -> int:
         return 2
     n = scenario.grid.n_cells
     try:
-        coarse = _oracle_errors(scenario, n)
-        fine = _oracle_errors(scenario, 2 * n)
-    except (ValueError, lag.BreakdownError, lag.PositivityError) as e:
+        coarse, fine = _call_pair(_oracle_errors, (scenario, n), (scenario, 2 * n))
+    except (ValueError, lag.BreakdownError, lag.PositivityError, ChildProcessError) as e:
         print(f"error: oracle comparison failed: {e}", file=sys.stderr)
         return 1
     print(f"oracle check, n={n}:   L1(rho)={coarse[0]:.6e}  L1(v)={coarse[1]:.6e}")

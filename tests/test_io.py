@@ -17,8 +17,10 @@ from sigflow import (
     parse_scenario,
     run,
 )
+from sigflow import cli
 from sigflow.cli import main
 from sigflow.domain import sample_profile
+from sigflow.lagrangian import BreakdownError
 from sigflow.output import (
     emit_plot,
     read_snapshot,
@@ -542,6 +544,102 @@ class TestCli:
             "rho0: sine(base=0.1, amp=0.02, wavelength=150)", "rho0: 0.0"))
         assert main(["verify-oracle", "--config", str(p)]) == 2
         assert "rho0" in capsys.readouterr().err
+
+
+def record_forks(monkeypatch, mode):
+    """Record the forks `verify-oracle` makes; mode "inline" removes os.fork,
+    as on a platform without it, so the two comparisons run in order."""
+    forks = []
+    if mode == "inline":
+        monkeypatch.delattr(os, "fork")
+    else:
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def oracle_case(fails_n, fails_2n):
+    """A stand-in for cli._oracle_errors on GOOD_DOC's 60 cells: each half
+    raises its exception, ends its process with status 3 ("exit") or
+    returns fixed errors."""
+    def fake(scenario, n_cells):
+        fails = {60: fails_n, 120: fails_2n}[n_cells]
+        if fails == "exit":
+            os._exit(3)
+        if fails is not None:
+            raise fails
+        return (2e-3, 1e-2) if n_cells == 60 else (1e-3, 5e-3)
+    return fake
+
+
+ORACLE_FAILURES = [
+    ("n_raises", ValueError("horizon at n"), None, "horizon at n"),
+    ("2n_breaks_down", None, BreakdownError("breakdown at 2n"), "breakdown at 2n"),
+    ("both_raise", ValueError("horizon at n"), BreakdownError("breakdown at 2n"),
+     "horizon at n"),
+    ("2n_exits", None, "exit",
+     "the child process of the second call exited with status 3 before sending its outcome"),
+    ("2n_type_error", None, TypeError("bad argument at 2n"), TypeError),
+]
+
+
+class TestVerifyOracleChild:
+    """`verify-oracle` computes the 2n comparison in a forked child where
+    os.fork exists: the output, messages and exit codes are those of the two
+    comparisons made in order, and no child process outlives the call."""
+
+    @pytest.mark.parametrize("mode", ["fork", "inline"])
+    def test_output_is_the_sequential_computation(self, monkeypatch, capsys, mode):
+        s = parse_scenario(SHIPPED.read_text())
+        n = s.grid.n_cells
+        (rho_n, v_n), (rho_2n, v_2n) = cli._oracle_errors(s, n), cli._oracle_errors(s, 2 * n)
+        forks = record_forks(monkeypatch, mode)
+        assert main(["verify-oracle", "--config", str(SHIPPED)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"oracle check, n={n}:   L1(rho)={rho_n:.6e}  L1(v)={v_n:.6e}",
+            f"oracle check, n={2 * n}: L1(rho)={rho_2n:.6e}  L1(v)={v_2n:.6e}",
+            f"refinement ratio (rho): {rho_n / rho_2n:.2f}",
+        ]
+        assert len(forks) == (1 if mode == "fork" else 0)
+        assert_no_child_left()
+
+    def test_fresh_process_warns_of_nothing(self):
+        # every warning an error, in a fresh interpreter: Python reports an
+        # unclosed pipe (ResourceWarning) on stderr but keeps exit code 0
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "sigflow.cli",
+             "verify-oracle", "--config", str(SHIPPED)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("oracle check, n=150:")
+
+    # without a child, the "exit" case would end the test process
+    @pytest.mark.parametrize("mode, fails_n, fails_2n, expected", [
+        pytest.param(mode, *case[1:], id=f"{mode}-{case[0]}")
+        for mode in ["fork", "inline"] for case in ORACLE_FAILURES
+        if mode == "fork" or case[2] != "exit"])
+    def test_failures_keep_their_messages_and_exit_codes(
+            self, monkeypatch, tmp_path, capsys, mode, fails_n, fails_2n, expected):
+        p = tmp_path / "scenario.yaml"
+        p.write_text(GOOD_DOC)
+        monkeypatch.setattr(cli, "_oracle_errors", oracle_case(fails_n, fails_2n))
+        forks = record_forks(monkeypatch, mode)
+        if expected is TypeError:
+            with pytest.raises(TypeError, match="bad argument at 2n"):
+                main(["verify-oracle", "--config", str(p)])
+        else:
+            assert main(["verify-oracle", "--config", str(p)]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", f"error: oracle comparison failed: {expected}\n")
+        assert len(forks) == (1 if mode == "fork" else 0)
+        assert_no_child_left()
 
 
 def without_timings(report: Path) -> dict:
