@@ -51,7 +51,11 @@ def _load_scenario(path: str, nx=None, model=None):
         return None
     if nx is not None:
         grid = scenario.grid
-        scenario = replace(scenario, grid=RoadGrid(grid.x_min, grid.x_max, nx))
+        try:
+            scenario = replace(scenario, grid=RoadGrid(grid.x_min, grid.x_max, nx))
+        except ValueError as e:
+            print(f"error: --nx: {e}", file=sys.stderr)
+            return None
     if model is not None:
         scenario = replace(scenario, model=model)
     return scenario

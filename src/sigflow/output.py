@@ -1,10 +1,10 @@
 """Snapshot, report, and plot-data writers.
 
-Every float in a CSV is written as its repr, which round-trips.
-write_outputs writes all of a run's files and formats each value once: a
-grid's cell centres once for every snapshot on that grid, a snapshot's time
-once for all its rows, and the plotted field once for both the snapshot and
-the plot files.  Its memos live for one call.
+write_outputs writes all of a run's files; it alone formats snapshot and
+plot text.  Every float in a CSV is written as its repr, which round-trips,
+and is formatted once: a grid's cell centres once for every snapshot on
+that grid, a snapshot's time once for all its rows, and the plotted field
+once for both the snapshot and the plot files.  Its memos live for one call.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import FlowState, RoadGrid
+from .domain import RoadGrid
 from .orchestrator import REPORT_SCHEMA_VERSION, Trajectory, mass_balance_report
 
 
@@ -39,28 +39,8 @@ def _grid_key(grid: RoadGrid) -> tuple:
     return float(grid.x_min).hex(), float(grid.x_max).hex(), grid.n_cells
 
 
-def _centres_text(grid: RoadGrid, memo: dict) -> list:
-    """The reprs of grid's cell centres, formatted once per grid in memo."""
-    key = _grid_key(grid)
-    if key not in memo:
-        memo[key] = _reprs(grid.centers)
-    return memo[key]
-
-
-def _snapshot_text(t: str, x: list, rho: list, v: list) -> str:
-    rows = "\n".join(map(",".join, zip(x, rho, v)))
-    return f"# t={t}\nx,rho,v\n{rows}\n"
-
-
-def write_snapshot(state: FlowState, path) -> None:
-    """Write one state as CSV: header x,rho,v with the time in a comment."""
-    text = _snapshot_text(repr(float(state.t)), _reprs(state.grid.centers),
-                          _reprs(state.rho), _reprs(state.v))
-    _write(path, [text], "snapshot")
-
-
 def read_snapshot(path) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of write_snapshot; returns (t, x, rho, v)."""
+    """Read a snapshot CSV of write_outputs; returns (t, x, rho, v)."""
     path = Path(path)
     lines = path.read_text().strip().splitlines()
     t = float(lines[0].split("=", 1)[1])
@@ -91,57 +71,47 @@ def write_report(
 def write_outputs(traj: Trajectory, out, plot: Optional[str] = None,
                   timings: Optional[dict] = None) -> None:
     """Write a run's files into the directory out: each phase's snapshots as
-    <phase>_<i:04d>.csv, report.json (with timings), and for plot 'rho' or
-    'v' plot_<plot>.csv and plot_<plot>.svg.  The bytes are those of
-    write_snapshot, write_report and emit_plot; each float is formatted at
-    most once."""
-    if plot is not None:
-        _check_field(plot)
+    <phase>_<i:04d>.csv (header x,rho,v with the time in a comment),
+    report.json (with timings), and for plot 'rho' or 'v' plot_<plot>.csv
+    and plot_<plot>.svg.  Each float is formatted at most once."""
+    if plot not in (None, "rho", "v"):
+        raise ValueError(f"field must be 'rho' or 'v', got {plot!r}")
     out = Path(out)
-    centres = {}
-    columns = {}  # id(snapshot) -> (t, x, plotted field) as text
+    centres = {}  # grid key -> reprs of its cell centres
+    columns = []  # (snapshot, t, x, plotted field), the last three as text
     for phase in traj.phases:
         for i, snap in enumerate(phase.snapshots):
-            t, x = repr(float(snap.t)), _centres_text(snap.grid, centres)
+            key = _grid_key(snap.grid)
+            if key not in centres:
+                centres[key] = _reprs(snap.grid.centers)
+            t, x = repr(float(snap.t)), centres[key]
             rho, v = _reprs(snap.rho), _reprs(snap.v)
-            _write(out / f"{phase.name}_{i:04d}.csv", [_snapshot_text(t, x, rho, v)],
+            rows = "\n".join(map(",".join, zip(x, rho, v)))
+            _write(out / f"{phase.name}_{i:04d}.csv", [f"# t={t}\nx,rho,v\n{rows}\n"],
                    "snapshot")
             if plot is not None:
-                columns[id(snap)] = (t, x, rho if plot == "rho" else v)
+                columns.append((snap, t, x, rho if plot == "rho" else v))
     write_report(traj, out / "report.json", timings=timings)
     if plot is not None:
+        # the order of traj.snapshots: the red-phase flows share their
+        # snapshot times, and the stable sort keeps them in phase order
+        columns.sort(key=lambda c: c[0].t)
         _write_plot(traj, plot, columns, out / f"plot_{plot}.csv",
                     out / f"plot_{plot}.svg")
 
 
-def _check_field(field: str) -> None:
-    if field not in ("rho", "v"):
-        raise ValueError(f"field must be 'rho' or 'v', got {field!r}")
-
-
-def emit_plot(traj: Trajectory, field: str, csv_path, svg_path) -> None:
+def _write_plot(traj: Trajectory, field: str, columns: list, csv_path, svg_path) -> None:
     """Write space-time heatmap data (CSV: t,x,value, one row per snapshot
     cell) and a self-contained SVG rendering, one rect per snapshot cell,
-    with axis labels and the signal timeline marked."""
-    _check_field(field)
-    centres = {}
-    columns = {id(snap): (repr(float(snap.t)), _centres_text(snap.grid, centres),
-                          _reprs(getattr(snap, field)))
-               for snap in traj.snapshots}
-    _write_plot(traj, field, columns, csv_path, svg_path)
-
-
-def _write_plot(traj: Trajectory, field: str, columns: dict, csv_path, svg_path) -> None:
-    """emit_plot's files, from the text of each snapshot's t, x and field
-    in columns (keyed by id of the snapshot)."""
-    snapshots = traj.snapshots
-    if not snapshots:
+    with axis labels and the signal timeline marked.  columns holds each
+    snapshot, in time order, with the text of its t, x and field."""
+    if not columns:
         raise ValueError("trajectory has no snapshots to plot")
-    texts = [columns[id(snap)] for snap in snapshots]
+    snapshots = [snap for snap, *_ in columns]
 
     def csv_chunks():
         yield "t,x,value\n"
-        for t, x, val in texts:
+        for _, t, x, val in columns:
             lead = t + ","
             yield lead + ("\n" + lead).join(map(",".join, zip(x, val))) + "\n"
 

@@ -83,7 +83,7 @@ _CALL_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z_0-9]*)\s*\((.*)\)\s*$", re.S)
 def parse_preset(spec) -> Callable:
     """Build a profile callable from a preset string or mapping."""
     if isinstance(spec, (int, float)):
-        return constant(float(spec))
+        return constant(_number(spec, "constant profile"))
     if isinstance(spec, str):
         m = _CALL_RE.match(spec)
         if not m:
@@ -108,16 +108,27 @@ def parse_preset(spec) -> Callable:
         spec = dict(spec)
         if "table" in spec and len(spec) == 1:
             tab = spec["table"]
-            return table(tab.get("x", []), tab.get("values", []))
+            cols = [tab.get(key) for key in ("x", "values")] if isinstance(tab, dict) else [None]
+            if not all(isinstance(col, list) for col in cols):
+                raise PresetError(f"table needs a mapping of x and values lists, got {tab!r}")
+            return table(*([_number(val, "a table entry") for val in col] for col in cols))
         name = spec.pop("preset", None)
         if name is None:
             raise PresetError(f"preset mapping needs a 'preset' key: {spec!r}")
-        return _build(name, spec, name)
+        kwargs = {key: _number(val, f"{key} of preset {name!r}") for key, val in spec.items()}
+        return _build(name, kwargs, name)
     raise PresetError(f"unsupported preset specification: {spec!r}")
 
 
+def _number(val, what: str) -> float:
+    # YAML reads true/false as booleans, which are ints to Python
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise PresetError(f"non-numeric value {val!r} for {what}")
+    return float(val)
+
+
 def _build(name: str, kwargs: dict, label) -> Callable:
-    if name not in PRESETS:
+    if not isinstance(name, str) or name not in PRESETS:
         raise PresetError(
             f"unknown preset {name!r}; known: {', '.join(sorted(PRESETS))}, table"
         )

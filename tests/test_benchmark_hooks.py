@@ -13,9 +13,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from tracing import LAYER_FUNCS  # noqa: E402
 
 
-@pytest.mark.parametrize("module, name", sorted({(m, f) for _, m, f, _ in LAYER_FUNCS}))
+TRACED = {(m, f) for _, m, f, _ in LAYER_FUNCS}
+# write_outputs replaced these writers; the tracer skips them as missing
+# until LAYER_FUNCS drops them
+RETIRED = {("sigflow.output", "write_snapshot"), ("sigflow.output", "emit_plot")}
+
+
+@pytest.mark.parametrize("module, name", sorted(TRACED - RETIRED))
 def test_traced_function_exists(module, name):
     assert callable(getattr(importlib.import_module(module), name, None))
+
+
+@pytest.mark.parametrize("module, name", sorted(RETIRED))
+def test_retired_function_is_gone(module, name):
+    assert (module, name) in TRACED, "drop it from RETIRED"
+    assert not hasattr(importlib.import_module(module), name)
 
 
 @pytest.mark.parametrize("module, name, position, parameter", [

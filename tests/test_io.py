@@ -21,13 +21,7 @@ from sigflow import cli
 from sigflow.cli import main
 from sigflow.domain import sample_profile
 from sigflow.lagrangian import BreakdownError
-from sigflow.output import (
-    emit_plot,
-    read_snapshot,
-    write_outputs,
-    write_report,
-    write_snapshot,
-)
+from sigflow.output import read_snapshot, write_outputs, write_report
 from sigflow.presets import PresetError, parse_preset
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -96,6 +90,15 @@ class TestPresets:
             parse_preset([1, 2, 3])
         with pytest.raises(PresetError):
             parse_preset({"table": {"x": [0.0], "values": [1.0]}})
+        # the mapping form refuses what the string form and scenario_io refuse
+        for spec in [{"table": 5},
+                     {"table": {"x": ["a", "b"], "values": [1, 2]}},
+                     {"table": {"x": [0.0, None], "values": [1, 2]}},
+                     {"preset": "sine", "base": 0.1, "amp": "x", "wavelength": 100},
+                     {"preset": "sine", "base": 0.1, "amp": True, "wavelength": 100},
+                     True]:
+            with pytest.raises(PresetError):
+                parse_preset(spec)
 
 
 class TestParseScenario:
@@ -196,35 +199,32 @@ class TestParseScenario:
 
 
 class TestSnapshotFiles:
-    def test_round_trip_bitwise(self, tmp_path):
-        g = RoadGrid(0.0, 100.0, 8)
-        rng = np.random.default_rng(12)
-        state = FlowState(g, 0.1 + rng.uniform(0, 0.1, 8), rng.uniform(0, 10, 8),
-                          1.2345678901234567)
-        p = tmp_path / "snap.csv"
-        write_snapshot(state, p)
-        t, x, rho, v = read_snapshot(p)
-        assert t == state.t
-        np.testing.assert_array_equal(x, g.centers)
-        np.testing.assert_array_equal(rho, state.rho)
-        np.testing.assert_array_equal(v, state.v)
+    def test_round_trip_bitwise(self, small_trajectory, tmp_path):
+        write_outputs(small_trajectory, tmp_path)
+        for phase in small_trajectory.phases:
+            for i, snap in enumerate(phase.snapshots):
+                t, x, rho, v = read_snapshot(tmp_path / f"{phase.name}_{i:04d}.csv")
+                assert t == snap.t
+                for got, want in ((x, snap.grid.centers), (rho, snap.rho), (v, snap.v)):
+                    assert got.tobytes() == want.tobytes()
 
-    def test_deterministic_bytes(self, tmp_path):
-        g = RoadGrid(0.0, 100.0, 8)
-        state = FlowState(g, np.full(8, 0.1), np.full(8, 7.0), 2.0)
-        write_snapshot(state, tmp_path / "a.csv")
-        write_snapshot(state, tmp_path / "b.csv")
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    def test_deterministic_bytes(self, small_trajectory, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            out.mkdir()
+            write_outputs(small_trajectory, out, "rho")
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_header_format(self, tmp_path):
-        g = RoadGrid(0.0, 100.0, 8)
-        state = FlowState(g, np.full(8, 0.1), np.zeros(8), 0.5)
-        p = tmp_path / "s.csv"
-        write_snapshot(state, p)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "# t=0.5"
+        write_outputs(two_snapshot_trajectory(), tmp_path)
+        lines = (tmp_path / "hand_built_0001.csv").read_text().splitlines()
+        assert lines[0] == "# t=1.0"
         assert lines[1] == "x,rho,v"
-        assert len(lines) == 10
+        assert lines[2] == "0.5,1.0,1.0"
+        assert len(lines) == 6
 
 
 @pytest.fixture(scope="module")
@@ -355,20 +355,23 @@ def trajectory(model, request):
 class TestWriterParity:
     @pytest.mark.parametrize("model", ["first", "second"])
     def test_snapshots_match_reference_bytes(self, model, request, tmp_path):
-        traj = request.getfixturevalue(f"{model}_model_trajectory")
-        for snap in traj.snapshots + two_snapshot_trajectory().snapshots:
-            write_snapshot(snap, tmp_path / "new.csv")
-            reference_write_snapshot(snap, tmp_path / "ref.csv")
-            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        for traj in (request.getfixturevalue(f"{model}_model_trajectory"),
+                     two_snapshot_trajectory()):
+            write_outputs(traj, tmp_path)
+            for phase in traj.phases:
+                for i, snap in enumerate(phase.snapshots):
+                    new, ref = tmp_path / f"{phase.name}_{i:04d}.csv", tmp_path / "ref.csv"
+                    reference_write_snapshot(snap, ref)
+                    assert new.read_bytes() == ref.read_bytes(), new.name
 
     @pytest.mark.parametrize("field", ["rho", "v"])
     @pytest.mark.parametrize("model", ["first", "second", "hand-built"])
     def test_plot_matches_reference_bytes(self, model, field, request, tmp_path):
         traj = trajectory(model, request)
-        emit_plot(traj, field, tmp_path / "new.csv", tmp_path / "new.svg")
+        write_outputs(traj, tmp_path, field)
         reference_emit_plot(traj, field, tmp_path / "ref.csv", tmp_path / "ref.svg")
         for ext in ("csv", "svg"):
-            assert ((tmp_path / f"new.{ext}").read_bytes()
+            assert ((tmp_path / f"plot_{field}.{ext}").read_bytes()
                     == (tmp_path / f"ref.{ext}").read_bytes())
 
     @pytest.mark.parametrize("plot", ["rho", "v", None])
@@ -399,8 +402,8 @@ class TestWriterParity:
         assert not any(tmp_path.iterdir())
 
     def test_rect_geometry_and_colour_ramp(self, tmp_path):
-        emit_plot(two_snapshot_trajectory(), "rho", tmp_path / "p.csv", tmp_path / "p.svg")
-        rects = [ln for ln in (tmp_path / "p.svg").read_text().splitlines()
+        write_outputs(two_snapshot_trajectory(), tmp_path, "rho")
+        rects = [ln for ln in (tmp_path / "plot_rho.svg").read_text().splitlines()
                  if ln.startswith("<rect x=")]
         assert len(rects) == 8
         # px(0) = 60, dt_plot = 520; py(0.5) = 360, dx_plot = 300 / 3
@@ -412,8 +415,8 @@ class TestWriterParity:
         assert rects[6].endswith('fill="#0402fb"/>')
 
     def test_zero_minimum_keeps_its_first_sign(self, tmp_path):
-        emit_plot(two_snapshot_trajectory(), "v", tmp_path / "p.csv", tmp_path / "p.svg")
-        assert "v: min=0.0 max=4.0</text>" in (tmp_path / "p.svg").read_text()
+        write_outputs(two_snapshot_trajectory(), tmp_path, "v")
+        assert "v: min=0.0 max=4.0</text>" in (tmp_path / "plot_v.svg").read_text()
 
 
 class TestReportAndPlot:
@@ -435,9 +438,8 @@ class TestReportAndPlot:
         assert doc["error"] == "boom"
 
     def test_plot_outputs(self, small_trajectory, tmp_path):
-        csv = tmp_path / "plot.csv"
-        svg = tmp_path / "plot.svg"
-        emit_plot(small_trajectory, "rho", csv, svg)
+        write_outputs(small_trajectory, tmp_path, "rho")
+        csv, svg = tmp_path / "plot_rho.csv", tmp_path / "plot_rho.svg"
 
         lines = csv.read_text().splitlines()
         assert lines[0] == "t,x,value"
@@ -452,8 +454,8 @@ class TestReportAndPlot:
         assert "time t (s)" in text and "position x (m)" in text
 
     def test_plot_rejects_unknown_field(self, small_trajectory, tmp_path):
-        with pytest.raises(ValueError):
-            emit_plot(small_trajectory, "speed", tmp_path / "a.csv", tmp_path / "a.svg")
+        with pytest.raises(ValueError, match="field must be 'rho' or 'v', got 'speed'"):
+            write_outputs(small_trajectory, tmp_path, "speed")
 
 
 class TestCli:
@@ -475,6 +477,20 @@ class TestCli:
         p.write_text(GOOD_DOC.replace("mu: 2.0", "mu: -2.0"))
         assert main(["validate", "--config", str(p)]) == 2
         assert "mu" in capsys.readouterr().err
+
+    def test_validate_bad_preset_mapping(self, tmp_path, capsys):
+        p = tmp_path / "bad.yaml"
+        p.write_text(GOOD_DOC.replace("rho0: sine(base=0.1, amp=0.02, wavelength=150)",
+                                      "rho0: {table: 5}"))
+        assert main(["validate", "--config", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("error: profiles.rho0: table needs")
+
+    @pytest.mark.parametrize("nx", ["2", "0"])
+    def test_simulate_rejects_a_bad_nx(self, config, tmp_path, capsys, nx):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--nx", nx, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --nx: n_cells must be >= 4, got {nx}\n"
+        assert not out.exists()
 
     def test_simulate_writes_outputs(self, config, tmp_path, capsys):
         out = tmp_path / "out"
