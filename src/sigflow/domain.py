@@ -270,7 +270,7 @@ def initial_state(scenario: Scenario) -> FlowState:
     )
 
 
-def validate_scenario(s: Scenario, oracle_requested: bool = False) -> list[str]:
+def validate_scenario(s: Scenario) -> list[str]:
     """Collect every invariant violation in the scenario; empty means valid.
 
     Violations are data, not failures: each entry names the offending
@@ -329,12 +329,6 @@ def validate_scenario(s: Scenario, oracle_requested: bool = False) -> list[str]:
         out.append("rho0: initial density must be finite and non-negative everywhere")
     if np.any(v0 < 0) or not np.all(np.isfinite(v0)):
         out.append("v0: initial velocity must be finite and non-negative everywhere")
-    if oracle_requested and np.any(rho0 <= 0):
-        out.append(
-            "rho0: initial density must be strictly positive everywhere when the "
-            "mass-coordinate reference solution is requested (the coordinate "
-            "transformation is otherwise not invertible)"
-        )
 
     if math.isfinite(s.t_end):  # the inflow is sampled on [0, t_end]
         ts = np.linspace(0.0, s.t_end, 64)

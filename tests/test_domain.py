@@ -212,11 +212,10 @@ class TestValidateScenario:
         assert validate_scenario(s) == validate_scenario(s)
 
     def test_vacuum_blocks_oracle_only(self):
+        # cli._oracle_check refuses it (tests/test_io.py)
         s = reference_scenario()
         s = type(s)(**{**s.__dict__, "rho0": lambda x: np.zeros_like(np.asarray(x, float))})
         assert validate_scenario(s) == []
-        msgs = validate_scenario(s, oracle_requested=True)
-        assert any("rho0" in m for m in msgs)
 
     def test_flags_short_horizon(self):
         s = reference_scenario(t_end=15.0)  # t0 + tau1 = 20

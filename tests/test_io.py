@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,7 +23,7 @@ from sigflow.cli import main
 from sigflow.domain import sample_profile
 from sigflow.lagrangian import BreakdownError
 from sigflow.output import read_snapshot, write_outputs, write_report
-from sigflow.presets import PresetError, parse_preset
+from tests.conftest import reference_scenario
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SHIPPED = Path(__file__).resolve().parent.parent / "scenarios" / "intersection.yaml"
@@ -43,13 +44,27 @@ profiles:
 """
 
 
+RHO0 = "sine(base=0.1, amp=0.02, wavelength=150)"
+
+
+def rho0_of(spec: str):
+    """The rho0 profile GOOD_DOC gives with the YAML text spec for rho0."""
+    return parse_scenario(GOOD_DOC.replace(RHO0, spec)).rho0
+
+
+def rho0_errors(spec: str) -> list:
+    with pytest.raises(ScenarioFileError) as exc:
+        parse_scenario(GOOD_DOC.replace(RHO0, spec))
+    return exc.value.errors
+
+
 class TestPresets:
     def test_constant_from_number(self):
-        fn = parse_preset(0.25)
+        fn = rho0_of("0.25")
         np.testing.assert_allclose(fn(np.arange(5.0)), 0.25)
 
     def test_constant_is_a_float_for_a_scalar(self):
-        fn = parse_preset(0.25)
+        fn = rho0_of("0.25")
         for t in (3.0, 3, np.float64(3.0)):
             assert type(fn(t)) is float and fn(t) == 0.25
         for x in (np.zeros((2, 3)), np.array(1.0), [0.0, 1.0]):
@@ -59,46 +74,87 @@ class TestPresets:
 
     def test_sampled_constant_is_unchanged(self):
         xs = np.linspace(0.0, 10.0, 7)
-        out = sample_profile(parse_preset(0.25), xs)
+        out = sample_profile(rho0_of("0.25"), xs)
         assert out.dtype == np.float64
         np.testing.assert_array_equal(out, np.full_like(xs, 0.25))
 
     def test_call_string(self):
-        fn = parse_preset("sine(base=0.1, amp=0.05, wavelength=200)")
+        fn = rho0_of("sine(base=0.1, amp=0.05, wavelength=200)")
         x = np.array([0.0, 50.0, 100.0])
         np.testing.assert_allclose(fn(x), 0.1 + 0.05 * np.sin(2 * np.pi * x / 200.0))
 
     def test_linear_ramp_clamps(self):
-        fn = parse_preset("linear_ramp(start=2.0, end=6.0, x_start=10.0, x_end=20.0)")
+        fn = rho0_of("linear_ramp(start=2.0, end=6.0, x_start=10.0, x_end=20.0)")
         np.testing.assert_allclose(fn(np.array([0.0, 15.0, 30.0])), [2.0, 4.0, 6.0])
 
     def test_plateau(self):
-        fn = parse_preset({"preset": "plateau", "inside": 0.2, "outside": 0.05,
-                           "x_left": 10.0, "x_right": 20.0})
+        fn = rho0_of("plateau(inside=0.2, outside=0.05, x_left=10.0, x_right=20.0)")
         np.testing.assert_allclose(fn(np.array([5.0, 15.0, 25.0])), [0.05, 0.2, 0.05])
 
     def test_table(self):
-        fn = parse_preset({"table": {"x": [0.0, 10.0], "values": [1.0, 3.0]}})
+        fn = rho0_of("{table: {x: [0.0, 10.0], values: [1.0, 3.0]}}")
         assert fn(5.0) == pytest.approx(2.0)
 
     def test_errors(self):
-        with pytest.raises(PresetError):
-            parse_preset("nope(a=1)")
-        with pytest.raises(PresetError):
-            parse_preset("sine(base=x)")
-        with pytest.raises(PresetError):
-            parse_preset([1, 2, 3])
-        with pytest.raises(PresetError):
-            parse_preset({"table": {"x": [0.0], "values": [1.0]}})
-        # the mapping form refuses what the string form and scenario_io refuse
-        for spec in [{"table": 5},
-                     {"table": {"x": ["a", "b"], "values": [1, 2]}},
-                     {"table": {"x": [0.0, None], "values": [1, 2]}},
-                     {"preset": "sine", "base": 0.1, "amp": "x", "wavelength": 100},
-                     {"preset": "sine", "base": 0.1, "amp": True, "wavelength": 100},
-                     True]:
-            with pytest.raises(PresetError):
-                parse_preset(spec)
+        for spec, error in [
+            ("nope(a=1)", "unknown preset 'nope'"),
+            ("sine(base=x)", "profiles.rho0.base: expected a number, got 'x'"),
+            ("sine(base=0.1, amp=true, wavelength=100)",
+             "profiles.rho0.amp: expected a number, got 'true'"),
+            ("sine(base=0.1, amp=0.02)", "bad arguments for preset"),
+            ("sine(base=0.1, amp=0.02, wavelength=-1)", "sine needs a positive wavelength"),
+            ("sine(base=0.1, amp)", "bad argument 'amp'"),
+            ("sine base=0.1", "cannot parse preset"),
+            ("[1, 2, 3]", "profiles.rho0: expected a number, got [1, 2, 3]"),
+            ("true", "profiles.rho0: expected a number, got True"),
+            ("{table: {x: [0.0], values: [1.0]}}", "table needs matching 1-D"),
+            ("{table: {x: [0.0, 10.0, 5.0], values: [1, 2, 3]}}", "strictly increasing"),
+            ("{table: 5}", "profiles.rho0: table needs the form"),
+            ("{table: {x: [a, 10.0], values: [1, 2]}}",
+             "profiles.rho0.table.x[0]: expected a number, got 'a'"),
+            ("{table: {x: [0.0, null], values: [1, 2]}}",
+             "profiles.rho0.table.x[1]: expected a number, got None"),
+            ("{table: {x: [0.0, 10.0], values: [1, true]}}",
+             "profiles.rho0.table.values[1]: expected a number, got True"),
+        ]:
+            errors = rho0_errors(spec)
+            assert len(errors) == 1 and errors[0].startswith("profiles.rho0"), errors
+            assert error in errors[0]
+
+
+# a boolean where a number goes, a repeated preset argument, a table key other
+# than x and values, and a profile mapping that is not a table: each is one
+# located error, and `validate` exits 2 with it
+REFUSED = [
+    ("tau1: 3.0", "tau1: true", "signal.tau1: expected a number, got True"),
+    ("f0: 1.0", "f0: yes", "force.f0: expected a number, got True"),
+    ("x_min: 0.0", "x_min: true", "grid.x_min: expected a number, got True"),
+    (RHO0, "sine(base=0.1, amp=0.02, wavelength=150, base=5)",
+     "profiles.rho0: argument 'base' repeated in preset "
+     "'sine(base=0.1, amp=0.02, wavelength=150, base=5)'"),
+    (RHO0, "{table: {x: [0.0, 300.0], values: [0.1, 0.1], y: 3}}",
+     "profiles.rho0: table needs the form {table: {x: [...], values: [...]}} with exactly "
+     "the lists x and values, got {'table': {'x': [0.0, 300.0], 'values': [0.1, 0.1], 'y': 3}}"),
+    (RHO0, "{preset: sine, base: 0.1, amp: 0.02, wavelength: 150}",
+     "profiles.rho0: table needs the form {table: {x: [...], values: [...]}} with exactly "
+     "the lists x and values, got {'preset': 'sine', 'base': 0.1, 'amp': 0.02, "
+     "'wavelength': 150}"),
+]
+
+
+@pytest.mark.parametrize("old, new, error", REFUSED,
+                         ids=["bool-tau1", "bool-f0", "bool-x_min", "repeated-argument",
+                              "table-extra-key", "preset-mapping"])
+def test_refused_input_is_located(old, new, error, tmp_path, capsys):
+    doc = GOOD_DOC.replace(old, new)
+    assert new in doc
+    with pytest.raises(ScenarioFileError) as exc:
+        parse_scenario(doc)
+    assert exc.value.errors == [error]
+    p = tmp_path / "bad.yaml"
+    p.write_text(doc)
+    assert main(["validate", "--config", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 class TestParseScenario:
@@ -176,6 +232,15 @@ class TestParseScenario:
         with pytest.raises(ScenarioFileError) as exc:
             parse_scenario(bad)
         assert any("signal" in e for e in exc.value.errors)
+
+    @pytest.mark.parametrize("line", ["n_cells: 60", "h: 50.0", "delta: 4.0"])
+    def test_missing_section_key_named(self, line):
+        doc = GOOD_DOC.replace(f", {line}", "")
+        assert line not in doc
+        section = {"n_cells": "grid", "h": "signal", "delta": "force"}[line.split(":")[0]]
+        with pytest.raises(ScenarioFileError) as exc:
+            parse_scenario(doc)
+        assert exc.value.errors == [f"{section}.{line.split(':')[0]}: missing required key"]
 
     def test_missing_keys_all_reported(self):
         with pytest.raises(ScenarioFileError) as exc:
@@ -560,6 +625,15 @@ class TestCli:
             "rho0: sine(base=0.1, amp=0.02, wavelength=150)", "rho0: 0.0"))
         assert main(["verify-oracle", "--config", str(p)]) == 2
         assert "rho0" in capsys.readouterr().err
+
+
+def test_oracle_check_rejects_vacuum(capsys):
+    s = reference_scenario()
+    s = replace(s, rho0=lambda x: np.zeros_like(np.asarray(x, float)))
+    assert cli._oracle_check(s) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: rho0: initial density must be strictly positive")
 
 
 def record_forks(monkeypatch, mode):
