@@ -16,6 +16,9 @@ import numpy as np
 
 # Cells with less mass than this are treated as vacuum (v := 0).
 VACUUM_RHO = 1e-12
+# Most snapshots a run may ask for, t_end / snapshot_interval: every phase
+# writes one file per snapshot.
+MAX_SNAPSHOTS = 10_000
 
 
 def sample_profile(fn: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
@@ -286,6 +289,12 @@ def validate_scenario(s: Scenario) -> list[str]:
         out.append(f"cfl: must lie in (0, 1], got {s.cfl}")
     if not s.snapshot_interval > 0:
         out.append(f"snapshot_interval: must be positive, got {s.snapshot_interval}")
+    elif math.isfinite(s.t_end) and s.t_end > MAX_SNAPSHOTS * s.snapshot_interval:
+        out.append(
+            f"snapshot_interval: t_end / snapshot_interval = "
+            f"{s.t_end / s.snapshot_interval:g} snapshots exceed the cap of "
+            f"{MAX_SNAPSHOTS}, got {s.snapshot_interval}"
+        )
 
     tm = s.timing
     if not math.isfinite(s.t_end):

@@ -25,11 +25,18 @@ SPEED_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class ConservedState:
-    """Cell-averaged mass and momentum at one time instant."""
+    """Cell-averaged mass and momentum at one time instant, with the
+    velocities v = q/m (0 in vacuum cells) computed once, when it is built."""
 
     grid: RoadGrid
     m: np.ndarray
     q: np.ndarray
+    v: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        v = np.zeros_like(self.m)
+        np.divide(self.q, self.m, out=v, where=self.m > VACUUM_RHO)
+        object.__setattr__(self, "v", v)
 
     @staticmethod
     def from_flow_state(state: FlowState) -> "ConservedState":
@@ -38,13 +45,8 @@ class ConservedState:
         q[m <= VACUUM_RHO] = 0.0
         return ConservedState(state.grid, m, q)
 
-    def velocities(self) -> np.ndarray:
-        v = np.zeros_like(self.m)
-        np.divide(self.q, self.m, out=v, where=self.m > VACUUM_RHO)
-        return v
-
     def to_flow_state(self, t: float) -> FlowState:
-        return FlowState(self.grid, self.m.copy(), self.velocities(), t)
+        return FlowState(self.grid, self.m.copy(), self.v, t)
 
 
 @dataclass
@@ -107,7 +109,9 @@ def march(
     result's metadata adds the step count and the smallest and largest step
     taken (None when no step was taken).  A non-finite t_end, or a
     snapshot_interval that is neither None nor positive, raises ValueError
-    before the first step.
+    before the first step; a step that would not advance the clock (t + dt
+    rounds to t, as for a snapshot interval below the spacing of floats at
+    t) raises ValueError naming t before it is taken.
     """
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
@@ -138,6 +142,8 @@ def march(
         if t_next >= t_end - 1e-13:
             t_next = t_end  # the last snapshot sits at t_end exactly
         dt = min(max_dt(state, t), t_next - t)
+        if not t + dt > t:
+            raise ValueError(f"a step of dt = {dt} at t = {t} does not advance the clock")
         state, report = advance(state, t, dt)
         t = t + dt
         steps += 1
@@ -193,15 +199,14 @@ def step(
     dt: float,
     inflow: BoundaryData,
     force: Optional[ForceLaw],
-    v: np.ndarray,
 ) -> tuple[ConservedState, StepReport]:
     """One first-order finite-volume update from t to t + dt: transport,
     then force source.
 
     The left ghost cell carries the inflow data; the right ghost copies the
-    last cell (zero-gradient outflow).  v is state.velocities().
+    last cell (zero-gradient outflow).
     """
-    grid = state.grid
+    grid, v = state.grid, state.v
     dx = grid.dx
     # Sampled at the step start: the interior data also represents time t
     # (the force source has already been applied), so this keeps spatially
@@ -254,23 +259,15 @@ def solve_hyperbolic(
     ledger entry with cumulative boundary fluxes.
     """
     grid = initial.grid
-
-    def advance(state, t: float, dt: float):
-        # the state carries its velocities, which both the step size and
-        # the step read
-        new, report = step(state[0], t, dt, inflow, force, state[1])
-        return (new, new.velocities()), report
-
-    start = ConservedState.from_flow_state(initial)
     return march(
-        (start, start.velocities()), initial.t, t_end, snapshot_interval,
+        ConservedState.from_flow_state(initial), initial.t, t_end, snapshot_interval,
         # the checks FlowState makes, without building one: the largest |v|
         # of the noise-clipped velocities is max(v) or below the speed floor;
         # step's CFL check also sees the inflow ghost's speed
         max_dt=lambda state, t: _cfl_step(
-            grid.dx, max(check_flow_fields(state[0].m, state[1]),
+            grid.dx, max(check_flow_fields(state.m, state.v),
                          abs(float(inflow.v_in(t)))), cfl),
-        advance=advance,
-        snapshot=lambda state, t: state[0].to_flow_state(t),
+        advance=lambda state, t, dt: step(state, t, dt, inflow, force),
+        snapshot=lambda state, t: state.to_flow_state(t),
         metadata={"solver": "hyperbolic", "cfl": cfl},
     )

@@ -179,19 +179,28 @@ def run(s: Scenario) -> Trajectory:
     x_light = grid.nearest_face(tm.x0)
     t_brake = tm.t0 - tm.tau0
     t_green = tm.t0 + tm.tau1
-    open_road = _hyperbolic if s.model == "first" else _viscous
 
-    free = _run_phase("free_flow", open_road, s, initial_state(s), s.inflow, t_brake)
+    def open_road(name: str, state: FlowState, inflow, t_end: float) -> SolveResult:
+        # the model's solver, with the driver force
+        if s.model == "first":
+            return _run_phase(name, hyp.solve_hyperbolic, state, inflow, s.force, t_end,
+                              cfl=s.cfl, snapshot_interval=s.snapshot_interval)
+        return _run_phase(name, par.solve_parabolic, state, inflow, s.mu, s.force, t_end,
+                          snapshot_interval=s.snapshot_interval, cfl=s.cfl)
+
+    free = open_road("free_flow", initial_state(s), s.inflow, t_brake)
     source, released, _ = split_at(free.final, x_split)
     snapped = replace(tm, x0=x_light, h=x_light - x_split)
     braking = default_braking_profile(snapped, float(source.v[-1]))
+    # viscous flow against the moving braking boundary, driver force off
     upstream = _run_phase(
-        "upstream_braking", _braking_flow, s, braking, source, t_green
+        "upstream_braking", par.solve_parabolic, source, s.inflow, s.mu, None, t_green,
+        snapshot_interval=s.snapshot_interval, braking=braking, cfl=s.cfl,
     )
     # no traffic enters the released flow through the split point
-    downstream = _run_phase("downstream_release", open_road, s, released, CLOSED, t_green)
+    downstream = open_road("downstream_release", released, CLOSED, t_green)
     merged = merge(upstream.final, downstream.final, grid, x_light, t_green)
-    resume = _run_phase("resume", open_road, s, merged, s.inflow, s.t_end)
+    resume = open_road("resume", merged, s.inflow, s.t_end)
 
     return Trajectory(
         scenario=s,
@@ -203,39 +212,13 @@ def run(s: Scenario) -> Trajectory:
     )
 
 
-def _run_phase(name: str, solve, *args) -> SolveResult:
+def _run_phase(name: str, solve, *args, **kwargs) -> SolveResult:
     """Call one phase's solver and name its result; a failure names the phase."""
     try:
-        result = solve(*args)
+        result = solve(*args, **kwargs)
     except Exception as e:  # noqa: BLE001 - annotate the failing phase
         raise PhaseError(name, e) from e
     return replace(result, name=name)
-
-
-def _hyperbolic(s: Scenario, state: FlowState, inflow, t_end: float) -> SolveResult:
-    """The first model's open road: pressureless flow with the driver force."""
-    return hyp.solve_hyperbolic(
-        state, inflow, s.force, t_end,
-        cfl=s.cfl, snapshot_interval=s.snapshot_interval,
-    )
-
-
-def _viscous(s: Scenario, state: FlowState, inflow, t_end: float) -> SolveResult:
-    """The second model's open road: viscous flow with the driver force on
-    the state's cells."""
-    return par.solve_parabolic(
-        state, inflow, s.mu, s.force, t_end,
-        snapshot_interval=s.snapshot_interval, cfl=s.cfl,
-    )
-
-
-def _braking_flow(s: Scenario, braking, source: FlowState, t_end: float) -> SolveResult:
-    """Viscous flow upstream of the light against the moving braking
-    boundary, driver force off; the same in both models."""
-    return par.solve_parabolic(
-        source, s.inflow, s.mu, None, t_end,
-        snapshot_interval=s.snapshot_interval, braking=braking, cfl=s.cfl,
-    )
 
 
 def _adjustments(free, upstream, downstream, resume) -> dict:

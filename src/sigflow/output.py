@@ -15,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import RoadGrid
 from .orchestrator import REPORT_SCHEMA_VERSION, Trajectory, mass_balance_report
 
 
@@ -32,11 +31,6 @@ def _write(path, chunks, what: str) -> None:
 def _reprs(values: np.ndarray) -> list:
     # repr of a Python float is round-trip safe
     return list(map(repr, values.tolist()))
-
-
-def _grid_key(grid: RoadGrid) -> tuple:
-    # bit patterns, not values: a float key would merge -0.0 and 0.0
-    return float(grid.x_min).hex(), float(grid.x_max).hex(), grid.n_cells
 
 
 def read_snapshot(path) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
@@ -77,14 +71,14 @@ def write_outputs(traj: Trajectory, out, plot: Optional[str] = None,
     if plot not in (None, "rho", "v"):
         raise ValueError(f"field must be 'rho' or 'v', got {plot!r}")
     out = Path(out)
-    centres = {}  # grid key -> reprs of its cell centres
+    centres = {}  # grid -> reprs of its cell centres
     columns = []  # (snapshot, t, x, plotted field), the last three as text
     for phase in traj.phases:
         for i, snap in enumerate(phase.snapshots):
-            key = _grid_key(snap.grid)
-            if key not in centres:
-                centres[key] = _reprs(snap.grid.centers)
-            t, x = repr(float(snap.t)), centres[key]
+            grid = snap.grid
+            if grid not in centres:
+                centres[grid] = _reprs(grid.centers)
+            t, x = repr(float(snap.t)), centres[grid]
             rho, v = _reprs(snap.rho), _reprs(snap.v)
             rows = "\n".join(map(",".join, zip(x, rho, v)))
             _write(out / f"{phase.name}_{i:04d}.csv", [f"# t={t}\nx,rho,v\n{rows}\n"],
@@ -161,11 +155,10 @@ def _write_plot(traj: Trajectory, field: str, columns: list, csv_path, svg_path)
         start = 0
         for k, snap in enumerate(snapshots):
             stop = start + n[k]
-            key = _grid_key(snap.grid)
-            if key not in y_text:
-                y_text[key] = [f"{ry:.2f}" for ry in rect_y[start:stop].tolist()]
+            if snap.grid not in y_text:
+                y_text[snap.grid] = [f"{ry:.2f}" for ry in rect_y[start:stop].tolist()]
             cells = [None] * (2 * n[k])
-            cells[::2] = y_text[key]
+            cells[::2] = y_text[snap.grid]
             cells[1::2] = rgb[start:stop].tolist()
             rect = (f'<rect x="{rect_x[k]:.2f}" y="%s" width="{rect_w}" '
                     f'height="{rect_h[start]:.2f}" fill="#%06x"/>\n')

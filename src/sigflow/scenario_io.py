@@ -201,7 +201,9 @@ def parse_scenario(text: str) -> Scenario:
         cfl=0.5 if cfl is None else cfl,
         snapshot_interval=t_end / 50.0 if snapshot_interval is None else snapshot_interval,
     )
-    violations = validate_scenario(scenario)
+    # the numerics settings sit under numerics in the file
+    violations = [f"numerics.{v}" if v.split(":", 1)[0] in _NUMERICS_KEYS else v
+                  for v in validate_scenario(scenario)]
     if violations:
         raise ScenarioFileError(violations)
     return scenario

@@ -74,7 +74,7 @@ class TestStep:
     def test_uniform_state_is_exactly_preserved(self):
         state = ConservedState.from_flow_state(uniform_state(rho=0.1, v=10.0))
         bc = inflow_const(0.1, 10.0)
-        out, rep = step(state, 0.0, 0.05, bc, None, state.velocities())
+        out, rep = step(state, 0.0, 0.05, bc, None)
         np.testing.assert_array_equal(out.m, state.m)
         np.testing.assert_array_equal(out.q, state.q)
         assert rep.inflow == pytest.approx(0.05 * 1.0)
@@ -83,14 +83,14 @@ class TestStep:
     def test_source_is_pointwise(self):
         state = ConservedState.from_flow_state(uniform_state(rho=0.1, v=5.0))
         bc = inflow_const(0.1, 5.0)
-        out, _ = step(state, 0.0, 0.1, bc, ForceLaw(1.5, 16.0, 4.0), state.velocities())
-        np.testing.assert_allclose(out.velocities(), 5.15, rtol=0, atol=1e-13)
+        out, _ = step(state, 0.0, 0.1, bc, ForceLaw(1.5, 16.0, 4.0))
+        np.testing.assert_allclose(out.v, 5.15, rtol=0, atol=1e-13)
 
     def test_rejects_cfl_violation(self):
         state = ConservedState.from_flow_state(uniform_state(v=10.0, n=100))
         bc = CLOSED
         with pytest.raises(ValueError):
-            step(state, 0.0, 1.0, bc, None, state.velocities())  # dx/smax = 0.1
+            step(state, 0.0, 1.0, bc, None)  # dx/smax = 0.1
 
     def test_vacuum_stays_at_rest(self):
         g = RoadGrid(0.0, 100.0, 50)
@@ -100,7 +100,7 @@ class TestStep:
         v[30:] = 8.0
         state = ConservedState.from_flow_state(FlowState(g, rho, v, 0.0))
         bc = CLOSED
-        out, rep = step(state, 0.0, 0.05, bc, None, state.velocities())
+        out, rep = step(state, 0.0, 0.05, bc, None)
         assert np.all(out.m[:30] == 0.0)
         assert np.all(out.q[:30] == 0.0)
         assert rep.inflow == 0.0
@@ -206,10 +206,10 @@ class TestSolve:
         ratios = []
         real_step = hyp.step
 
-        def recording(state, t, dt, inflow, force, v):
-            smax = max(float(np.max(np.abs(v))), abs(inflow.v_in(t)))
+        def recording(state, t, dt, inflow, force):
+            smax = max(float(np.max(np.abs(state.v))), abs(inflow.v_in(t)))
             ratios.append(dt * smax / state.grid.dx)
-            return real_step(state, t, dt, inflow, force, v)
+            return real_step(state, t, dt, inflow, force)
 
         monkeypatch.setattr(hyp, "step", recording)
         res = solve_hyperbolic(uniform_state(v=10.0), inflow_const(0.1, 25.0), None,
@@ -220,17 +220,20 @@ class TestSolve:
         assert max(ratios) > 0.45  # the inflow speed is what limits the step
 
     def test_velocities_are_computed_once_per_step(self, monkeypatch):
-        calls = []
-        real = ConservedState.velocities
+        # a ConservedState computes its velocities when it is built
+        built = []
+        real = ConservedState.__post_init__
 
         def counting(self):
-            calls.append(self)
-            return real(self)
+            built.append(self)
+            real(self)
 
-        monkeypatch.setattr(ConservedState, "velocities", counting)
-        res = solve_hyperbolic(uniform_state(), inflow_const(0.1, 10.0), None, 2.0)
-        # one per step, one for the initial state and one per snapshot
-        assert len(calls) == res.metadata["steps"] + 1 + len(res.snapshots)
+        monkeypatch.setattr(ConservedState, "__post_init__", counting)
+        res = solve_hyperbolic(uniform_state(), inflow_const(0.1, 10.0), None, 2.0,
+                               snapshot_interval=0.5)
+        assert len(res.snapshots) == 5
+        # one per step and one for the initial state, none per snapshot
+        assert len(built) == res.metadata["steps"] + 1
 
     @pytest.mark.parametrize("cfl", [0.0, 1.5])
     def test_rejects_bad_cfl(self, cfl):
@@ -266,6 +269,18 @@ class TestSolve:
         for t_end in (np.nan, np.inf):
             with pytest.raises(ValueError, match="t_end must be finite"):
                 solve(t_end)
+
+    @pytest.mark.parametrize("solver", ["hyperbolic", "parabolic"])
+    def test_a_step_that_does_not_advance_the_clock_is_refused(self, solver):
+        # 8 + 1e-300 rounds to 8: without the check every step would have
+        # dt = 0 and take a snapshot, and the run would not end
+        state, inflow = uniform_state(t=8.0), inflow_const(0.1, 10.0)
+        if solver == "hyperbolic":
+            solve = functools.partial(solve_hyperbolic, state, inflow, None)
+        else:
+            solve = functools.partial(solve_parabolic, state, inflow, 2.0, None)
+        with pytest.raises(ValueError, match=r"at t = 8\.0 does not advance the clock"):
+            solve(10.0, snapshot_interval=1e-300)
 
 
 @pytest.mark.parametrize("model", ["first", "second"])

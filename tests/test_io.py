@@ -123,8 +123,9 @@ class TestPresets:
 
 
 # a boolean where a number goes, a repeated preset argument, a table key other
-# than x and values, and a profile mapping that is not a table: each is one
-# located error, and `validate` exits 2 with it
+# than x and values, a profile mapping that is not a table, and more snapshots
+# than the cap of 10 000 (t_end = 10): each is one located error, and
+# `validate` exits 2 with it
 REFUSED = [
     ("tau1: 3.0", "tau1: true", "signal.tau1: expected a number, got True"),
     ("f0: 1.0", "f0: yes", "force.f0: expected a number, got True"),
@@ -139,12 +140,19 @@ REFUSED = [
      "profiles.rho0: table needs the form {table: {x: [...], values: [...]}} with exactly "
      "the lists x and values, got {'preset': 'sine', 'base': 0.1, 'amp': 0.02, "
      "'wavelength': 150}"),
+    ("snapshot_interval: 1.0}", "snapshot_interval: 1.0e-300}",
+     "numerics.snapshot_interval: t_end / snapshot_interval = 1e+301 snapshots exceed "
+     "the cap of 10000, got 1e-300"),
+    ("snapshot_interval: 1.0}", "snapshot_interval: 1.0e-9}",
+     "numerics.snapshot_interval: t_end / snapshot_interval = 1e+10 snapshots exceed "
+     "the cap of 10000, got 1e-09"),
 ]
 
 
 @pytest.mark.parametrize("old, new, error", REFUSED,
                          ids=["bool-tau1", "bool-f0", "bool-x_min", "repeated-argument",
-                              "table-extra-key", "preset-mapping"])
+                              "table-extra-key", "preset-mapping", "tiny-interval",
+                              "small-interval"])
 def test_refused_input_is_located(old, new, error, tmp_path, capsys):
     doc = GOOD_DOC.replace(old, new)
     assert new in doc
@@ -256,6 +264,10 @@ class TestParseScenario:
         with pytest.raises(ScenarioFileError):
             parse_scenario("- just\n- a\n- list\n")
 
+    def test_snapshot_cap_admits_exactly_the_cap(self):
+        s = parse_scenario(GOOD_DOC.replace("snapshot_interval: 1.0", "snapshot_interval: 1.0e-3"))
+        assert s.t_end / s.snapshot_interval == 10_000
+
     def test_invariant_violations_reported(self):
         bad = GOOD_DOC.replace("t_end: 10.0", "t_end: 7.0")  # red ends at 9
         with pytest.raises(ScenarioFileError) as exc:
@@ -272,6 +284,25 @@ class TestSnapshotFiles:
                 assert t == snap.t
                 for got, want in ((x, snap.grid.centers), (rho, snap.rho), (v, snap.v)):
                     assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("signed, unsigned", [
+        (RoadGrid(-0.0, 600.0, 600), RoadGrid(0.0, 600.0, 600)),
+        (RoadGrid(-600.0, -0.0, 600), RoadGrid(-600.0, 0.0, 600)),
+    ], ids=["x_min", "x_max"])
+    def test_grids_with_signed_zero_ends_write_identical_x(self, signed, unsigned, tmp_path):
+        # the two grids compare equal, so they share the centre memo; their
+        # centres are bit-identical, so sharing it changes no byte
+        rho, v = np.full(600, 0.1), np.full(600, 10.0)
+        snaps = [FlowState(signed, rho, v, 0.0), FlowState(unsigned, rho, v, 1.0)]
+        phase = SimpleNamespace(name="signed_zero", solver="none", t_start=0.0, t_end=1.0,
+                                snapshots=snaps, ledger=[{"total_mass": 60.0}] * 2,
+                                influx=0.0, outflux=0.0, clamped=0.0)
+        write_outputs(Trajectory(parse_scenario(GOOD_DOC), [phase], None, 0.0, 0.0, {}),
+                      tmp_path, "rho")
+        columns = [(tmp_path / f"signed_zero_{i:04d}.csv").read_text().splitlines()[2:]
+                   for i in range(2)]
+        assert [[ln.split(",")[0] for ln in col] for col in columns] == [
+            list(map(repr, g.centers.tolist())) for g in (signed, unsigned)]
 
     def test_deterministic_bytes(self, small_trajectory, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
