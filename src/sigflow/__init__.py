@@ -8,6 +8,7 @@ from .domain import (
     ForceLaw,
     RoadGrid,
     Scenario,
+    ScenarioError,
     SignalTiming,
     default_braking_profile,
     evaluate_force,
@@ -28,7 +29,6 @@ from .lagrangian import (
 )
 from .orchestrator import (
     PhaseError,
-    ScenarioError,
     Trajectory,
     mass_balance_report,
     merge,
@@ -39,6 +39,6 @@ from .parabolic import (
     solve_parabolic,
     step_viscous,
 )
-from .scenario_io import ScenarioFileError, parse_scenario
+from .scenario_io import parse_scenario
 
 __version__ = "0.1.0"

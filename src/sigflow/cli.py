@@ -21,10 +21,10 @@ import numpy as np
 
 from . import lagrangian as lag
 from . import orchestrator as orch
-from .domain import RoadGrid, initial_state, sample_profile
+from .domain import RoadGrid, ScenarioError, initial_state, sample_profile
 from .hyperbolic import solve_hyperbolic
 from .output import write_outputs, write_report
-from .scenario_io import ScenarioFileError, parse_scenario
+from .scenario_io import parse_scenario
 
 log = logging.getLogger("sigflow")
 
@@ -45,20 +45,17 @@ def _load_scenario(path: str, nx=None, model=None):
         return None
     try:
         scenario = parse_scenario(text)
-    except ScenarioFileError as e:
-        for err in e.errors:
-            print(f"error: {err}", file=sys.stderr)
-        return None
-    if nx is not None:
-        grid = scenario.grid
+        g = scenario.grid
         try:
-            scenario = replace(scenario, grid=RoadGrid(grid.x_min, grid.x_max, nx))
+            grid = g if nx is None else RoadGrid(g.x_min, g.x_max, nx)
         except ValueError as e:
-            print(f"error: --nx: {e}", file=sys.stderr)
-            return None
-    if model is not None:
-        scenario = replace(scenario, model=model)
-    return scenario
+            raise ScenarioError([f"--nx: {e}"]) from None
+        # the overridden scenario is checked as it is built
+        return replace(scenario, grid=grid, model=model or scenario.model)
+    except ScenarioError as e:
+        for violation in e.violations:
+            print(f"error: {violation}", file=sys.stderr)
+        return None
 
 
 def cmd_simulate(args) -> int:
@@ -79,10 +76,6 @@ def cmd_simulate(args) -> int:
         log.error("run failed in phase %s: %s", e.phase, e.cause)
         write_report(None, out / "report.json", failed_phase=e.phase, error=str(e.cause))
         return 1
-    except orch.ScenarioError as e:
-        for v in e.violations:
-            print(f"error: {v}", file=sys.stderr)
-        return 2
     elapsed = time.perf_counter() - t0
     log.info("run finished in %.2f s", elapsed)
 
@@ -179,8 +172,8 @@ def _call_pair(func, first, second):
 
 def _oracle_check(scenario) -> int:
     if np.any(sample_profile(scenario.rho0, scenario.grid.centers) <= 0):
-        print("error: rho0: initial density must be strictly positive everywhere when the "
-              "mass-coordinate reference solution is requested (the coordinate "
+        print("error: profiles.rho0: initial density must be strictly positive everywhere "
+              "when the mass-coordinate reference solution is requested (the coordinate "
               "transformation is otherwise not invertible)", file=sys.stderr)
         return 2
     n = scenario.grid.n_cells

@@ -21,6 +21,17 @@ VACUUM_RHO = 1e-12
 MAX_SNAPSHOTS = 10_000
 
 
+class ScenarioError(ValueError):
+    """Raised when a scenario is unusable; carries its violations by key path."""
+
+    def __init__(self, violations: list[str]):
+        super().__init__("; ".join(violations))
+        self.violations = violations
+
+    def __reduce__(self):  # a copy sent from a forked child keeps its message
+        return type(self), (self.violations,)
+
+
 def sample_profile(fn: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
     """Evaluate a profile callable on an array, accepting scalar-only callables."""
     xs = np.asarray(xs, dtype=float)
@@ -53,6 +64,9 @@ class RoadGrid:
             raise TypeError(f"n_cells must be an integer, got {self.n_cells!r}")
         if self.n_cells < 4:
             raise ValueError(f"n_cells must be >= 4, got {self.n_cells}")
+        if self.n_cells > np.iinfo(np.intp).max:
+            # more cells than an array can index
+            raise ValueError(f"n_cells must be <= {np.iinfo(np.intp).max}, got {self.n_cells}")
 
     @property
     def dx(self) -> float:
@@ -182,6 +196,11 @@ class SignalTiming:
     h: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x0, self.t0, self.tau0, self.tau1, self.h))):
+            raise ValueError(
+                f"x0, t0, tau0, tau1 and h must be finite, got x0={self.x0}, "
+                f"t0={self.t0}, tau0={self.tau0}, tau1={self.tau1}, h={self.h}"
+            )
         if not (self.t0 > self.tau0 > 0):
             raise ValueError(f"need t0 > tau0 > 0, got t0={self.t0}, tau0={self.tau0}")
         if not self.tau1 > 0:
@@ -248,7 +267,7 @@ def default_braking_profile(timing: SignalTiming, v_handoff: float) -> BrakingPr
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full problem description for one signal cycle."""
+    """Full problem description for one signal cycle; checked when built."""
 
     model: str  # "first" or "second"
     grid: RoadGrid
@@ -261,6 +280,11 @@ class Scenario:
     t_end: float
     cfl: float = 0.5  # sets the steps of both solvers
     snapshot_interval: float = 1.0
+
+    def __post_init__(self):
+        violations = validate_scenario(self)
+        if violations:
+            raise ScenarioError(violations)
 
 
 def initial_state(scenario: Scenario) -> FlowState:
@@ -276,8 +300,8 @@ def initial_state(scenario: Scenario) -> FlowState:
 def validate_scenario(s: Scenario) -> list[str]:
     """Collect every invariant violation in the scenario; empty means valid.
 
-    Violations are data, not failures: each entry names the offending
-    field and the condition it breaks.
+    Violations are data, not failures: each entry names the offending value
+    by its key path in a scenario file and the condition it breaks.
     """
     out: list[str] = []
 
@@ -286,12 +310,12 @@ def validate_scenario(s: Scenario) -> list[str]:
     if not (s.mu > 0 and math.isfinite(s.mu)):
         out.append(f"mu: viscosity must be finite and positive, got {s.mu}")
     if not 0 < s.cfl <= 1:
-        out.append(f"cfl: must lie in (0, 1], got {s.cfl}")
+        out.append(f"numerics.cfl: must lie in (0, 1], got {s.cfl}")
     if not s.snapshot_interval > 0:
-        out.append(f"snapshot_interval: must be positive, got {s.snapshot_interval}")
+        out.append(f"numerics.snapshot_interval: must be positive, got {s.snapshot_interval}")
     elif math.isfinite(s.t_end) and s.t_end > MAX_SNAPSHOTS * s.snapshot_interval:
         out.append(
-            f"snapshot_interval: t_end / snapshot_interval = "
+            f"numerics.snapshot_interval: t_end / snapshot_interval = "
             f"{s.t_end / s.snapshot_interval:g} snapshots exceed the cap of "
             f"{MAX_SNAPSHOTS}, got {s.snapshot_interval}"
         )
@@ -305,9 +329,12 @@ def validate_scenario(s: Scenario) -> list[str]:
             f"{tm.t0 + tm.tau1}, got {s.t_end}"
         )
     g = s.grid
-    if not g.x_min < tm.x0 - tm.h:
+    # a light beyond the road leaves no braking zone to check
+    if not tm.x0 < g.x_max:
+        out.append(f"signal.x0: light position {tm.x0} must lie below x_max = {g.x_max}")
+    elif not g.x_min < tm.x0 - tm.h:
         out.append(
-            f"timing.x0/h: braking zone start x0 - h = {tm.x0 - tm.h} must lie "
+            f"signal.x0/h: braking zone start x0 - h = {tm.x0 - tm.h} must lie "
             f"inside the grid (x_min = {g.x_min})"
         )
     else:
@@ -316,7 +343,7 @@ def validate_scenario(s: Scenario) -> list[str]:
         x_light = g.nearest_face(tm.x0)
         if i < 4 or g.n_cells - i < 4:
             out.append(
-                f"timing.x0/h: braking zone start x0 - h = {tm.x0 - tm.h} snaps to "
+                f"signal.x0/h: braking zone start x0 - h = {tm.x0 - tm.h} snaps to "
                 f"face {i} of {g.n_cells}; the road is split there and each side "
                 f"needs at least 4 cells"
             )
@@ -324,30 +351,26 @@ def validate_scenario(s: Scenario) -> list[str]:
             # run() rebuilds the signal timing on these faces; a zone shorter
             # than half a cell snaps to nothing
             out.append(
-                f"timing.x0/h: braking zone [{tm.x0 - tm.h}, {tm.x0}] snaps to the "
+                f"signal.x0/h: braking zone [{tm.x0 - tm.h}, {tm.x0}] snaps to the "
                 f"faces [{x_split}, {x_light}] (dx = {g.dx}), which break "
                 f"0 < x0 - h < x0"
             )
-    if not tm.x0 < g.x_max:
-        out.append(f"timing.x0: light position {tm.x0} must lie below x_max = {g.x_max}")
 
-    xs = g.centers
-    rho0 = sample_profile(s.rho0, xs)
-    v0 = sample_profile(s.v0, xs)
-    if np.any(rho0 < 0) or not np.all(np.isfinite(rho0)):
-        out.append("rho0: initial density must be finite and non-negative everywhere")
-    if np.any(v0 < 0) or not np.all(np.isfinite(v0)):
-        out.append("v0: initial velocity must be finite and non-negative everywhere")
-
-    if math.isfinite(s.t_end):  # the inflow is sampled on [0, t_end]
-        ts = np.linspace(0.0, s.t_end, 64)
+    # a profile that overflows is reported as non-finite, not warned of
+    with np.errstate(all="ignore"):
+        rho0 = sample_profile(s.rho0, g.centers)
+        v0 = sample_profile(s.v0, g.centers)
+        # the inflow is sampled on [0, t_end]
+        ts = np.linspace(0.0, s.t_end, 64) if math.isfinite(s.t_end) else np.empty(0)
         rho_in = sample_profile(s.inflow.rho_in, ts)
         v_in = sample_profile(s.inflow.v_in, ts)
-        if np.any(rho_in < 0) or not np.all(np.isfinite(rho_in)):
-            out.append("inflow.rho_in: boundary density must be finite and non-negative "
-                       "for all t")
-        if np.any(v_in < 0) or not np.all(np.isfinite(v_in)):
-            out.append("inflow.v_in: boundary velocity must be finite and non-negative "
-                       "for all t")
+    if np.any(rho0 < 0) or not np.all(np.isfinite(rho0)):
+        out.append("profiles.rho0: initial density must be finite and non-negative everywhere")
+    if np.any(v0 < 0) or not np.all(np.isfinite(v0)):
+        out.append("profiles.v0: initial velocity must be finite and non-negative everywhere")
+    if np.any(rho_in < 0) or not np.all(np.isfinite(rho_in)):
+        out.append("profiles.rho_in: boundary density must be finite and non-negative for all t")
+    if np.any(v_in < 0) or not np.all(np.isfinite(v_in)):
+        out.append("profiles.v_in: boundary velocity must be finite and non-negative for all t")
 
     return out

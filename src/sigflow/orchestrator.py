@@ -26,7 +26,6 @@ from .domain import (
     Scenario,
     default_braking_profile,
     initial_state,
-    validate_scenario,
 )
 from . import hyperbolic as hyp
 from . import parabolic as par
@@ -34,14 +33,6 @@ from .hyperbolic import SolveResult
 from .lagrangian import cumulative_count
 
 REPORT_SCHEMA_VERSION = 1
-
-
-class ScenarioError(ValueError):
-    """Raised when a scenario fails validation; carries the violation list."""
-
-    def __init__(self, violations: list[str]):
-        super().__init__("; ".join(violations))
-        self.violations = violations
 
 
 class PhaseError(RuntimeError):
@@ -170,9 +161,6 @@ def run(s: Scenario) -> Trajectory:
     the upstream braking flow and the downstream released flow through the
     red phase; a merge at the green light; free flow again up to t_end.
     """
-    violations = validate_scenario(s)
-    if violations:
-        raise ScenarioError(violations)
     tm = s.timing
     grid = s.grid
     x_split = grid.nearest_face(tm.x0 - tm.h)

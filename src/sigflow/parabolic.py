@@ -116,8 +116,8 @@ def step_viscous(
     face takes a zero-gradient closure; with it the right end moves to
     braking.gamma(t + dt) and the downstream face takes braking.V(t + dt).
     The inflow density is the upwind density of the upstream face; the
-    downstream face's ghost density copies the last cell.  A non-finite
-    density or boundary flux raises ValueError in the step where it appears.
+    downstream face's ghost density copies the last cell.  A step past the
+    CFL bound, or a non-finite density or boundary flux, raises ValueError.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -145,7 +145,7 @@ def step_viscous(
         c = v / L_new
     cfl = float(np.maximum.reduce(np.abs(c))) * dt / dy
     if cfl > 1.0 + 1e-12:
-        raise RuntimeError(
+        raise ValueError(
             f"advective CFL violated at t = {t}: |c| dt/dy = {cfl:.3f} > 1"
         )
     if math.isnan(cfl):

@@ -1,8 +1,10 @@
 """Scenario files: the one reader of YAML scenario documents.
 
 ``parse_scenario`` checks every value once and reports every problem
-together, each named by its key path (``signal.h: missing required key``,
-``signal.tau1: expected a number, got True``).  A number is a YAML int or
+together in one ``ScenarioError``, each named by its key path
+(``signal.h: missing required key``, ``signal.tau1: expected a number, got
+True``); the invariants that tie the values together are checked where the
+``Scenario`` is built, under the same key paths.  A number is a YAML int or
 float; a YAML boolean (``true``, ``yes``, ``on``) is not a number.
 
 A profile (``rho0``, ``v0``, ``rho_in``, ``v_in``) takes one of three forms:
@@ -30,17 +32,9 @@ from .domain import (
     ForceLaw,
     RoadGrid,
     Scenario,
+    ScenarioError,
     SignalTiming,
-    validate_scenario,
 )
-
-
-class ScenarioFileError(ValueError):
-    """Parse or validation failure; carries every located error."""
-
-    def __init__(self, errors: list[str]):
-        super().__init__("\n".join(errors))
-        self.errors = errors
 
 
 def constant(value: float) -> Callable:
@@ -123,7 +117,11 @@ def _number(val, path: str, errors: list) -> Optional[float]:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         errors.append(f"{path}: expected a number, got {val!r}")
         return None
-    return float(val)
+    try:
+        return float(val)
+    except OverflowError:
+        errors.append(f"{path}: expected a number, got an integer too large for a float")
+        return None
 
 
 def _required(doc: dict, key: str, path: str, errors: list) -> Optional[float]:
@@ -134,17 +132,19 @@ def _required(doc: dict, key: str, path: str, errors: list) -> Optional[float]:
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse a scenario document; raises ScenarioFileError listing every
+    """Parse a scenario document; raises ScenarioError listing every
     problem (syntax, unknown keys, bad values, invariant violations)."""
     errors: list[str] = []
     try:
         doc = yaml.safe_load(text)
-    except yaml.YAMLError as e:
+    # PyYAML raises a bare ValueError for a scalar it matches but cannot
+    # convert: an integer past Python's digit limit, an impossible date
+    except (yaml.YAMLError, ValueError) as e:
         mark = getattr(e, "problem_mark", None)
         loc = f" (line {mark.line + 1})" if mark else ""
-        raise ScenarioFileError([f"document: not valid YAML{loc}: {e}"]) from e
+        raise ScenarioError([f"document: not valid YAML{loc}: {e}"]) from e
     if not isinstance(doc, dict):
-        raise ScenarioFileError(["document: expected a key-value mapping at top level"])
+        raise ScenarioError(["document: expected a key-value mapping at top level"])
 
     _check_keys(doc, _TOP_KEYS, errors, "")
 
@@ -186,9 +186,9 @@ def parse_scenario(text: str) -> Scenario:
             fns[name] = _profile(profiles[name], f"profiles.{name}", errors)
 
     if errors:
-        raise ScenarioFileError(errors)
+        raise ScenarioError(errors)
 
-    scenario = Scenario(
+    return Scenario(
         model=doc.get("model", "first"),
         grid=grid,
         rho0=fns["rho0"],
@@ -201,12 +201,6 @@ def parse_scenario(text: str) -> Scenario:
         cfl=0.5 if cfl is None else cfl,
         snapshot_interval=t_end / 50.0 if snapshot_interval is None else snapshot_interval,
     )
-    # the numerics settings sit under numerics in the file
-    violations = [f"numerics.{v}" if v.split(":", 1)[0] in _NUMERICS_KEYS else v
-                  for v in validate_scenario(scenario)]
-    if violations:
-        raise ScenarioFileError(violations)
-    return scenario
 
 
 def _section(doc: dict, name: str, cls, errors: list):

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sigflow import (
     FlowState,
     ForceLaw,
     RoadGrid,
+    ScenarioError,
     SignalTiming,
     default_braking_profile,
     evaluate_force,
@@ -38,6 +40,14 @@ class TestRoadGrid:
             RoadGrid(10.0, 10.0, 8)
         with pytest.raises(ValueError):
             RoadGrid(0.0, 100.0, 3)
+
+    def test_rejects_a_count_no_array_can_index(self):
+        # 10**400 used to pass, and dx overflowed converting it to a float
+        biggest = int(np.iinfo(np.intp).max)
+        assert RoadGrid(0.0, 100.0, biggest).dx == 100.0 / biggest
+        for n in (biggest + 1, 10**400):
+            with pytest.raises(ValueError, match=f"n_cells must be <= {biggest}"):
+                RoadGrid(0.0, 100.0, n)
 
     def test_accepts_a_numpy_integer_count(self):
         # the count check refuses floats and bools, not numpy integers
@@ -170,6 +180,15 @@ class TestSignalTiming:
         with pytest.raises(ValueError):
             SignalTiming(x0=400.0, t0=10.0, tau0=4.0, tau1=5.0, h=500.0)
 
+    @pytest.mark.parametrize("field, bad", [("x0", math.inf), ("t0", math.inf),
+                                            ("tau1", math.inf), ("h", math.nan)])
+    def test_rejects_non_finite_fields(self, field, bad):
+        # x0, t0 or tau1 = inf passed the order checks, and x0 = inf then
+        # overflowed in RoadGrid.face_index
+        args = {"x0": 400.0, "t0": 10.0, "tau0": 4.0, "tau1": 5.0, "h": 50.0, field: bad}
+        with pytest.raises(ValueError, match="must be finite"):
+            SignalTiming(**args)
+
 
 class TestDefaultBrakingProfile:
     def setup_method(self):
@@ -217,22 +236,49 @@ class TestValidateScenario:
         s = type(s)(**{**s.__dict__, "rho0": lambda x: np.zeros_like(np.asarray(x, float))})
         assert validate_scenario(s) == []
 
+    # a Scenario with a violation cannot be built: the violations come with
+    # the ScenarioError that building it raises
+
     def test_flags_short_horizon(self):
-        s = reference_scenario(t_end=15.0)  # t0 + tau1 = 20
-        msgs = validate_scenario(s)
-        assert any("t_end" in m for m in msgs)
+        with pytest.raises(ScenarioError) as exc:
+            reference_scenario(t_end=15.0)  # t0 + tau1 = 20
+        assert any("t_end" in m for m in exc.value.violations)
 
     def test_flags_negative_inflow(self):
         s = reference_scenario()
-        s = type(s)(**{**s.__dict__, "inflow": BoundaryData(lambda t: -0.1, lambda t: 10.0)})
-        msgs = validate_scenario(s)
-        assert any("rho_in" in m for m in msgs)
+        with pytest.raises(ScenarioError) as exc:
+            type(s)(**{**s.__dict__, "inflow": BoundaryData(lambda t: -0.1, lambda t: 10.0)})
+        assert any("rho_in" in m for m in exc.value.violations)
 
     def test_collects_multiple_violations(self):
         s = reference_scenario()
-        s = type(s)(**{**s.__dict__, "mu": -1.0, "cfl": 2.0})
-        msgs = validate_scenario(s)
-        assert len(msgs) >= 2
+        with pytest.raises(ScenarioError) as exc:
+            type(s)(**{**s.__dict__, "mu": -1.0, "cfl": 2.0})
+        assert len(exc.value.violations) >= 2
+
+    def test_violations_are_named_by_file_key(self):
+        # a Scenario built in code reports the key paths a file would use
+        s = reference_scenario()
+        negative = lambda x: np.full_like(np.asarray(x, float), -1.0)
+        changes = {
+            "cfl": 2.0, "snapshot_interval": 0.0, "rho0": negative, "v0": negative,
+            "inflow": BoundaryData(negative, negative),
+            "timing": SignalTiming(x0=700.0, t0=12.0, tau0=4.0, tau1=8.0, h=60.0),
+        }
+        with pytest.raises(ScenarioError) as exc:
+            type(s)(**{**s.__dict__, **changes})
+        assert [m.split(":", 1)[0] for m in exc.value.violations] == [
+            "numerics.cfl", "numerics.snapshot_interval", "signal.x0", "profiles.rho0",
+            "profiles.v0", "profiles.rho_in", "profiles.v_in",
+        ]
+        assert str(exc.value) == "; ".join(exc.value.violations)
+
+    def test_error_survives_pickling(self):
+        # cli._call_pair sends a failure of its forked child back pickled
+        err = pickle.loads(pickle.dumps(ScenarioError(["mu: bad", "t_end: short"])))
+        assert type(err) is ScenarioError
+        assert err.violations == ["mu: bad", "t_end: short"]
+        assert str(err) == "mu: bad; t_end: short"
 
 
 class TestInitialState:

@@ -177,9 +177,9 @@ class TestRunFirstModel:
             assert np.all(snap.v == 0.0)
 
     def test_invalid_scenario_raises_with_violations(self):
-        s = dataclasses.replace(reference_scenario(), mu=-1.0)
+        # refused where it is built, so run never sees it
         with pytest.raises(ScenarioError) as exc:
-            run(s)
+            dataclasses.replace(reference_scenario(), mu=-1.0)
         assert any("mu" in v for v in exc.value.violations)
 
     def test_determinism(self):
@@ -219,10 +219,9 @@ class TestRun:
     def test_split_near_a_road_end_is_rejected(self, model, x0, h):
         # dx = 4: x0 - h snaps to face 1 (near x_min) or face 149 (near x_max)
         timing = dataclasses.replace(reference_scenario().timing, x0=x0, h=h)
-        s = dataclasses.replace(reference_scenario(model), timing=timing)
         with pytest.raises(ScenarioError) as exc:
-            run(s)
-        assert any(v.startswith("timing.x0/h") for v in exc.value.violations)
+            dataclasses.replace(reference_scenario(model), timing=timing)
+        assert any(v.startswith("signal.x0/h") for v in exc.value.violations)
 
     @pytest.mark.parametrize("model", ["first", "second"])
     @pytest.mark.parametrize("x_min, n_cells, h", [(0.0, 150, 1.0), (-100.0, 175, 399.0)])
@@ -230,13 +229,12 @@ class TestRun:
         # dx = 4, x0 = 400: x0 - h snaps to the light's face, or to the face at
         # x = 0, so the rebuilt timing would break 0 < h < x0
         s = reference_scenario(model)
-        s = dataclasses.replace(
-            s, grid=RoadGrid(x_min, 600.0, n_cells),
-            timing=dataclasses.replace(s.timing, h=h),
-        )
         with pytest.raises(ScenarioError) as exc:
-            run(s)
-        assert any(v.startswith("timing.x0/h") for v in exc.value.violations)
+            dataclasses.replace(
+                s, grid=RoadGrid(x_min, 600.0, n_cells),
+                timing=dataclasses.replace(s.timing, h=h),
+            )
+        assert any(v.startswith("signal.x0/h") for v in exc.value.violations)
 
 
 class TestRunSecondModel:

@@ -207,7 +207,7 @@ class TestStepViscous:
         v = np.full(n + 1, 10.0)
         rho = np.full(n, 0.1)
         bc = const_inflow(10.0, 0.1)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError, match="CFL"):
             step_viscous(v, rho, 0.0, 0.1, 2.0, bc, grid, None)
 
     def test_rejects_non_positive_dt(self):
@@ -239,7 +239,7 @@ class TestStepViscous:
                          fixed_end(lambda t: np.nan))
         # an infinite velocity makes |c| infinite, so the CFL guard sees it first
         bad_v[n // 2] = np.inf
-        with pytest.raises(RuntimeError, match="CFL"):
+        with pytest.raises(ValueError, match="CFL"):
             step_viscous(bad_v, rho, 0.0, 1e-3, 2.0, bc, grid, None)
 
     @pytest.mark.parametrize("node", ["interior_inf", "first_nan", "last_nan"])
@@ -329,7 +329,7 @@ class TestStepViscousBitwise:
             try:
                 v2, rho2, rep2 = reference_step_viscous(*ref, *args)
             except RuntimeError:  # the clamping case leaves the CFL range
-                with pytest.raises(RuntimeError):
+                with pytest.raises(ValueError, match="CFL"):
                     step_viscous(*got, *args)
                 break
             v1, rho1, rep = step_viscous(*got, *args)
