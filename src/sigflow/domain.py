@@ -19,6 +19,8 @@ VACUUM_RHO = 1e-12
 # Most snapshots a run may ask for, t_end / snapshot_interval: every phase
 # writes one file per snapshot.
 MAX_SNAPSHOTS = 10_000
+# Most cells a scenario grid may have: the profiles are sampled on them.
+MAX_CELLS = 10**6
 
 
 class ScenarioError(ValueError):
@@ -28,7 +30,7 @@ class ScenarioError(ValueError):
         super().__init__("; ".join(violations))
         self.violations = violations
 
-    def __reduce__(self):  # a copy sent from a forked child keeps its message
+    def __reduce__(self):  # a copy rebuilt from this keeps its violations
         return type(self), (self.violations,)
 
 
@@ -329,6 +331,8 @@ def validate_scenario(s: Scenario) -> list[str]:
             f"{tm.t0 + tm.tau1}, got {s.t_end}"
         )
     g = s.grid
+    if g.n_cells > MAX_CELLS:
+        out.append(f"grid.n_cells: {g.n_cells} cells exceed the cap of {MAX_CELLS}")
     # a light beyond the road leaves no braking zone to check
     if not tm.x0 < g.x_max:
         out.append(f"signal.x0: light position {tm.x0} must lie below x_max = {g.x_max}")
@@ -356,10 +360,12 @@ def validate_scenario(s: Scenario) -> list[str]:
                 f"0 < x0 - h < x0"
             )
 
-    # a profile that overflows is reported as non-finite, not warned of
+    # a profile that overflows is reported as non-finite, not warned of; the
+    # cells of a grid past the cap are not allocated
+    centers = g.centers if g.n_cells <= MAX_CELLS else np.empty(0)
     with np.errstate(all="ignore"):
-        rho0 = sample_profile(s.rho0, g.centers)
-        v0 = sample_profile(s.v0, g.centers)
+        rho0 = sample_profile(s.rho0, centers)
+        v0 = sample_profile(s.v0, centers)
         # the inflow is sampled on [0, t_end]
         ts = np.linspace(0.0, s.t_end, 64) if math.isfinite(s.t_end) else np.empty(0)
         rho_in = sample_profile(s.inflow.rho_in, ts)

@@ -94,6 +94,17 @@ def cumulative_count(state: FlowState) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(state.rho) * state.grid.dx))
 
 
+def cumulative_count_w1(a: FlowState, b: FlowState) -> float:
+    """W1 = integral of |N_a - N_b| dx, N the cumulative vehicle count, exact
+    at the faces and linear in each cell; trapezoid rule on the union of both
+    face sets."""
+    xa = a.grid.faces
+    xb = b.grid.faces
+    x = np.union1d(xa, xb)
+    d = np.abs(np.interp(x, xa, cumulative_count(a)) - np.interp(x, xb, cumulative_count(b)))
+    return float(np.sum(0.5 * (d[1:] + d[:-1]) * np.diff(x)))
+
+
 def _positions(field: MassField) -> np.ndarray:
     """Physical positions of the samples: the exact discrete inverse of the
     trapezoid accumulation used in to_mass_coordinates."""

@@ -274,7 +274,8 @@ class TestValidateScenario:
         assert str(exc.value) == "; ".join(exc.value.violations)
 
     def test_error_survives_pickling(self):
-        # cli._call_pair sends a failure of its forked child back pickled
+        # an exception must round-trip through pickle (copy, multiprocessing)
+        # with its violations, not rebuilt from its joined message
         err = pickle.loads(pickle.dumps(ScenarioError(["mu: bad", "t_end: short"])))
         assert type(err) is ScenarioError
         assert err.violations == ["mu: bad", "t_end: short"]

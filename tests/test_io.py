@@ -139,8 +139,8 @@ TOO_LONG = "1" + "0" * 5000  # past Python's default limit of 4300 digits
 # a boolean where a number goes, a repeated preset argument, a table key other
 # than x and values, a profile mapping that is not a table, more snapshots
 # than the cap of 10 000 (t_end = 10), numbers YAML holds but a float or a
-# grid cannot, a light beyond the road and a negative inflow: each is one
-# located error, and `validate` exits 2 with it
+# grid cannot, more cells than the cap of 10**6, a light beyond the road and
+# a negative inflow: each is one located error, and `validate` exits 2 with it
 REFUSED = [
     ("tau1: 3.0", "tau1: true", "signal.tau1: expected a number, got True"),
     ("f0: 1.0", "f0: yes", "force.f0: expected a number, got True"),
@@ -167,6 +167,8 @@ REFUSED = [
     ("mu: 2.0", f"mu: {HUGE}", "mu: expected a number, got an integer too large for a float"),
     ("n_cells: 60", f"n_cells: {HUGE}",
      f"grid: n_cells must be <= {np.iinfo(np.intp).max}, got {HUGE}"),
+    ("n_cells: 60", "n_cells: 1000000000000000000",
+     "grid.n_cells: 1000000000000000000 cells exceed the cap of 1000000"),
     ("mu: 2.0", f"mu: {TOO_LONG}", f"document: not valid YAML: {int_text_error(TOO_LONG)}"),
     ("x0: 200.0", "x0: 700.0", "signal.x0: light position 700.0 must lie below x_max = 300.0"),
     ("v_in: 10.0", "v_in: -1.0",
@@ -177,7 +179,7 @@ REFUSED = [
 @pytest.mark.parametrize("old, new, error", REFUSED,
                          ids=["bool-tau1", "bool-f0", "bool-x_min", "repeated-argument",
                               "table-extra-key", "preset-mapping", "tiny-interval",
-                              "small-interval", "infinite-x0", "huge-mu", "huge-n_cells",
+                              "small-interval", "infinite-x0", "huge-mu", "huge-n_cells", "many-n_cells",
                               "too-many-digits", "light-beyond-road", "negative-v_in"])
 def test_refused_input_is_located(old, new, error, tmp_path, capsys):
     doc = GOOD_DOC.replace(old, new)
@@ -195,8 +197,8 @@ def test_refused_input_is_located(old, new, error, tmp_path, capsys):
 SHIPPED_LINES = SHIPPED.read_text().splitlines()
 SLOTS = [(i, m.group(1), m.group(2)) for i, line in enumerate(SHIPPED_LINES)
          if (m := re.match(r"^( *)(\w+): *[^#\s]", line))]
-# integers that no array can index or that are negative: n_cells takes these
-# and nothing above 10**4, since a valid grid of ~10**9 cells is allocated
+# integers that no array can index or that are negative; a grid of more than
+# 10**6 cells is refused before its cells are allocated
 HUGE_INTS = [10**400, -10**400, 10**20, 2**63]
 OTHER_TEXT = [".inf", "-.inf", ".nan", "true", "false", "yes", "off", "null", "~", "",
               "'abc'", "'1.0'", "abc", "2020-01-01", "2020-13-45", "[]", "[1, 2]",
@@ -204,16 +206,14 @@ OTHER_TEXT = [".inf", "-.inf", ".nan", "true", "false", "yes", "off", "null", "~
               "sine(base=0.1, amp=.inf, wavelength=300)"]
 
 
-def yaml_values(key: str):
-    """YAML text for one value: a number (huge ones too), a non-finite float,
-    a boolean, null, a string, a list or a mapping."""
-    small = 10**4 if key == "n_cells" else 10**12
-    return st.one_of(
-        st.integers(-small, small).map(str),
-        st.sampled_from(HUGE_INTS).map(str),
-        st.floats(allow_nan=False, allow_infinity=False).map(repr),
-        st.sampled_from(OTHER_TEXT),
-    )
+# YAML text for one value: a number (huge ones too), a non-finite float, a
+# boolean, null, a string, a list or a mapping
+YAML_VALUES = st.one_of(
+    st.integers(-10**12, 10**12).map(str),
+    st.sampled_from(HUGE_INTS).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(OTHER_TEXT),
+)
 
 
 @st.composite
@@ -223,7 +223,7 @@ def edited_documents(draw) -> str:
     for i in draw(st.lists(st.sampled_from(range(len(SLOTS))), min_size=1, max_size=2,
                            unique=True)):
         line, indent, key = SLOTS[i]
-        lines[line] = f"{indent}{key}: {draw(yaml_values(key))}"
+        lines[line] = f"{indent}{key}: {draw(YAML_VALUES)}"
     return "\n".join(lines) + "\n"
 
 
@@ -678,6 +678,14 @@ class TestCli:
         assert capsys.readouterr().err == f"error: --nx: n_cells must be >= 4, got {nx}\n"
         assert not out.exists()
 
+    def test_simulate_rejects_an_nx_past_the_cap(self, config, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--nx", "1000001",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --nx: 1000001 cells exceed the cap of 1000000\n")
+        assert not out.exists()
+
     def test_simulate_refuses_a_grid_too_coarse_to_split_before_writing(
             self, config, tmp_path, capsys):
         # GOOD_DOC's braking zone starts at x = 150: face 2 of 5 cells
@@ -768,35 +776,23 @@ def test_oracle_check_rejects_vacuum(capsys):
         "error: profiles.rho0: initial density must be strictly positive")
 
 
-def record_forks(monkeypatch, mode):
-    """Record the forks `verify-oracle` makes; mode "inline" removes os.fork,
-    as on a platform without it, so the two comparisons run in order."""
-    forks = []
-    if mode == "inline":
-        monkeypatch.delattr(os, "fork")
-    else:
-        real_fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-    return forks
+def failing_solves(monkeypatch, fails_n, fails_2n):
+    """Make the finite-volume solve of GOOD_DOC's 60-cell comparison raise
+    fails_n, and that of the 120-cell one fails_2n, where not None; returns
+    the cell counts of the solves started."""
+    started = []
+    real = cli.solve_hyperbolic
 
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def oracle_case(fails_n, fails_2n):
-    """A stand-in for cli._oracle_errors on GOOD_DOC's 60 cells: each half
-    raises its exception, ends its process with status 3 ("exit") or
-    returns fixed errors."""
-    def fake(scenario, n_cells):
+    def solve(initial, *args, **kwargs):
+        n_cells = initial.grid.n_cells
+        started.append(n_cells)
         fails = {60: fails_n, 120: fails_2n}[n_cells]
-        if fails == "exit":
-            os._exit(3)
         if fails is not None:
             raise fails
-        return (2e-3, 1e-2) if n_cells == 60 else (1e-3, 5e-3)
-    return fake
+        return real(initial, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_hyperbolic", solve)
+    return started
 
 
 ORACLE_FAILURES = [
@@ -804,35 +800,32 @@ ORACLE_FAILURES = [
     ("2n_breaks_down", None, BreakdownError("breakdown at 2n"), "breakdown at 2n"),
     ("both_raise", ValueError("horizon at n"), BreakdownError("breakdown at 2n"),
      "horizon at n"),
-    ("2n_exits", None, "exit",
-     "the child process of the second call exited with status 3 before sending its outcome"),
     ("2n_type_error", None, TypeError("bad argument at 2n"), TypeError),
 ]
 
 
 class TestVerifyOracleChild:
-    """`verify-oracle` computes the 2n comparison in a forked child where
-    os.fork exists: the output, messages and exit codes are those of the two
-    comparisons made in order, and no child process outlives the call."""
+    """`verify-oracle` makes its n and 2n comparisons inline, one after the
+    other in this process, against one shared reference: the output lines
+    are the computed errors, and the first comparison to fail gives the
+    message and exit code."""
 
-    @pytest.mark.parametrize("mode", ["fork", "inline"])
-    def test_output_is_the_sequential_computation(self, monkeypatch, capsys, mode):
-        s = parse_scenario(SHIPPED.read_text())
+    @pytest.mark.parametrize("config", [pytest.param(SHIPPED, id="inline")])
+    def test_output_is_the_sequential_computation(self, capsys, config):
+        s = parse_scenario(config.read_text())
         n = s.grid.n_cells
-        (rho_n, v_n), (rho_2n, v_2n) = cli._oracle_errors(s, n), cli._oracle_errors(s, 2 * n)
-        forks = record_forks(monkeypatch, mode)
-        assert main(["verify-oracle", "--config", str(SHIPPED)]) == 0
+        (rho_n, v_n), (rho_2n, v_2n) = cli._oracle_errors(s)
+        assert main(["verify-oracle", "--config", str(config)]) == 0
         assert capsys.readouterr().out.splitlines() == [
             f"oracle check, n={n}:   L1(rho)={rho_n:.6e}  L1(v)={v_n:.6e}",
             f"oracle check, n={2 * n}: L1(rho)={rho_2n:.6e}  L1(v)={v_2n:.6e}",
             f"refinement ratio (rho): {rho_n / rho_2n:.2f}",
         ]
-        assert len(forks) == (1 if mode == "fork" else 0)
-        assert_no_child_left()
 
     def test_fresh_process_warns_of_nothing(self):
-        # every warning an error, in a fresh interpreter: Python reports an
-        # unclosed pipe (ResourceWarning) on stderr but keeps exit code 0
+        # every warning an error, in a fresh interpreter: Python reports some
+        # warnings (a ResourceWarning, one raised during shutdown) on stderr
+        # but keeps exit code 0
         env = dict(os.environ, PYTHONPATH=str(SRC))
         done = subprocess.run(
             [sys.executable, "-X", "dev", "-W", "error", "-m", "sigflow.cli",
@@ -841,17 +834,13 @@ class TestVerifyOracleChild:
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout.startswith("oracle check, n=150:")
 
-    # without a child, the "exit" case would end the test process
-    @pytest.mark.parametrize("mode, fails_n, fails_2n, expected", [
-        pytest.param(mode, *case[1:], id=f"{mode}-{case[0]}")
-        for mode in ["fork", "inline"] for case in ORACLE_FAILURES
-        if mode == "fork" or case[2] != "exit"])
+    @pytest.mark.parametrize("fails_n, fails_2n, expected", [
+        pytest.param(*case[1:], id=f"inline-{case[0]}") for case in ORACLE_FAILURES])
     def test_failures_keep_their_messages_and_exit_codes(
-            self, monkeypatch, tmp_path, capsys, mode, fails_n, fails_2n, expected):
+            self, monkeypatch, tmp_path, capsys, fails_n, fails_2n, expected):
         p = tmp_path / "scenario.yaml"
         p.write_text(GOOD_DOC)
-        monkeypatch.setattr(cli, "_oracle_errors", oracle_case(fails_n, fails_2n))
-        forks = record_forks(monkeypatch, mode)
+        started = failing_solves(monkeypatch, fails_n, fails_2n)
         if expected is TypeError:
             with pytest.raises(TypeError, match="bad argument at 2n"):
                 main(["verify-oracle", "--config", str(p)])
@@ -860,8 +849,26 @@ class TestVerifyOracleChild:
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == (
                 "", f"error: oracle comparison failed: {expected}\n")
-        assert len(forks) == (1 if mode == "fork" else 0)
-        assert_no_child_left()
+        # a failing n comparison ends the call before the 2n solve
+        assert started == ([60] if fails_n is not None else [60, 120])
+
+    def test_both_horizons_are_checked_before_anything_is_solved(
+            self, monkeypatch, tmp_path, capsys):
+        # a breakdown estimate that only the 2n grid's check refuses
+        p = tmp_path / "scenario.yaml"
+        p.write_text(GOOD_DOC)
+        monkeypatch.setattr(cli.lag, "estimate_breakdown_time",
+                            lambda state: 1.0 if state.grid.n_cells == 120 else np.inf)
+        started = failing_solves(monkeypatch, None, None)
+        advanced = []
+        monkeypatch.setattr(cli.lag, "advance_characteristics",
+                            lambda *args: advanced.append(args))
+        assert main(["verify-oracle", "--config", str(p)]) == 1
+        assert capsys.readouterr().err == (
+            "error: oracle comparison failed: horizon 4.0 is past half the "
+            "characteristic-crossing estimate 1.0; the smooth reference solution "
+            "is not valid there\n")
+        assert started == [] and advanced == []
 
 
 def without_timings(report: Path) -> dict:

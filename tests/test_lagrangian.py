@@ -308,6 +308,26 @@ class TestReconstruct:
         assert x[-1] == pytest.approx(100.0)
 
 
+class TestOracleReferenceSteps:
+    def test_shipped_reference_does_not_depend_on_the_step_count(self):
+        # verify-oracle at n = 600 builds its reference on 8n samples with 400
+        # steps (t_end / 0.02); 800 steps must give the same samples and the
+        # same reconstruction on both grids it is compared on.  Measured: max
+        # |drho| 9.6e-13 on 600 cells and 2.1e-14 on 1200.  (At n = 150 the
+        # two step counts seed different numbers of entering samples.)
+        s = shipped_scenario(n_cells=4800)
+        t_end = s.timing.t0 - s.timing.tau0
+        field = to_mass_coordinates(initial_state(s))
+        coarse, fine = (advance_characteristics(field, s.inflow, s.force, t_end, n_steps)
+                        for n_steps in (400, 800))
+        assert coarse.xi.size == fine.xi.size
+        for n in (600, 1200):
+            grid = RoadGrid(s.grid.x_min, s.grid.x_max, n)
+            a, b = reconstruct_physical(coarse, grid), reconstruct_physical(fine, grid)
+            assert np.max(np.abs(a.rho - b.rho)) <= 1e-10
+            assert np.max(np.abs(a.v - b.v)) <= 1e-10
+
+
 class TestBreakdownEstimate:
     def test_nondecreasing_velocity_never_breaks(self):
         s = state_from(lambda x: np.full_like(x, 0.1), lambda x: 5.0 + 0.01 * x)

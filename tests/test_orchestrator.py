@@ -17,7 +17,7 @@ from sigflow import (
     solve_hyperbolic,
     split_at,
 )
-from sigflow.lagrangian import cumulative_count
+from sigflow.lagrangian import cumulative_count, cumulative_count_w1
 from sigflow.orchestrator import Trajectory
 from tests.conftest import reference_scenario, shipped_scenario
 
@@ -315,17 +315,6 @@ class TestMassBalanceReport:
             + total["handoff_adjustment"] + total["residual"]
         )
         assert recon == pytest.approx(total["final_mass"], rel=1e-14)
-
-
-def cumulative_count_w1(a: FlowState, b: FlowState) -> float:
-    """W1 = integral of |N_a - N_b| dx, N the cumulative vehicle count, exact
-    at the faces and linear in each cell; trapezoid rule on the union of both
-    face sets."""
-    xa = a.grid.faces
-    xb = b.grid.faces
-    x = np.union1d(xa, xb)
-    d = np.abs(np.interp(x, xa, cumulative_count(a)) - np.interp(x, xb, cumulative_count(b)))
-    return float(np.sum(0.5 * (d[1:] + d[:-1]) * np.diff(x)))
 
 
 class TestCflSteps:
