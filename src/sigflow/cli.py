@@ -17,12 +17,9 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import lagrangian as lag
 from . import orchestrator as orch
-from .domain import RoadGrid, ScenarioError, initial_state, sample_profile
-from .hyperbolic import solve_hyperbolic
+from .domain import RoadGrid, ScenarioError
 from .output import write_outputs, write_report
 from .scenario_io import parse_scenario
 
@@ -94,64 +91,25 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _oracle_errors(scenario) -> list[tuple[float, float]]:
-    """[(L1(rho), L1(v)) at n cells, the same at 2n]: the finite-volume run
-    against one mass-coordinate reference on 8n samples, at the free-flow
-    handoff time.  The breakdown horizon is checked on both grids before
-    anything is solved; then the reference is built, and the two
-    finite-volume runs follow in order."""
-    t_end = scenario.timing.t0 - scenario.timing.tau0
-    g, n = scenario.grid, scenario.grid.n_cells
-    inits = [initial_state(replace(scenario, grid=RoadGrid(g.x_min, g.x_max, k * n)))
-             for k in (1, 2)]
-    for init in inits:
-        t_star = lag.estimate_breakdown_time(init)
-        if t_end >= 0.5 * t_star:
-            raise ValueError(
-                f"horizon {t_end} is past half the characteristic-crossing estimate "
-                f"{t_star}; the smooth reference solution is not valid there"
-            )
-
-    fine = RoadGrid(g.x_min, g.x_max, 8 * n)
-    field = lag.to_mass_coordinates(initial_state(replace(scenario, grid=fine)))
-    n_steps = max(200, int(t_end / 0.02))
-    field = lag.advance_characteristics(field, scenario.inflow, scenario.force, t_end, n_steps)
-
-    errors = []
-    length = g.x_max - g.x_min
-    for init in inits:
-        fv = solve_hyperbolic(init, scenario.inflow, scenario.force, t_end, cfl=scenario.cfl)
-        ref = lag.reconstruct_physical(field, init.grid)
-        dx = init.grid.dx
-        errors.append((float(np.sum(np.abs(fv.final.rho - ref.rho)) * dx / length),
-                       float(np.sum(np.abs(fv.final.v - ref.v)) * dx / length)))
-    return errors
-
-
-def _oracle_check(scenario) -> int:
-    if np.any(sample_profile(scenario.rho0, scenario.grid.centers) <= 0):
-        print("error: profiles.rho0: initial density must be strictly positive everywhere "
-              "when the mass-coordinate reference solution is requested (the coordinate "
-              "transformation is otherwise not invertible)", file=sys.stderr)
+def cmd_verify_oracle(args) -> int:
+    scenario = _load_scenario(args.config)
+    if scenario is None:
         return 2
-    n = scenario.grid.n_cells
     try:
-        coarse, fine = _oracle_errors(scenario)
-    except (ValueError, lag.BreakdownError, lag.PositivityError) as e:
+        coarse, fine = lag.oracle_errors(scenario)
+    except ScenarioError as e:
+        for violation in e.violations:
+            print(f"error: {violation}", file=sys.stderr)
+        return 2
+    except (ValueError, lag.BreakdownError) as e:
         print(f"error: oracle comparison failed: {e}", file=sys.stderr)
         return 1
+    n = scenario.grid.n_cells
     print(f"oracle check, n={n}:   L1(rho)={coarse[0]:.6e}  L1(v)={coarse[1]:.6e}")
     print(f"oracle check, n={2*n}: L1(rho)={fine[0]:.6e}  L1(v)={fine[1]:.6e}")
     ratio = coarse[0] / fine[0] if fine[0] > 0 else float("inf")
     print(f"refinement ratio (rho): {ratio:.2f}")
     return 0
-
-
-def cmd_verify_oracle(args) -> int:
-    scenario = _load_scenario(args.config)
-    if scenario is None:
-        return 2
-    return _oracle_check(scenario)
 
 
 def cmd_validate(args) -> int:

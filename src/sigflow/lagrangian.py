@@ -6,25 +6,23 @@ velocity obeys dv/dt = F(v) along each characteristic and density obeys
 drho/dt = -rho^2 * dv/dxi.  Because every characteristic moves at the same
 speed, the sample set translates rigidly in xi, which makes the method of
 characteristics an essentially exact integrator for smooth data.  Used as
-an independent oracle for the finite-volume solver; valid only while the
-physical characteristics have not crossed and the density stays positive.
+an independent oracle for the finite-volume solver (``oracle_errors``); valid
+only while the characteristics have not crossed and the density stays positive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .domain import BoundaryData, FlowState, ForceLaw, RoadGrid
+from .domain import (BoundaryData, FlowState, ForceLaw, RoadGrid, Scenario, ScenarioError,
+                     initial_state)
+from .hyperbolic import solve_hyperbolic
 
 # Densities at or below this are treated as a breakdown of the smooth solution.
 RHO_FLOOR = 1e-12
-
-
-class PositivityError(ValueError):
-    """Raised when a density is not strictly positive where the mass map needs it."""
 
 
 class BreakdownError(RuntimeError):
@@ -57,10 +55,11 @@ class MassField:
             raise ValueError(f"need 1-D arrays of at least 2 samples, got {xi.shape}")
         if not all(np.isfinite(u).all() for u in (xi, rho, v)):
             raise ValueError("xi, rho_hat and v_hat must be finite")
+        # before monotonicity: a vacuum is reported as a vacuum
+        if np.any(rho <= 0):
+            raise ValueError("rho_hat must be strictly positive: a vacuum has no mass coordinate")
         if np.any(np.diff(xi) <= 0):
             raise ValueError("xi must be strictly increasing")
-        if np.any(rho <= 0):
-            raise PositivityError("rho_hat must be strictly positive")
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "rho_hat", rho)
         object.__setattr__(self, "v_hat", v)
@@ -73,13 +72,7 @@ def to_mass_coordinates(state: FlowState) -> MassField:
     domain edge (carrying the first cell's values), so xi = 0 sits exactly
     at x_min; xi is accumulated with the trapezoid rule.
     """
-    rho = np.asarray(state.rho, dtype=float)
-    if np.any(rho <= 0):
-        raise PositivityError(
-            "density must be strictly positive everywhere for the mass-coordinate "
-            "transformation to be invertible"
-        )
-    grid = state.grid
+    rho, grid = state.rho, state.grid
     x = np.concatenate(([grid.x_min], grid.centers))
     rho_s = np.concatenate(([rho[0]], rho))
     v_s = np.concatenate(([state.v[0]], state.v))
@@ -119,8 +112,6 @@ def _positions(field: MassField) -> np.ndarray:
 
 def reconstruct_physical(field: MassField, grid: RoadGrid) -> FlowState:
     """Resample a mass field back onto a uniform physical grid."""
-    if np.any(field.rho_hat <= 0):
-        raise PositivityError("rho_hat must be strictly positive for reconstruction")
     x = _positions(field)
     rho = np.interp(grid.centers, x, field.rho_hat)
     v = np.interp(grid.centers, x, field.v_hat)
@@ -155,7 +146,7 @@ def _gradient_operator(xi: np.ndarray):
 
 def advance_characteristics(
     field: MassField,
-    inflow: Optional[BoundaryData],
+    inflow: BoundaryData,
     force: Optional[ForceLaw],
     t_end: float,
     n_steps: int,
@@ -176,8 +167,6 @@ def advance_characteristics(
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
 
     def a(t: float) -> float:
-        if inflow is None:
-            return 0.0
         return float(inflow.rho_in(t)) * float(inflow.v_in(t))
 
     # Rows: xi; (rho, v) of the state y, stage input, stage rate, RK4 sum; scratch.
@@ -234,7 +223,7 @@ def advance_characteristics(
                     f"density became infinite at t = {t}: faster vehicles have "
                     "caught up with slower ones and formed a point mass"
                 )
-            if pending >= spacing and inflow is not None:
+            if pending >= spacing:
                 s -= 1
                 buf[:3, s] = 0.0, float(inflow.rho_in(t)), float(inflow.v_in(t))
                 pending = 0.0
@@ -263,3 +252,44 @@ def estimate_breakdown_time(state: FlowState) -> float:
     if m >= 0:
         return float("inf")
     return -1.0 / m
+
+
+def oracle_errors(scenario: Scenario) -> list[tuple[float, float]]:
+    """[(L1(rho), L1(v)) at n cells, the same at 2n]: the finite-volume run
+    against one mass-coordinate reference on 8n samples, at the free-flow
+    handoff time.  In order: ScenarioError for a refined grid the scenario's
+    checks refuse or a density not strictly positive on the reference's
+    samples; ValueError for a horizon past the n, then the 2n grid's;
+    BreakdownError while the reference is built; the two runs.
+    """
+    t_end = scenario.timing.t0 - scenario.timing.tau0
+    g, n = scenario.grid, scenario.grid.n_cells
+    *inits, samples = (initial_state(replace(scenario, grid=RoadGrid(g.x_min, g.x_max, k * n)))
+                       for k in (1, 2, 8))
+    try:
+        field = to_mass_coordinates(samples)
+    except ValueError as e:  # a FlowState is finite: MassField refused a vacuum
+        raise ScenarioError([
+            "profiles.rho0: initial density must be strictly positive everywhere when the "
+            "mass-coordinate reference solution is requested (the coordinate "
+            "transformation is otherwise not invertible)"]) from e
+    for init in inits:
+        t_star = estimate_breakdown_time(init)
+        if t_end >= 0.5 * t_star:
+            raise ValueError(
+                f"horizon {t_end} is past half the characteristic-crossing estimate "
+                f"{t_star}; the smooth reference solution is not valid there"
+            )
+
+    n_steps = max(200, int(t_end / 0.02))
+    field = advance_characteristics(field, scenario.inflow, scenario.force, t_end, n_steps)
+
+    errors = []
+    length = g.x_max - g.x_min
+    for init in inits:
+        fv = solve_hyperbolic(init, scenario.inflow, scenario.force, t_end, cfl=scenario.cfl)
+        ref = reconstruct_physical(field, init.grid)
+        dx = init.grid.dx
+        errors.append((float(np.sum(np.abs(fv.final.rho - ref.rho)) * dx / length),
+                       float(np.sum(np.abs(fv.final.v - ref.v)) * dx / length)))
+    return errors

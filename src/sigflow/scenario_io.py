@@ -105,6 +105,27 @@ _NUMERICS_KEYS = {"cfl", "snapshot_interval"}
 _PROFILE_KEYS = {"rho0", "v0", "rho_in", "v_in"}
 
 
+class _LongInt:
+    """A YAML integer with more digits than Python's int() reads from text."""
+
+    def __init__(self, digits: int):
+        self.digits = digits
+
+    def __repr__(self):
+        return f"an integer of {self.digits} digits"
+
+
+class _Loader(yaml.SafeLoader):
+    def construct_yaml_int(self, node):
+        try:
+            return super().construct_yaml_int(node)
+        except ValueError:  # past the digit limit: the key is named where it is read
+            return _LongInt(sum(c.isdigit() for c in node.value))
+
+
+_Loader.add_constructor("tag:yaml.org,2002:int", _Loader.construct_yaml_int)
+
+
 def _check_keys(doc: dict, allowed, errors: list, where: str):
     for key in doc:
         if key not in allowed:
@@ -136,9 +157,9 @@ def parse_scenario(text: str) -> Scenario:
     problem (syntax, unknown keys, bad values, invariant violations)."""
     errors: list[str] = []
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_Loader)
     # PyYAML raises a bare ValueError for a scalar it matches but cannot
-    # convert: an integer past Python's digit limit, an impossible date
+    # convert: an impossible date
     except (yaml.YAMLError, ValueError) as e:
         mark = getattr(e, "problem_mark", None)
         loc = f" (line {mark.line + 1})" if mark else ""
@@ -218,7 +239,7 @@ def _section(doc: dict, name: str, cls, errors: list):
     n_errors = len(errors)
     kwargs = {}
     for key in keys:
-        if key == "n_cells" and key in section:
+        if key == "n_cells" and key in section and not isinstance(section[key], _LongInt):
             kwargs[key] = section[key]  # a count: RoadGrid checks it is an integer
         else:
             kwargs[key] = _required(section, key, f"{name}.{key}", errors)

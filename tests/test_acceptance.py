@@ -12,6 +12,7 @@ import pytest
 
 import sigflow.parabolic
 from sigflow import (
+    CLOSED,
     BoundaryData,
     BrakingProfile,
     FlowState,
@@ -109,7 +110,7 @@ class TestCriterion2UniformAcceleration:
         par_dev = float(np.max(np.abs(res.final.v - 8.0)))
 
         field = to_mass_coordinates(init)
-        field = advance_characteristics(field, None, force, 2.0, 100)
+        field = advance_characteristics(field, CLOSED, force, 2.0, 100)
         lag_dev = float(np.max(np.abs(field.v_hat - 8.0)))
 
         elapsed = time.perf_counter() - start

@@ -231,7 +231,7 @@ class TestValidateScenario:
         assert validate_scenario(s) == validate_scenario(s)
 
     def test_vacuum_blocks_oracle_only(self):
-        # cli._oracle_check refuses it (tests/test_io.py)
+        # lagrangian.oracle_errors refuses it (tests/test_io.py)
         s = reference_scenario()
         s = type(s)(**{**s.__dict__, "rho0": lambda x: np.zeros_like(np.asarray(x, float))})
         assert validate_scenario(s) == []

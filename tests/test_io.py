@@ -20,10 +20,10 @@ from sigflow import (
     parse_scenario,
     run,
 )
-from sigflow import cli
+from sigflow import lagrangian
 from sigflow.cli import main
 from sigflow.domain import sample_profile
-from sigflow.lagrangian import BreakdownError
+from sigflow.lagrangian import BreakdownError, oracle_errors
 from sigflow.output import read_snapshot, write_outputs, write_report
 from tests.conftest import reference_scenario
 
@@ -124,23 +124,15 @@ class TestPresets:
             assert error in errors[0]
 
 
-def int_text_error(text: str) -> str:
-    """The message of the ValueError Python raises reading text as an int."""
-    try:
-        int(text)
-    except ValueError as e:
-        return str(e)
-    raise AssertionError(f"{len(text)} digits are within this Python's limit")
-
-
 HUGE = "1" + "0" * 400  # an integer a float cannot hold
 TOO_LONG = "1" + "0" * 5000  # past Python's default limit of 4300 digits
 
 # a boolean where a number goes, a repeated preset argument, a table key other
 # than x and values, a profile mapping that is not a table, more snapshots
 # than the cap of 10 000 (t_end = 10), numbers YAML holds but a float or a
-# grid cannot, more cells than the cap of 10**6, a light beyond the road and
-# a negative inflow: each is one located error, and `validate` exits 2 with it
+# grid cannot, integers longer than Python reads from text, more cells than
+# the cap of 10**6, a light beyond the road and a negative inflow: each is one
+# located error, and `validate` exits 2 with it
 REFUSED = [
     ("tau1: 3.0", "tau1: true", "signal.tau1: expected a number, got True"),
     ("f0: 1.0", "f0: yes", "force.f0: expected a number, got True"),
@@ -169,7 +161,9 @@ REFUSED = [
      f"grid: n_cells must be <= {np.iinfo(np.intp).max}, got {HUGE}"),
     ("n_cells: 60", "n_cells: 1000000000000000000",
      "grid.n_cells: 1000000000000000000 cells exceed the cap of 1000000"),
-    ("mu: 2.0", f"mu: {TOO_LONG}", f"document: not valid YAML: {int_text_error(TOO_LONG)}"),
+    ("mu: 2.0", f"mu: {TOO_LONG}", "mu: expected a number, got an integer of 5001 digits"),
+    ("n_cells: 60", f"n_cells: {TOO_LONG}",
+     "grid.n_cells: expected a number, got an integer of 5001 digits"),
     ("x0: 200.0", "x0: 700.0", "signal.x0: light position 700.0 must lie below x_max = 300.0"),
     ("v_in: 10.0", "v_in: -1.0",
      "profiles.v_in: boundary velocity must be finite and non-negative for all t"),
@@ -180,7 +174,8 @@ REFUSED = [
                          ids=["bool-tau1", "bool-f0", "bool-x_min", "repeated-argument",
                               "table-extra-key", "preset-mapping", "tiny-interval",
                               "small-interval", "infinite-x0", "huge-mu", "huge-n_cells", "many-n_cells",
-                              "too-many-digits", "light-beyond-road", "negative-v_in"])
+                              "too-many-digits", "too-many-digits-n_cells",
+                              "light-beyond-road", "negative-v_in"])
 def test_refused_input_is_located(old, new, error, tmp_path, capsys):
     doc = GOOD_DOC.replace(old, new)
     assert new in doc
@@ -766,14 +761,20 @@ class TestCli:
         assert "rho0" in capsys.readouterr().err
 
 
-def test_oracle_check_rejects_vacuum(capsys):
-    s = reference_scenario()
+VACUUM_ERROR = ("profiles.rho0: initial density must be strictly positive everywhere when "
+                "the mass-coordinate reference solution is requested (the coordinate "
+                "transformation is otherwise not invertible)")
+
+
+def test_oracle_check_rejects_vacuum():
+    # the density is checked first: this velocity breaks the horizon too
+    s = reference_scenario(v0_amp=8.0)
+    with pytest.raises(ValueError, match="^horizon 8.0 is past half"):
+        oracle_errors(s)
     s = replace(s, rho0=lambda x: np.zeros_like(np.asarray(x, float)))
-    assert cli._oracle_check(s) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(
-        "error: profiles.rho0: initial density must be strictly positive")
+    with pytest.raises(ScenarioError) as exc:
+        oracle_errors(s)
+    assert exc.value.violations == [VACUUM_ERROR]
 
 
 def failing_solves(monkeypatch, fails_n, fails_2n):
@@ -781,7 +782,7 @@ def failing_solves(monkeypatch, fails_n, fails_2n):
     fails_n, and that of the 120-cell one fails_2n, where not None; returns
     the cell counts of the solves started."""
     started = []
-    real = cli.solve_hyperbolic
+    real = lagrangian.solve_hyperbolic
 
     def solve(initial, *args, **kwargs):
         n_cells = initial.grid.n_cells
@@ -791,7 +792,7 @@ def failing_solves(monkeypatch, fails_n, fails_2n):
             raise fails
         return real(initial, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "solve_hyperbolic", solve)
+    monkeypatch.setattr(lagrangian, "solve_hyperbolic", solve)
     return started
 
 
@@ -805,16 +806,16 @@ ORACLE_FAILURES = [
 
 
 class TestVerifyOracleChild:
-    """`verify-oracle` makes its n and 2n comparisons inline, one after the
-    other in this process, against one shared reference: the output lines
-    are the computed errors, and the first comparison to fail gives the
-    message and exit code."""
+    """`verify-oracle` prints what `lagrangian.oracle_errors` computes: its n
+    and 2n comparisons, one after the other in this process, against one
+    shared reference.  The first check to fail gives the message and exit
+    code."""
 
     @pytest.mark.parametrize("config", [pytest.param(SHIPPED, id="inline")])
     def test_output_is_the_sequential_computation(self, capsys, config):
         s = parse_scenario(config.read_text())
         n = s.grid.n_cells
-        (rho_n, v_n), (rho_2n, v_2n) = cli._oracle_errors(s)
+        (rho_n, v_n), (rho_2n, v_2n) = oracle_errors(s)
         assert main(["verify-oracle", "--config", str(config)]) == 0
         assert capsys.readouterr().out.splitlines() == [
             f"oracle check, n={n}:   L1(rho)={rho_n:.6e}  L1(v)={v_n:.6e}",
@@ -857,11 +858,11 @@ class TestVerifyOracleChild:
         # a breakdown estimate that only the 2n grid's check refuses
         p = tmp_path / "scenario.yaml"
         p.write_text(GOOD_DOC)
-        monkeypatch.setattr(cli.lag, "estimate_breakdown_time",
+        monkeypatch.setattr(lagrangian, "estimate_breakdown_time",
                             lambda state: 1.0 if state.grid.n_cells == 120 else np.inf)
         started = failing_solves(monkeypatch, None, None)
         advanced = []
-        monkeypatch.setattr(cli.lag, "advance_characteristics",
+        monkeypatch.setattr(lagrangian, "advance_characteristics",
                             lambda *args: advanced.append(args))
         assert main(["verify-oracle", "--config", str(p)]) == 1
         assert capsys.readouterr().err == (
@@ -869,6 +870,34 @@ class TestVerifyOracleChild:
             "characteristic-crossing estimate 1.0; the smooth reference solution "
             "is not valid there\n")
         assert started == [] and advanced == []
+
+    # the shipped file's grids: n = 150 cells of 4 m, centres at 2, 6, ...; the
+    # reference's 8n samples at 0.25, 0.75, ...; the 2n grid's centres at 1, 3, ...
+    @pytest.mark.parametrize("zero_at, neighbours", [(0.75, (0.25, 1.25)), (2.0, (1.75, 2.25))],
+                             ids=["reference_sample", "n_centre"])
+    def test_a_zero_density_is_judged_on_the_reference_samples(
+            self, monkeypatch, tmp_path, capsys, zero_at, neighbours):
+        table = (f"{{table: {{x: [0.0, {neighbours[0]}, {zero_at}, {neighbours[1]}, 600.0], "
+                 "values: [0.08, 0.08, 0.0, 0.08, 0.08]}}")
+        text = re.sub(r"(?m)^  rho0: .*$", f"  rho0: {table}", SHIPPED.read_text())
+        assert table in text
+        p = tmp_path / "scenario.yaml"
+        p.write_text(text)
+        solved = []
+        real = lagrangian.solve_hyperbolic
+        monkeypatch.setattr(lagrangian, "solve_hyperbolic",
+                            lambda init, *args, **kwargs:
+                                solved.append(init) or real(init, *args, **kwargs))
+        code = main(["verify-oracle", "--config", str(p)])
+        captured = capsys.readouterr()
+        if zero_at == 0.75:
+            assert (code, captured.out, captured.err) == (2, "", f"error: {VACUUM_ERROR}\n")
+            assert solved == []
+        else:
+            assert (code, captured.err) == (0, "")
+            assert len(captured.out.splitlines()) == 3
+            assert [init.grid.n_cells for init in solved] == [150, 300]
+            assert np.min(solved[0].rho) == 0.0
 
 
 def without_timings(report: Path) -> dict:

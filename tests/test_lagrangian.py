@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sigflow import (
+    CLOSED,
     BoundaryData,
     FlowState,
     ForceLaw,
@@ -18,7 +19,6 @@ from sigflow import (
 from sigflow.lagrangian import (
     RHO_FLOOR,
     BreakdownError,
-    PositivityError,
     _gradient_operator,
     _positions,
 )
@@ -36,8 +36,6 @@ def reference_advance_characteristics(field, inflow, force, t_end, n_steps):
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
 
     def a(t: float) -> float:
-        if inflow is None:
-            return 0.0
         return float(inflow.rho_in(t)) * float(inflow.v_in(t))
 
     xi = np.array(field.xi, dtype=float)
@@ -73,7 +71,7 @@ def reference_advance_characteristics(field, inflow, force, t_end, n_steps):
                 f"density reached the positivity floor at t = {t}: characteristics "
                 "have crossed in physical space"
             )
-        if pending >= spacing and inflow is not None:
+        if pending >= spacing:
             xi = np.concatenate(([0.0], xi))
             rho = np.concatenate(([float(inflow.rho_in(t))], rho))
             v = np.concatenate(([float(inflow.v_in(t))], v))
@@ -119,7 +117,7 @@ class TestToMassCoordinates:
     def test_rejects_vacuum(self):
         s = state_from(lambda x: np.where(x > 50.0, 0.1, 0.0),
                        lambda x: np.zeros_like(x))
-        with pytest.raises(PositivityError):
+        with pytest.raises(ValueError, match="rho_hat must be strictly positive: a vacuum"):
             to_mass_coordinates(s)
 
     def test_xi_strictly_increasing(self):
@@ -147,7 +145,7 @@ class TestAdvance:
         s = state_from(lambda x: 0.1 + 0.02 * np.sin(x / 9.0),
                        lambda x: np.zeros_like(x))
         f = to_mass_coordinates(s)
-        out = advance_characteristics(f, None, None, 4.0, 100)
+        out = advance_characteristics(f, CLOSED, None, 4.0, 100)
         np.testing.assert_array_equal(out.xi, f.xi)
         np.testing.assert_array_equal(out.rho_hat, f.rho_hat)
         np.testing.assert_array_equal(out.v_hat, f.v_hat)
@@ -156,7 +154,7 @@ class TestAdvance:
     def test_constant_force_integrates_exactly(self):
         s = state_from(lambda x: np.full_like(x, 0.1), lambda x: np.full_like(x, 5.0))
         f = to_mass_coordinates(s)
-        out = advance_characteristics(f, None, ForceLaw(1.5, 16.0, 4.0), 2.0, 50)
+        out = advance_characteristics(f, CLOSED, ForceLaw(1.5, 16.0, 4.0), 2.0, 50)
         np.testing.assert_allclose(out.v_hat, 8.0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.rho_hat, 0.1, rtol=0, atol=1e-12)
 
@@ -179,18 +177,18 @@ class TestAdvance:
             x_origin=0.0,
         )
         with pytest.raises(BreakdownError) as got:
-            advance_characteristics(field, None, None, 100.0, 10)
+            advance_characteristics(field, CLOSED, None, 100.0, 10)
         with pytest.raises(BreakdownError) as expected:
-            reference_advance_characteristics(field, None, None, 100.0, 10)
+            reference_advance_characteristics(field, CLOSED, None, 100.0, 10)
         assert str(got.value) == str(expected.value)  # same step, same message
 
     def test_rejects_bad_horizon(self):
         s = state_from(lambda x: np.full_like(x, 0.1), lambda x: np.zeros_like(x))
         f = to_mass_coordinates(s)
         with pytest.raises(ValueError):
-            advance_characteristics(f, None, None, -1.0, 10)
+            advance_characteristics(f, CLOSED, None, -1.0, 10)
         with pytest.raises(ValueError):
-            advance_characteristics(f, None, None, 1.0, 0)
+            advance_characteristics(f, CLOSED, None, 1.0, 0)
 
 
     def test_nan_stops_the_first_step_with_a_nan_density(self):
@@ -233,7 +231,7 @@ def parity_case(case):
     t_end = s.timing.t0 - s.timing.tau0
     n_steps = 800
     if case == "no_inflow":
-        inflow = None
+        inflow = CLOSED
     elif case == "no_force":
         force = None
     elif case == "fast_inflow":
@@ -247,7 +245,7 @@ def parity_case(case):
         k = 50
         field = MassField(0.75 * np.arange(k), np.full(k, 0.1),
                           5.0 + np.sqrt(np.arange(k)), 0.0, 0.0)
-        inflow, t_end, n_steps = None, 2.0, 100
+        inflow, t_end, n_steps = CLOSED, 2.0, 100
     elif case == "two_samples":
         field = MassField(np.array([0.0, 0.3]), np.array([0.1, 0.12]),
                           np.array([5.0, 6.0]), 0.0, 0.0)
@@ -364,5 +362,5 @@ class TestMassFieldValidation:
             MassField(np.array([0.0]), np.array([0.1]), np.array([1.0]), 0.0, 0.0)
 
     def test_rejects_non_positive_density(self):
-        with pytest.raises(PositivityError):
+        with pytest.raises(ValueError, match="rho_hat must be strictly positive: a vacuum"):
             MassField(np.arange(3.0), np.array([0.1, 0.0, 0.1]), np.zeros(3), 0.0, 0.0)
