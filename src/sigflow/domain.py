@@ -280,8 +280,8 @@ class Scenario:
     force: Optional[ForceLaw]
     mu: float
     t_end: float
+    snapshot_interval: float
     cfl: float = 0.5  # sets the steps of both solvers
-    snapshot_interval: float = 1.0
 
     def __post_init__(self):
         violations = validate_scenario(self)

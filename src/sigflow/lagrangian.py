@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import (BoundaryData, FlowState, ForceLaw, RoadGrid, Scenario, ScenarioError,
-                     initial_state)
+from .domain import (MAX_CELLS, BoundaryData, FlowState, ForceLaw, RoadGrid, Scenario,
+                     ScenarioError, initial_state)
 from .hyperbolic import solve_hyperbolic
 
 # Densities at or below this are treated as a breakdown of the smooth solution.
@@ -257,13 +257,17 @@ def estimate_breakdown_time(state: FlowState) -> float:
 def oracle_errors(scenario: Scenario) -> list[tuple[float, float]]:
     """[(L1(rho), L1(v)) at n cells, the same at 2n]: the finite-volume run
     against one mass-coordinate reference on 8n samples, at the free-flow
-    handoff time.  In order: ScenarioError for a refined grid the scenario's
-    checks refuse or a density not strictly positive on the reference's
-    samples; ValueError for a horizon past the n, then the 2n grid's;
-    BreakdownError while the reference is built; the two runs.
+    handoff time.  In order: ScenarioError for a grid whose 8n reference
+    passes the cell cap, a refined grid the scenario's other checks refuse
+    or a density not strictly positive on the reference's samples;
+    ValueError for a horizon past the n, then the 2n grid's; BreakdownError
+    while the reference is built; the two runs.
     """
     t_end = scenario.timing.t0 - scenario.timing.tau0
     g, n = scenario.grid, scenario.grid.n_cells
+    if 8 * n > MAX_CELLS:
+        raise ScenarioError([f"grid.n_cells: {n} cells need a reference on 8 x {n} = {8 * n} "
+                             f"cells, past the cap of {MAX_CELLS}"])
     *inits, samples = (initial_state(replace(scenario, grid=RoadGrid(g.x_min, g.x_max, k * n)))
                        for k in (1, 2, 8))
     try:

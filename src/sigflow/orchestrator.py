@@ -105,30 +105,29 @@ def split_at(state: FlowState, x_split: float) -> tuple[FlowState, FlowState, fl
     return up, down, shift
 
 
-def merge(
-    upstream: FlowState,
-    downstream: FlowState,
-    target_grid: RoadGrid,
-    x_light: float,
-    t_merge: float,
-) -> FlowState:
-    """Merge the two red-phase flows onto one grid at the green-light time.
+def merge(upstream: FlowState, downstream: FlowState, target_grid: RoadGrid) -> FlowState:
+    """Merge the two red-phase flows onto one grid at their common time.
 
-    Cells below the light take the upstream (braking) flow, cells at or
-    above it the downstream (released) flow; both are copied by index where
-    their cells are the target's.  An upstream strip with other cells (the
-    braking strip's, stretched over [x_min, x_light]) is remapped through
-    its cumulative count N, which keeps its mass.  The downstream strip
-    below the light is discarded.
+    The light is the braking (upstream) strip's right end, which must be a
+    face of the target grid.  Cells below the light take the upstream flow,
+    cells at or above it the downstream (released) flow; both are copied by
+    index where their cells are the target's.  An upstream strip with other
+    cells (the braking strip's, stretched over [x_min, x_light]) is
+    remapped through its cumulative count N, which keeps its mass.  The
+    downstream strip below the light is discarded.
     """
-    if abs(upstream.t - t_merge) > 1e-12 or abs(downstream.t - t_merge) > 1e-12:
+    if abs(upstream.t - downstream.t) > 1e-12:
         raise ValueError(
-            f"merge time mismatch: upstream t = {upstream.t}, downstream t = "
-            f"{downstream.t}, expected {t_merge}"
+            f"merge time mismatch: upstream t = {upstream.t}, downstream t = {downstream.t}"
         )
     n = target_grid.n_cells
-    i = target_grid.face_index(x_light)
-    x_i = target_grid.nearest_face(x_light)
+    up = upstream.grid
+    i = target_grid.face_index(up.x_max)
+    if up.x_min != target_grid.x_min or up.x_max != target_grid.nearest_face(up.x_max):
+        raise ValueError(
+            f"braking strip {up} does not run from the start of {target_grid} "
+            f"to one of its faces"
+        )
     down = downstream.grid
     j = target_grid.face_index(down.x_min)
     if not (j <= i and down.x_min == target_grid.nearest_face(down.x_min)
@@ -137,12 +136,9 @@ def merge(
             f"released strip {down} does not end the target grid {target_grid} "
             f"with its cells from face {i} on"
         )
-    up = upstream.grid
-    if up.x_min != target_grid.x_min or up.x_max < x_i:
-        raise ValueError(f"braking strip {up} does not cover {target_grid} up to x = {x_i}")
     rho = np.empty(n)
     v = np.empty(n)
-    if up.n_cells == i and up.x_max == x_i:
+    if up.n_cells == i:
         rho[:i] = upstream.rho
         v[:i] = upstream.v
     else:
@@ -151,7 +147,7 @@ def merge(
         v[:i] = np.interp(target_grid.centers[:i], up.centers, upstream.v)
     rho[i:] = downstream.rho[i - j :]
     v[i:] = downstream.v[i - j :]
-    return FlowState(grid=target_grid, rho=rho, v=v, t=t_merge)
+    return FlowState(grid=target_grid, rho=rho, v=v, t=upstream.t)
 
 
 def run(s: Scenario) -> Trajectory:
@@ -162,51 +158,44 @@ def run(s: Scenario) -> Trajectory:
     red phase; a merge at the green light; free flow again up to t_end.
     """
     tm = s.timing
-    grid = s.grid
-    x_split = grid.nearest_face(tm.x0 - tm.h)
-    x_light = grid.nearest_face(tm.x0)
+    x_light = s.grid.nearest_face(tm.x0)
     t_brake = tm.t0 - tm.tau0
     t_green = tm.t0 + tm.tau1
+
+    def phase(name: str, solve, *args, **kwargs) -> SolveResult:
+        """Call one phase's solver and name its result; a failure names the phase."""
+        try:
+            result = solve(*args, **kwargs, cfl=s.cfl, snapshot_interval=s.snapshot_interval)
+        except Exception as e:  # noqa: BLE001 - annotate the failing phase
+            raise PhaseError(name, e) from e
+        return replace(result, name=name)
 
     def open_road(name: str, state: FlowState, inflow, t_end: float) -> SolveResult:
         # the model's solver, with the driver force
         if s.model == "first":
-            return _run_phase(name, hyp.solve_hyperbolic, state, inflow, s.force, t_end,
-                              cfl=s.cfl, snapshot_interval=s.snapshot_interval)
-        return _run_phase(name, par.solve_parabolic, state, inflow, s.mu, s.force, t_end,
-                          snapshot_interval=s.snapshot_interval, cfl=s.cfl)
+            return phase(name, hyp.solve_hyperbolic, state, inflow, s.force, t_end)
+        return phase(name, par.solve_parabolic, state, inflow, s.mu, s.force, t_end)
 
     free = open_road("free_flow", initial_state(s), s.inflow, t_brake)
-    source, released, _ = split_at(free.final, x_split)
-    snapped = replace(tm, x0=x_light, h=x_light - x_split)
+    source, released, split_shift = split_at(free.final, tm.x0 - tm.h)
+    snapped = replace(tm, x0=x_light, h=x_light - source.grid.x_max)
     braking = default_braking_profile(snapped, float(source.v[-1]))
     # viscous flow against the moving braking boundary, driver force off
-    upstream = _run_phase(
-        "upstream_braking", par.solve_parabolic, source, s.inflow, s.mu, None, t_green,
-        snapshot_interval=s.snapshot_interval, braking=braking, cfl=s.cfl,
-    )
+    upstream = phase("upstream_braking", par.solve_parabolic, source, s.inflow, s.mu, None,
+                     t_green, braking=braking)
     # no traffic enters the released flow through the split point
     downstream = open_road("downstream_release", released, CLOSED, t_green)
-    merged = merge(upstream.final, downstream.final, grid, x_light, t_green)
+    merged = merge(upstream.final, downstream.final, s.grid)
     resume = open_road("resume", merged, s.inflow, s.t_end)
 
     return Trajectory(
         scenario=s,
         phases=[free, upstream, downstream, resume],
         compatibility_residual=upstream.metadata.get("compatibility_residual"),
-        split_shift=x_split - (tm.x0 - tm.h),
+        split_shift=split_shift,
         light_shift=x_light - tm.x0,
         handoff_adjustments=_adjustments(free, upstream, downstream, resume),
     )
-
-
-def _run_phase(name: str, solve, *args, **kwargs) -> SolveResult:
-    """Call one phase's solver and name its result; a failure names the phase."""
-    try:
-        result = solve(*args, **kwargs)
-    except Exception as e:  # noqa: BLE001 - annotate the failing phase
-        raise PhaseError(name, e) from e
-    return replace(result, name=name)
 
 
 def _adjustments(free, upstream, downstream, resume) -> dict:

@@ -118,9 +118,13 @@ class _LongInt:
 class _Loader(yaml.SafeLoader):
     def construct_yaml_int(self, node):
         try:
-            return super().construct_yaml_int(node)
+            value = super().construct_yaml_int(node)
+            # int() reads a hexadecimal or binary text of any length, and only
+            # printing the result meets the limit
+            str(value)
         except ValueError:  # past the digit limit: the key is named where it is read
-            return _LongInt(sum(c.isdigit() for c in node.value))
+            return _LongInt(len(re.sub(r"^[-+]?0[xb]|[^0-9a-fA-F]", "", node.value)))
+        return value
 
 
 _Loader.add_constructor("tag:yaml.org,2002:int", _Loader.construct_yaml_int)

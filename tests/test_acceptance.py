@@ -278,7 +278,7 @@ class TestCriterion8MergeCorrectness:
         state = FlowState(g, 0.05 + rng.uniform(0, 0.1, 60),
                           rng.uniform(0, 12, 60), 1.0)
         up, down, _ = split_at(state, 300.0)
-        back = merge(up, down, g, 300.0, 1.0)
+        back = merge(up, down, g)
         round_trip = (np.array_equal(back.rho, state.rho)
                       and np.array_equal(back.v, state.v))
 
@@ -287,7 +287,7 @@ class TestCriterion8MergeCorrectness:
         t_green = tm.t0 + tm.tau1
         up_f = traj.phase("upstream_braking").final
         down_f = traj.phase("downstream_release").final
-        merged = merge(up_f, down_f, traj.scenario.grid, tm.x0, t_green)
+        merged = merge(up_f, down_f, traj.scenario.grid)
         sel = traj.scenario.grid.centers >= tm.x0
         n_keep = int(np.sum(sel))
         downstream_bitwise = (

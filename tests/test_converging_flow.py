@@ -7,6 +7,12 @@ solution (Zel'dovich 1970, A&A 5).  It also solves the viscous model for
 every mu, because v_xx = 0.  With X = 400 m and T = 40 s the flow starts at
 10 m/s at x = 0 and eases to a stop at X, like the approach to the light.
 
+With a constant driver force f0 (every speed below v_star - delta), the flow
+v = (X_f(t) - x)/(T - t) with the focus X_f(t) = X + f0 (T t - t^2/2) is
+exact for both models: v_t + v v_x = X_f'(t)/(T - t) = f0 and v_xx = 0.  The
+density keeps its form, rho = rho0(xi) T/(T - t), where the vehicle at x
+started from xi = X - T (v - f0 t).  These cases test the force splitting.
+
 Every case starts from the exact cell state at t = 0, takes the exact inflow
 at x = 0 and runs to t = 20 s, where the density has doubled.  Both solvers
 are first order, so L1(rho) must fall about 2x per doubling of n.  Each
@@ -34,6 +40,7 @@ from sigflow import (
     BoundaryData,
     BrakingProfile,
     FlowState,
+    ForceLaw,
     RoadGrid,
     solve_hyperbolic,
     solve_parabolic,
@@ -45,23 +52,33 @@ T_CHECK = 20.0
 MU = 2.0
 OPEN_END = 300.0  # a fixed end that traffic leaves through
 NS = (100, 200, 400, 800)
+# f0 throughout: the fastest speed, 26 m/s at x = 0 and t = 20 s, stays
+# below v_star - delta = 36 m/s
+FORCE = ForceLaw(0.2, 40.0, 4.0)
 
 
 def rho0(x):
     return 0.08 + 0.02 * np.sin(2 * np.pi * np.asarray(x, float) / 300.0)
 
 
-def exact_rho(x, t):
-    xi = X - (X - np.asarray(x, float)) * T / (T - t)
+def f0_of(force) -> float:
+    return 0.0 if force is None else force.f0
+
+
+def exact_v(x, t, f0=0.0):
+    focus = X + f0 * (T * t - t * t / 2)
+    return (focus - np.asarray(x, float)) / (T - t)
+
+
+def exact_rho(x, t, f0=0.0):
+    focus = X + f0 * (T * t - t * t / 2)
+    xi = X - (focus - np.asarray(x, float)) * T / (T - t) + f0 * T * t
     return rho0(xi) * T / (T - t)
 
 
-def exact_v(x, t):
-    return (X - np.asarray(x, float)) / (T - t)
-
-
-EXACT_INFLOW = BoundaryData(rho_in=lambda t: float(exact_rho(0.0, t)),
-                            v_in=lambda t: float(exact_v(0.0, t)))
+def exact_inflow(f0=0.0) -> BoundaryData:
+    return BoundaryData(rho_in=lambda t: float(exact_rho(0.0, t, f0)),
+                        v_in=lambda t: float(exact_v(0.0, t, f0)))
 
 
 def material_end(t):
@@ -69,55 +86,67 @@ def material_end(t):
     return X - 60.0 * (T - t) / T
 
 
-def exact_state(right: float, n: int) -> FlowState:
+def exact_state(right: float, n: int, f0=0.0) -> FlowState:
     grid = RoadGrid(0.0, right, n)
-    return FlowState(grid, exact_rho(grid.centers, 0.0), exact_v(grid.centers, 0.0), 0.0)
+    return FlowState(grid, exact_rho(grid.centers, 0.0, f0), exact_v(grid.centers, 0.0, f0),
+                     0.0)
 
 
-def l1_rho(state: FlowState) -> float:
+def l1_rho(state: FlowState, f0=0.0) -> float:
     """Integral of |rho - exact| over the cells, in vehicles."""
-    err = np.abs(state.rho - exact_rho(state.grid.centers, state.t))
+    err = np.abs(state.rho - exact_rho(state.grid.centers, state.t, f0))
     return float(np.sum(err) * state.grid.dx)
 
 
 def _viscous(end: BrakingProfile):
-    return lambda init: solve_parabolic(init, EXACT_INFLOW, MU, None, T_CHECK, braking=end)
+    return lambda init, force: solve_parabolic(init, exact_inflow(f0_of(force)), MU, force,
+                                               T_CHECK, braking=end)
 
 
-def _finite_volume(init):
-    return solve_hyperbolic(init, EXACT_INFLOW, None, T_CHECK)
+def _finite_volume(init, force):
+    return solve_hyperbolic(init, exact_inflow(f0_of(force)), force, T_CHECK)
 
 
-# name: (right end at t = 0, solver, smallest ratio per doubling, largest L1 at n = 800)
+def open_end_at(f0=0.0) -> BrakingProfile:
+    """A fixed end at OPEN_END holding the exact exit velocity."""
+    return BrakingProfile(gamma=lambda t: OPEN_END, V=lambda t: float(exact_v(OPEN_END, t, f0)))
+
+
+# name: (right end at t = 0, force, solver, smallest ratio per doubling,
+# largest L1 at n = 800)
 CASES = {
     # the zero-gradient end sits where the exact velocity is 0; measured 0.343
-    "finite-volume-to-X": (X, _finite_volume, 1.80, 0.42),
+    "finite-volume-to-X": (X, None, _finite_volume, 1.80, 0.42),
     # measured 0.197
-    "finite-volume-open": (OPEN_END, _finite_volume, 1.80, 0.24),
+    "finite-volume-open": (OPEN_END, None, _finite_volume, 1.80, 0.24),
     # a fixed end holding the exact exit velocity; measured 0.112
-    "viscous-open": (OPEN_END, _viscous(BrakingProfile(gamma=lambda t: OPEN_END,
-                                                       V=lambda t: float(exact_v(OPEN_END, t)))),
-                     1.80, 0.14),
+    "viscous-open": (OPEN_END, None, _viscous(open_end_at()), 1.80, 0.14),
     # measured 0.180
-    "viscous-sealed": (X, _viscous(BrakingProfile(gamma=lambda t: X, V=lambda t: 0.0)),
+    "viscous-sealed": (X, None, _viscous(BrakingProfile(gamma=lambda t: X, V=lambda t: 0.0)),
                        1.80, 0.22),
     # measured 0.149
-    "viscous-material-end": (material_end(0.0),
+    "viscous-material-end": (material_end(0.0), None,
                              _viscous(BrakingProfile(gamma=material_end, V=lambda t: 60.0 / T)),
                              1.80, 0.18),
+    # with the force, traffic leaves through X too; measured 0.392
+    "finite-volume-to-X-force": (X, FORCE, _finite_volume, 1.80, 0.47),
+    # measured 0.234
+    "finite-volume-open-force": (OPEN_END, FORCE, _finite_volume, 1.80, 0.28),
+    # measured 0.143
+    "viscous-open-force": (OPEN_END, FORCE, _viscous(open_end_at(FORCE.f0)), 1.80, 0.17),
 }
 
 
 @cache
 def run_case(name: str, n: int):
-    right, solve, _, _ = CASES[name]
-    return solve(exact_state(right, n))
+    right, force, solve, _, _ = CASES[name]
+    return solve(exact_state(right, n, f0_of(force)), force)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_l1_error_halves_per_doubling(name):
-    _, _, min_ratio, max_l1 = CASES[name]
-    errors = [l1_rho(run_case(name, n).final) for n in NS]
+    _, force, _, min_ratio, max_l1 = CASES[name]
+    errors = [l1_rho(run_case(name, n).final, f0_of(force)) for n in NS]
     ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
     assert min(ratios) >= min_ratio, (errors, ratios)
     assert errors[-1] <= max_l1, errors

@@ -126,11 +126,12 @@ class TestPresets:
 
 HUGE = "1" + "0" * 400  # an integer a float cannot hold
 TOO_LONG = "1" + "0" * 5000  # past Python's default limit of 4300 digits
+TOO_LONG_HEX = "0x" + "f" * 5000  # read without a limit, but past it in decimal
 
 # a boolean where a number goes, a repeated preset argument, a table key other
 # than x and values, a profile mapping that is not a table, more snapshots
 # than the cap of 10 000 (t_end = 10), numbers YAML holds but a float or a
-# grid cannot, integers longer than Python reads from text, more cells than
+# grid cannot, integers longer than Python reads or prints as decimal text, more cells than
 # the cap of 10**6, a light beyond the road and a negative inflow: each is one
 # located error, and `validate` exits 2 with it
 REFUSED = [
@@ -164,6 +165,10 @@ REFUSED = [
     ("mu: 2.0", f"mu: {TOO_LONG}", "mu: expected a number, got an integer of 5001 digits"),
     ("n_cells: 60", f"n_cells: {TOO_LONG}",
      "grid.n_cells: expected a number, got an integer of 5001 digits"),
+    ("model: first", f"model: {TOO_LONG_HEX}",
+     "model: must be 'first' or 'second', got an integer of 5000 digits"),
+    ("n_cells: 60", f"n_cells: {TOO_LONG_HEX}",
+     "grid.n_cells: expected a number, got an integer of 5000 digits"),
     ("x0: 200.0", "x0: 700.0", "signal.x0: light position 700.0 must lie below x_max = 300.0"),
     ("v_in: 10.0", "v_in: -1.0",
      "profiles.v_in: boundary velocity must be finite and non-negative for all t"),
@@ -175,6 +180,7 @@ REFUSED = [
                               "table-extra-key", "preset-mapping", "tiny-interval",
                               "small-interval", "infinite-x0", "huge-mu", "huge-n_cells", "many-n_cells",
                               "too-many-digits", "too-many-digits-n_cells",
+                              "too-many-hex-digits-model", "too-many-hex-digits-n_cells",
                               "light-beyond-road", "negative-v_in"])
 def test_refused_input_is_located(old, new, error, tmp_path, capsys):
     doc = GOOD_DOC.replace(old, new)
@@ -759,6 +765,18 @@ class TestCli:
             "rho0: sine(base=0.1, amp=0.02, wavelength=150)", "rho0: 0.0"))
         assert main(["verify-oracle", "--config", str(p)]) == 2
         assert "rho0" in capsys.readouterr().err
+
+    def test_verify_oracle_names_the_file_cell_count_past_the_cap(
+            self, tmp_path, capsys, monkeypatch):
+        # 130000 cells pass the cap, their 8x reference does not; the
+        # refusal comes before any refined state is built
+        p = tmp_path / "fine.yaml"
+        p.write_text(GOOD_DOC.replace("n_cells: 60", "n_cells: 130000"))
+        monkeypatch.setattr(lagrangian, "initial_state", None)
+        assert main(["verify-oracle", "--config", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            "error: grid.n_cells: 130000 cells need a reference on 8 x 130000 = 1040000 "
+            "cells, past the cap of 1000000\n")
 
 
 VACUUM_ERROR = ("profiles.rho0: initial density must be strictly positive everywhere when "

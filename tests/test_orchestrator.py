@@ -76,23 +76,36 @@ class TestSplit:
         state = FlowState(g, 0.05 + rng.uniform(0.0, 0.1, 60),
                           rng.uniform(0.0, 12.0, 60), 3.0)
         up, down, _ = split_at(state, 300.0)
-        back = merge(up, down, g, 300.0, 3.0)
+        back = merge(up, down, g)
         np.testing.assert_array_equal(back.rho, state.rho)
         np.testing.assert_array_equal(back.v, state.v)
 
 
 class TestMerge:
     def test_time_mismatch_rejected(self):
-        up, down, _ = split_at(uniform_state(t=5.0), 300.0)
-        with pytest.raises(ValueError):
-            merge(up, down, up.grid, 300.0, 5.1)
+        state = uniform_state(t=5.0)
+        up, down, _ = split_at(state, 300.0)
+        for late_up, late_down in [(dataclasses.replace(up, t=5.1), down),
+                                   (up, dataclasses.replace(down, t=5.1))]:
+            with pytest.raises(ValueError, match="time mismatch"):
+                merge(late_up, late_down, state.grid)
+
+    def test_light_off_the_target_faces_rejected(self):
+        # a braking strip ending at 405 m has no face of the 10 m cells to
+        # merge at
+        g = RoadGrid(0.0, 600.0, 60)
+        up = FlowState(RoadGrid(0.0, 405.0, 40), np.full(40, 0.1), np.zeros(40), 9.0)
+        down = FlowState(RoadGrid(340.0, 600.0, 26), np.full(26, 0.05),
+                         np.full(26, 14.0), 9.0)
+        with pytest.raises(ValueError, match=r"braking strip .*405"):
+            merge(up, down, g)
 
     def test_stop_to_go_discontinuity_at_light(self):
         g = RoadGrid(0.0, 600.0, 60)
         up = FlowState(RoadGrid(0.0, 400.0, 40), np.full(40, 0.2), np.zeros(40), 9.0)
         down = FlowState(RoadGrid(340.0, 600.0, 26), np.full(26, 0.05),
                          np.full(26, 14.0), 9.0)
-        out = merge(up, down, g, 400.0, 9.0)
+        out = merge(up, down, g)
         below = g.centers < 400.0
         np.testing.assert_array_equal(out.v[below], 0.0)
         np.testing.assert_array_equal(out.v[~below], 14.0)
@@ -106,7 +119,7 @@ class TestMerge:
                        rng.uniform(0, 10, 40), 2.0)
         down = FlowState(RoadGrid(340.0, 600.0, 26), 0.1 + rng.uniform(0, 0.1, 26),
                          rng.uniform(0, 10, 26), 2.0)
-        out = merge(up, down, g, 400.0, 2.0)
+        out = merge(up, down, g)
         expect = np.sum(up.rho) * 10.0 + np.sum(down.rho[6:]) * 10.0
         assert out.total_mass == pytest.approx(expect, rel=1e-14)
 
@@ -120,7 +133,7 @@ class TestMerge:
                        rng.uniform(0.0, 10.0, 17), 4.0)
         down = FlowState(RoadGrid(340.0, 600.0, 26), rng.uniform(0.0, 0.1, 26),
                          rng.uniform(0.0, 14.0, 26), 4.0)
-        out = merge(up, down, g, 400.0, 4.0)
+        out = merge(up, down, g)
         assert np.sum(out.rho[:40]) * g.dx == pytest.approx(up.total_mass,
                                                             rel=1e-13, abs=0.0)
         assert np.array_equal(out.rho[40:], down.rho[6:])
@@ -137,7 +150,7 @@ class TestMerge:
         down = FlowState(RoadGrid(345.0, 600.0, 26), np.full(26, 0.1),
                          np.full(26, 5.0), 1.0)
         with pytest.raises(ValueError, match="released strip"):
-            merge(up, down, g, 400.0, 1.0)
+            merge(up, down, g)
 
 
 class TestRunFirstModel:
