@@ -11,7 +11,6 @@ from .domain import (
     ScenarioError,
     SignalTiming,
     default_braking_profile,
-    evaluate_force,
     initial_state,
     validate_scenario,
 )

@@ -158,29 +158,26 @@ class ForceLaw:
             )
 
     def __call__(self, v):
-        return evaluate_force(self, v)
+        """Acceleration applied by drivers at speed v (vectorized).
 
-
-def evaluate_force(law: ForceLaw, v):
-    """Acceleration applied by drivers at speed v (vectorized, total on v >= 0).
-
-    f0 below v_star - delta, +0.0 above v_star, and the ramp
-    f0 (v_star - v) / delta clipped to [0, f0] in between; NaN stays NaN.
-    A scalar speed gives a float, an array a new array.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 0:
-        return float(evaluate_force(law, v.reshape(1))[0])
-    out = law.v_star - v
-    np.multiply(law.f0, out, out=out)
-    np.divide(out, law.delta, out=out)
-    np.maximum(out, 0.0, out=out)
-    np.minimum(out, law.f0, out=out)
-    # above v_star the clipped ramp is +0.0, or -0.0 where f0 (v_star - v)
-    # underflows; adding +0.0 maps -0.0 to +0.0 and leaves every other value
-    np.add(out, 0.0, out=out)
-    np.copyto(out, law.f0, where=v < law.v_star - law.delta)
-    return out
+        f0 below v_star - delta, so also at every negative speed, +0.0 above
+        v_star, and the ramp f0 (v_star - v) / delta clipped to [0, f0] in
+        between; NaN stays NaN.  A scalar speed gives a float, an array a
+        new array.
+        """
+        v = np.asarray(v, dtype=float)
+        if v.ndim == 0:
+            return float(self(v.reshape(1))[0])
+        out = self.v_star - v
+        np.multiply(self.f0, out, out=out)
+        np.divide(out, self.delta, out=out)
+        np.maximum(out, 0.0, out=out)
+        np.minimum(out, self.f0, out=out)
+        # above v_star the clipped ramp is +0.0, or -0.0 where f0 (v_star - v)
+        # underflows; adding +0.0 maps -0.0 to +0.0 and leaves every other value
+        np.add(out, 0.0, out=out)
+        np.copyto(out, self.f0, where=v < self.v_star - self.delta)
+        return out
 
 
 @dataclass(frozen=True)

@@ -178,7 +178,7 @@ def advance_characteristics(
 
     def rates(y, k):
         """Write (drho/dt, dv/dt) at y into k, with this step's grad and tmp."""
-        k[1] = force(np.maximum(y[1], 0.0, out=tmp)) if force is not None else 0.0
+        k[1] = force(y[1]) if force is not None else 0.0
         grad(y[1], k[0])
         k[0] *= np.multiply(np.negative(y[0], out=tmp), y[0], out=tmp)
 

@@ -35,7 +35,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .domain import BoundaryData, BrakingProfile, FlowState, ForceLaw, RoadGrid
-from .hyperbolic import SolveResult, StepReport, _cfl_step, march
+from .hyperbolic import SolveResult, StepReport, _cfl_step, _check_courant, march
 
 # Floor applied to the density in the diffusion coefficient mu/rho only;
 # a numerical guard, not a modeling choice.
@@ -143,15 +143,9 @@ def step_viscous(
         c /= L_new
     else:
         c = v / L_new
-    cfl = float(np.maximum.reduce(np.abs(c))) * dt / dy
-    if cfl > 1.0 + 1e-12:
-        raise ValueError(
-            f"advective CFL violated at t = {t}: |c| dt/dy = {cfl:.3f} > 1"
-        )
-    if math.isnan(cfl):
-        # a NaN in v[-1] reaches no finite result under the zero-gradient
-        # closure with positive speeds, so it is caught here
-        raise ValueError(f"non-finite velocity at t = {t}")
+    # a NaN in v[-1] reaches no finite result under the zero-gradient
+    # closure with positive speeds, so it is caught here
+    _check_courant(float(np.maximum.reduce(np.abs(c))) * dt / dy, t)
     # interior faces only: both boundary rows are replaced below
     dv = (v[1:] - v[:-1]) / dy  # one difference serves both upwind branches
     c_in = c[1:-1]
@@ -166,7 +160,7 @@ def step_viscous(
     b = c
     np.subtract(v[1:-1], c_in, out=c_in)
     if force is not None:
-        b += dt * force(np.maximum(v, 0.0))
+        b += dt * force(v)
 
     # an interior face's density is the mean of its two cells; the end
     # entries stand in for the boundary rows, which are replaced below

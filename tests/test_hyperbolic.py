@@ -92,6 +92,20 @@ class TestStep:
         with pytest.raises(ValueError):
             step(state, 0.0, 1.0, bc, None)  # dx/smax = 0.1
 
+    @pytest.mark.parametrize("v_last, match", [
+        (10.0, "CFL violated at t = 0.0"),
+        (np.nan, "non-finite velocity at t = 0.0"),
+    ], ids=["courant-1.005", "nan-velocity"])
+    def test_rejects_a_step_just_past_the_bound(self, v_last, match):
+        # v = 10 on 1 m cells: dt = 0.1005 is a Courant number of 1.005,
+        # which step_viscous refuses too
+        m = np.full(100, 0.1)
+        q = m * 10.0
+        q[-1] = m[-1] * v_last
+        state = ConservedState(RoadGrid(0.0, 100.0, 100), m, q)
+        with pytest.raises(ValueError, match=match):
+            step(state, 0.0, 0.1005, CLOSED, None)
+
     def test_vacuum_stays_at_rest(self):
         g = RoadGrid(0.0, 100.0, 50)
         rho = np.zeros(50)

@@ -6,12 +6,18 @@ send the inflow faster than the road.  A generated scenario must end in one
 of three ways: a ScenarioError where it is built, a PhaseError naming the
 phase that failed, or a run whose densities are non-negative and in which no
 traffic crosses the light during the red phase (its velocity there is 0).
+
+The same texts also go through the oracle comparison of `verify-oracle`,
+where a density blow-up in the reference must end in BreakdownError.
 """
 
+import math
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from sigflow import PhaseError, ScenarioError, parse_scenario, run
+from sigflow.lagrangian import BreakdownError, oracle_errors
 
 PHASES = {"free_flow", "upstream_braking", "downstream_release", "resume"}
 
@@ -80,3 +86,51 @@ def test_a_generated_scenario_is_refused_fails_in_a_phase_or_runs(text):
     for snap, row in red:
         assert snap.grid.x_max == x_light
         assert row["outflow_cum"] == red[0][1]["outflow_cum"]
+
+
+# the fast inflow catches up with the road's traffic before the oracle's
+# horizon, so the reference's density becomes infinite (at t = 0.24 s).  Few
+# generated texts get there: it takes a uniform v0, a positive rho0 and the
+# fast inflow carrying traffic, so this one is always run
+BLOW_UP = """
+model: first
+grid: {x_min: 0.0, x_max: 600.0, n_cells: 35}
+signal: {x0: 150.0, t0: 2.0, tau0: 1.0, tau1: 1.0, h: 5.0}
+force: off
+mu: 0.125
+t_end: 3.0
+numerics: {cfl: 0.1, snapshot_interval: 0.5}
+profiles:
+  rho0: 0.08
+  v0: 10.0
+  rho_in: 0.08
+  v_in: linear_ramp(start=30.0, end=38.0, x_start=0.0, x_end=8.0)
+"""
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(text=scenario_texts())
+@example(text=BLOW_UP)
+def test_a_generated_scenario_is_refused_breaks_down_or_gives_oracle_errors(text):
+    # a ScenarioError from the file or the reference's samples, a horizon
+    # past the crossing estimate, a BreakdownError while the reference is
+    # built, or two finite non-negative (L1(rho), L1(v)) pairs; any other
+    # error fails, and so does any warning, which the suite makes an error
+    try:
+        errors = oracle_errors(parse_scenario(text))
+    except ScenarioError as e:
+        assert e.violations
+        event("ScenarioError")
+        return
+    except ValueError as e:
+        assert str(e).startswith("horizon "), e
+        event("horizon")
+        return
+    except BreakdownError:
+        event("BreakdownError")
+        return
+    assert len(errors) == 2
+    for pair in errors:
+        assert len(pair) == 2
+        assert all(math.isfinite(x) and x >= 0.0 for x in pair), errors
+    event("errors")
