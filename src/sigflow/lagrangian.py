@@ -2,12 +2,13 @@
 
 The cumulative-mass change of variables xi(x) = integral of rho turns the
 system into transport at the common speed a(t) = rho_in(t) * v_in(t):
-velocity obeys dv/dt = F(v) along each characteristic and density obeys
-drho/dt = -rho^2 * dv/dxi.  Because every characteristic moves at the same
-speed, the sample set translates rigidly in xi, which makes the method of
-characteristics an essentially exact integrator for smooth data.  Used as
-an independent oracle for the finite-volume solver (``oracle_errors``); valid
-only while the characteristics have not crossed and the density stays positive.
+velocity obeys dv/dt = F(v) along each characteristic and the specific
+volume tau = 1/rho obeys dtau/dt = dv/dxi, linear in v.  Every characteristic
+moves at the same speed, so the sample set translates rigidly in xi, its
+xi-spacing never changes and the xi-difference is built once; only v needs
+RK4.  Used as an independent oracle for the finite-volume solver
+(``oracle_errors``); valid only while the characteristics have not crossed
+and the density stays positive.
 """
 
 from __future__ import annotations
@@ -118,30 +119,30 @@ def reconstruct_physical(field: MassField, grid: RoadGrid) -> FlowState:
     return FlowState(grid=grid, rho=rho, v=np.maximum(v, 0.0), t=field.t)
 
 
-def _gradient_operator(xi: np.ndarray):
-    """grad(f, out) writing np.gradient(f, xi) into out, bit for bit, with
-    numpy's spacing terms for this xi computed once instead of per call."""
-    dx = xi[1:] - xi[:-1]
-    d0, dn = dx[0], dx[-1]
-    uniform = (dx == d0).all()
-    if not uniform:
-        dx1, dx2 = dx[:-1], dx[1:]
-        s12 = dx1 + dx2
-        a, b, c = -dx2 / (dx1 * s12), (dx2 - dx1) / (dx1 * dx2), dx1 / (dx2 * s12)
-        tmp = np.empty_like(b)
+class _XiDifference:
+    """G f = np.gradient(f, xi) by numpy's uneven-spacing formulas, for xi-spacings
+    dx that never change, from weights built once; prepend(d) adds a sample d ahead."""
 
-    def grad(f, out):
-        mid = out[1:-1]
-        if uniform:
-            np.divide(np.subtract(f[2:], f[:-2], out=mid), 2.0 * d0, out=mid)
-        else:
-            np.multiply(a, f[:-2], out=mid)
-            mid += np.multiply(b, f[1:-1], out=tmp)
-            mid += np.multiply(c, f[2:], out=tmp)
-        out[0], out[-1] = (f[1] - f[0]) / d0, (f[-1] - f[-2]) / dn
+    def __init__(self, dx: np.ndarray, room: int):
+        self.j, self.d0, self.dn = room, dx[0], dx[-1]
+        self.w = np.empty((4, room + dx.size - 1))  # weights of f[i-1], f[i], f[i+1]; scratch
+        self.w[:3, room:] = self.weights(dx[:-1], dx[1:])
+
+    @staticmethod
+    def weights(dx1, dx2):
+        return -dx2 / (dx1 * (dx1 + dx2)), (dx2 - dx1) / (dx1 * dx2), dx1 / (dx2 * (dx1 + dx2))
+
+    def prepend(self, d: float):
+        self.j -= 1
+        self.w[:3, self.j], self.d0 = self.weights(d, self.d0), d
+
+    def __call__(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+        (a, b, c, tmp), mid = self.w[:, self.j:], out[1:-1]
+        np.multiply(a, f[:-2], out=mid)
+        mid += np.multiply(b, f[1:-1], out=tmp)
+        mid += np.multiply(c, f[2:], out=tmp)
+        out[0], out[-1] = (f[1] - f[0]) / self.d0, (f[-1] - f[-2]) / self.dn
         return out
-
-    return grad
 
 
 def advance_characteristics(
@@ -153,13 +154,12 @@ def advance_characteristics(
 ) -> MassField:
     """Integrate the transformed system along characteristics up to t_end.
 
-    All characteristics share the speed a(t) = rho_in * v_in, so the sample
-    spacing in xi never changes; velocity follows dv/dt = F(v) and density
-    drho/dt = -rho^2 * dv/dxi (centered differences, one-sided at the ends),
-    both advanced with classical RK4.  Characteristics entering through
-    xi = 0 are seeded with the boundary values at their entry time, at a
-    spacing matching the initial sample resolution.  BreakdownError stops
-    the step in which a density reaches RHO_FLOOR or becomes infinite.
+    v takes classical RK4 steps, tau the step dt/6 G(v1 + 2 v2 + 2 v3 + v4) of
+    its stage velocities; rho = rho0 / (1 + rho0 D), with rho0 a sample's
+    density when seeded and D its increment of tau.  Characteristics enter at
+    xi = 0 with the boundary values, at the initial samples' spacing.
+    BreakdownError stops the step in which the mass influx is not finite, tau
+    reaches 0 or a density reaches RHO_FLOOR.
     """
     if not t_end > field.t:
         raise ValueError(f"t_end = {t_end} must exceed field time {field.t}")
@@ -169,73 +169,59 @@ def advance_characteristics(
     def a(t: float) -> float:
         return float(inflow.rho_in(t)) * float(inflow.v_in(t))
 
-    # Rows: xi; (rho, v) of the state y, stage input, stage rate, RK4 sum; scratch.
-    # At most one characteristic enters per step: samples grow left from column s.
+    rate = np.zeros_like if force is None else force
+    # Rows: xi, rho0, D, v, stage velocity, their sum, scratch; samples grow left from s
     s = n_steps + 1
-    buf = np.empty((10, s + field.xi.size))
-    buf[:3, s:] = field.xi, field.rho_hat, field.v_hat
+    buf = np.zeros((7, s + field.xi.size))
+    buf[[0, 1, 3], s:] = field.xi, field.rho_hat, field.v_hat
+    grad = _XiDifference(np.diff(field.xi), n_steps)
     spacing = float(np.median(np.diff(field.xi)))
-
-    def rates(y, k):
-        """Write (drho/dt, dv/dt) at y into k, with this step's grad and tmp."""
-        k[1] = force(y[1]) if force is not None else 0.0
-        grad(y[1], k[0])
-        k[0] *= np.multiply(np.negative(y[0], out=tmp), y[0], out=tmp)
 
     dt = (t_end - field.t) / n_steps
     h = 0.5 * dt
-    t = field.t
-    a_int = field.a_integral
-    pending = 0.0
-    # an overflowing density is caught by the BreakdownError checks of its
-    # step, so numpy's overflow and invalid-value warnings are not raised
+    t, a_int, pending = field.t, field.a_integral, 0.0
+    # the BreakdownError checks catch what leaves the float range: numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
-            w = buf[:, s:]
-            xi, y, ys, k, acc, tmp = w[0], w[1:3], w[3:5], w[5:7], w[7:9], w[9]
-            grad = _gradient_operator(xi)
-            # y + dt/6 (k1 + 2 k2 + 2 k3 + k4), every sum and product in the
-            # order that expression takes them, accumulated in place
-            rates(y, acc)
-            np.add(y, np.multiply(acc, h, out=ys), out=ys)
-            for c in (h, dt):
-                rates(ys, k)
-                np.add(y, np.multiply(k, c, out=ys), out=ys)
-                k *= 2
-                acc += k
-            rates(ys, k)
-            acc += k
-            y += np.multiply(acc, dt / 6.0, out=acc)
+            xi, rho0, dtau, v, vs, vsum, tmp = buf[:, s:]
+            # v + dt/6 (k1 + 2 k2 + 2 k3 + k4) and vsum = v1 + 2 v2 + 2 v3 + v4,
+            # every sum and product in the order those expressions take them
+            acc = rate(v)
+            np.add(v, np.multiply(acc, h, out=vs), out=vs)
+            np.add(v, np.multiply(vs, 2.0, out=vsum), out=vsum)
+            for c, weight in ((h, 2.0), (dt, 1.0)):
+                k = rate(vs)
+                np.add(v, np.multiply(k, c, out=vs), out=vs)
+                acc += np.multiply(k, 2.0, out=k)
+                vsum += np.multiply(vs, weight, out=tmp)
+            acc += rate(vs)
+            v += np.multiply(acc, dt / 6.0, out=acc)
+            dtau += np.multiply(grad(vsum, tmp), dt / 6.0, out=tmp)
 
             dA = h * (a(t) + a(t + dt))
             t = t + dt
+            if not np.isfinite(dA):
+                raise BreakdownError(f"boundary mass influx became non-finite at t = {t}")
             xi += dA
-            a_int += dA
-            pending += dA
+            a_int, pending = a_int + dA, pending + dA
 
-            if not np.minimum.reduce(y[0]) > RHO_FLOOR:  # NaN fails too
-                raise BreakdownError(
-                    f"density reached the positivity floor at t = {t}: characteristics "
-                    "have crossed in physical space"
-                )
-            if not np.maximum.reduce(y[0]) < np.inf:
-                raise BreakdownError(
-                    f"density became infinite at t = {t}: faster vehicles have "
-                    "caught up with slower ones and formed a point mass"
-                )
+            q = np.add(np.multiply(rho0, dtau, out=tmp), 1.0, out=tmp)  # rho0 * tau
+            if np.fmin.reduce(q) <= 0.0:  # fmin: a NaN elsewhere hides no crossing
+                raise BreakdownError(f"density became infinite at t = {t}: faster vehicles "
+                                     "have caught up with slower ones and formed a point mass")
+            if not np.minimum.reduce(np.divide(rho0, q, out=tmp)) > RHO_FLOOR:  # NaN fails too
+                raise BreakdownError(f"density reached the positivity floor at t = {t}: "
+                                     "characteristics have crossed in physical space")
             if pending >= spacing:
+                grad.prepend(xi[0])  # the entering sample sits at xi = 0
                 s -= 1
-                buf[:3, s] = 0.0, float(inflow.rho_in(t)), float(inflow.v_in(t))
+                buf[:4, s] = 0.0, float(inflow.rho_in(t)), 0.0, float(inflow.v_in(t))
                 pending = 0.0
                 if buf[1, s] <= RHO_FLOOR:
-                    raise BreakdownError(
-                        f"boundary density vanished at entry time t = {t}"
-                    )
+                    raise BreakdownError(f"boundary density vanished at entry time t = {t}")
 
-    xi, rho, v = buf[:3, s:].copy()
-    return MassField(
-        xi=xi, rho_hat=rho, v_hat=v, t=t, x_origin=field.x_origin, a_integral=a_int
-    )
+    xi, rho0, dtau, v = buf[:4, s:].copy()
+    return MassField(xi, rho0 / (1.0 + rho0 * dtau), v, t, field.x_origin, a_int)
 
 
 def estimate_breakdown_time(state: FlowState) -> float:

@@ -841,6 +841,26 @@ class TestVerifyOracleChild:
             f"refinement ratio (rho): {rho_n / rho_2n:.2f}",
         ]
 
+    @pytest.mark.parametrize("n, lines", [
+        (150, ["oracle check, n=150:   L1(rho)=1.082341e-03  L1(v)=2.955886e-02",
+               "oracle check, n=300: L1(rho)=6.547680e-04  L1(v)=1.483143e-02",
+               "refinement ratio (rho): 1.65"]),
+        (600, ["oracle check, n=600:   L1(rho)=3.950068e-04  L1(v)=7.493903e-03",
+               "oracle check, n=1200: L1(rho)=2.651194e-04  L1(v)=3.772923e-03",
+               "refinement ratio (rho): 1.49"]),
+    ], ids=["n150", "n600"])
+    def test_shipped_file_prints_the_recorded_lines(self, tmp_path, capsys, n, lines):
+        # the lines the shipped file has printed since the reference was
+        # shared between both grids; a change to either solver that moves a
+        # printed digit shows here
+        text = SHIPPED.read_text().replace("n_cells: 150", f"n_cells: {n}")
+        assert f"n_cells: {n}" in text
+        p = tmp_path / "scenario.yaml"
+        p.write_text(text)
+        assert main(["verify-oracle", "--config", str(p)]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out.splitlines(), captured.err) == (lines, "")
+
     def test_fresh_process_warns_of_nothing(self):
         # every warning an error, in a fresh interpreter: Python reports some
         # warnings (a ResourceWarning, one raised during shutdown) on stderr

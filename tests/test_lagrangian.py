@@ -19,17 +19,105 @@ from sigflow import (
 from sigflow.lagrangian import (
     RHO_FLOOR,
     BreakdownError,
-    _gradient_operator,
+    _XiDifference,
     _positions,
 )
 from tests.conftest import shipped_scenario
 
 
+def xi_difference(f, dx):
+    """np.gradient(f, xi) for an xi with spacings dx, by numpy's formulas for
+    uneven spacing: three-point centred inside, one-sided at both ends."""
+    dx1, dx2 = dx[:-1], dx[1:]
+    a = -dx2 / (dx1 * (dx1 + dx2))
+    b = (dx2 - dx1) / (dx1 * dx2)
+    c = dx1 / (dx2 * (dx1 + dx2))
+    inside = a * f[:-2] + b * f[1:-1] + c * f[2:]
+    return np.concatenate(([(f[1] - f[0]) / dx[0]], inside, [(f[-1] - f[-2]) / dx[-1]]))
+
+
 def reference_advance_characteristics(field, inflow, force, t_end, n_steps):
-    """advance_characteristics written with one numpy expression per formula,
-    as it was before its RK4 step was made to work in place on preallocated
-    buffers; advance_characteristics must match it bit for bit wherever both
-    return, and raise the same error where it raises."""
+    """advance_characteristics written with one numpy expression per formula:
+    RK4 for v, and for the specific volume tau = 1/rho the RK4 step of the
+    linear dtau/dt = dv/dxi, with the xi-difference rebuilt every step from
+    the stored spacings; rho = rho0 / (1 + rho0 * dtau).  advance_characteristics
+    must match it bit for bit wherever both return, and raise the same error
+    where it raises."""
+    if not t_end > field.t:
+        raise ValueError(f"t_end = {t_end} must exceed field time {field.t}")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+
+    def a(t: float) -> float:
+        return float(inflow.rho_in(t)) * float(inflow.v_in(t))
+
+    def rate(v_s):
+        return force(v_s) if force is not None else np.zeros_like(v_s)
+
+    xi = np.array(field.xi, dtype=float)
+    rho0 = np.array(field.rho_hat, dtype=float)
+    v = np.array(field.v_hat, dtype=float)
+    dtau = np.zeros_like(xi)
+    dx = np.diff(xi)
+    spacing = float(np.median(dx))
+
+    dt = (t_end - field.t) / n_steps
+    t = field.t
+    a_int = field.a_integral
+    pending = 0.0
+    for _ in range(n_steps):
+        v1 = v
+        k1 = rate(v1)
+        v2 = v + 0.5 * dt * k1
+        k2 = rate(v2)
+        v3 = v + 0.5 * dt * k2
+        k3 = rate(v3)
+        v4 = v + dt * k3
+        k4 = rate(v4)
+        v = v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        dtau = dtau + (dt / 6.0) * xi_difference(v1 + 2 * v2 + 2 * v3 + v4, dx)
+
+        dA = 0.5 * dt * (a(t) + a(t + dt))
+        t = t + dt
+        if not np.isfinite(dA):
+            raise BreakdownError(f"boundary mass influx became non-finite at t = {t}")
+        xi = xi + dA
+        a_int += dA
+        pending += dA
+
+        if np.any(1.0 + rho0 * dtau <= 0.0):
+            raise BreakdownError(
+                f"density became infinite at t = {t}: faster vehicles have "
+                "caught up with slower ones and formed a point mass"
+            )
+        if not np.all(rho0 / (1.0 + rho0 * dtau) > RHO_FLOOR):
+            raise BreakdownError(
+                f"density reached the positivity floor at t = {t}: characteristics "
+                "have crossed in physical space"
+            )
+        if pending >= spacing:
+            dx = np.concatenate(([xi[0]], dx))
+            xi = np.concatenate(([0.0], xi))
+            rho0 = np.concatenate(([float(inflow.rho_in(t))], rho0))
+            dtau = np.concatenate(([0.0], dtau))
+            v = np.concatenate(([float(inflow.v_in(t))], v))
+            pending = 0.0
+            if rho0[0] <= RHO_FLOOR:
+                raise BreakdownError(
+                    f"boundary density vanished at entry time t = {t}"
+                )
+
+    return MassField(
+        xi=xi, rho_hat=rho0 / (1.0 + rho0 * dtau), v_hat=v, t=t, x_origin=field.x_origin,
+        a_integral=a_int
+    )
+
+
+def reference_rho_form(field, inflow, force, t_end, n_steps):
+    """The density form of the reference: RK4 on (rho, v) with
+    drho/dt = -rho^2 * dv/dxi, np.gradient taken on the shifted xi of every
+    stage.  advance_characteristics must give its xi, v_hat, t and a_integral
+    bit for bit, and its rho_hat up to the rho form's own time error."""
     if not t_end > field.t:
         raise ValueError(f"t_end = {t_end} must exceed field time {field.t}")
     if n_steps < 1:
@@ -168,7 +256,9 @@ class TestAdvance:
         assert out.xi[0] >= 0.0
 
     def test_breakdown_detected_at_positivity_floor(self):
-        # strong expansion thins the density below the validity floor
+        # strong expansion thins the density below the validity floor: dv/dxi
+        # is 1e10 everywhere, so tau = 5e11 + 1e10 t reaches 1/RHO_FLOOR at
+        # t = 50 exactly (the density form, whose step misses 1/tau, read 60)
         field = MassField(
             xi=np.linspace(0.0, 1e-9, 50),
             rho_hat=np.full(50, 2e-12),
@@ -181,6 +271,7 @@ class TestAdvance:
         with pytest.raises(BreakdownError) as expected:
             reference_advance_characteristics(field, CLOSED, None, 100.0, 10)
         assert str(got.value) == str(expected.value)  # same step, same message
+        assert "positivity floor at t = 50.0:" in str(got.value)
 
     def test_rejects_bad_horizon(self):
         s = state_from(lambda x: np.full_like(x, 0.1), lambda x: np.zeros_like(x))
@@ -193,12 +284,12 @@ class TestAdvance:
 
     def test_nan_stops_the_first_step_with_a_nan_density(self):
         # v_in turns NaN after t = 0.55: the influx of the step ending at
-        # t = 0.6 shifts every xi to NaN, so the next step's densities are NaN
+        # t = 0.6 is NaN, which stops that step before any xi or density takes it
         s = state_from(lambda x: np.full_like(x, 0.1), lambda x: np.full_like(x, 10.0),
                        n=20)
         inflow = BoundaryData(rho_in=lambda t: 0.1,
                               v_in=lambda t: np.nan if t > 0.55 else 10.0)
-        with pytest.raises(BreakdownError, match=r"at t = 0\.7"):
+        with pytest.raises(BreakdownError, match=r"at t = 0\.6"):
             advance_characteristics(to_mass_coordinates(s), inflow, None, 1.0, 10)
 
     def test_density_blow_up_stops_the_step_it_happens_in(self):
@@ -270,6 +361,35 @@ class TestAdvanceParity:
         if case == "two_samples":
             assert entered > 0
 
+    @pytest.mark.parametrize("case", ["shipped", "no_inflow", "no_force", "fast_inflow",
+                                      "uniform", "two_samples"])
+    def test_density_agrees_with_the_rho_form(self, case):
+        # the same samples, velocities and times as RK4 on (rho, v), bit for
+        # bit; the densities differ by the rho form's own time error.  On
+        # two_samples (dt = 0.04 on 2-12 samples) that error is large: 1.02e-6
+        # against the rho form at 8 x n_steps.  The tau form sits 1.02e-6 from
+        # the rho form at n_steps and 2.6e-10 from it at 8 x n_steps, so it is
+        # held to 2 x and 0.01 x the measured time error (margins 2 and ~40)
+        field, inflow, force, t_end, n_steps = args = parity_case(case)
+        got = advance_characteristics(*args)
+        rho_form = reference_rho_form(*args)
+        for name in ("xi", "v_hat", "t", "a_integral"):
+            g, e = bits(getattr(got, name), getattr(rho_form, name))
+            assert np.array_equal(g, e), name
+
+        def rel(a, b):
+            return np.max(np.abs(a.rho_hat - b.rho_hat) / b.rho_hat)
+
+        if case != "two_samples":
+            assert rel(got, rho_form) <= 1e-12
+            return
+        finer = reference_rho_form(field, inflow, force, t_end, 8 * n_steps)
+        assert finer.xi.size == got.xi.size
+        time_error = rel(rho_form, finer)
+        assert 1e-7 < time_error < 1e-5
+        assert rel(got, rho_form) <= 2.0 * time_error
+        assert rel(got, finer) <= 0.01 * time_error
+
     @pytest.mark.parametrize("xi", [
         0.75 * np.arange(40.0),
         np.cumsum(np.random.default_rng(4).uniform(0.1, 1.0, 40)),
@@ -277,11 +397,24 @@ class TestAdvanceParity:
         np.array([0.0, 0.2, 0.7]),
     ], ids=["uniform", "non_uniform", "two", "three"])
     def test_gradient_operator_is_np_gradient(self, xi):
-        grad = _gradient_operator(xi)
+        # built from every spacing, or from all but the first with that one
+        # prepended: np.gradient bit for bit on uneven spacing.  On even
+        # spacing np.gradient takes its scalar branch, (f[2:] - f[:-2]) / (2 dx),
+        # so there the two agree to a few ulp of the differenced terms
+        dx = np.diff(xi)
+        grads = [_XiDifference(dx, 0)]
+        if xi.size > 2:
+            grads.append(_XiDifference(dx[1:], 1))
+            grads[-1].prepend(dx[0])
         rng = np.random.default_rng(7)
-        for f in (np.sin(xi), rng.normal(size=xi.size)):
-            got = grad(f, np.empty_like(f))
-            assert np.array_equal(*bits(got, np.gradient(f, xi)))
+        for grad in grads:
+            for f in (np.sin(xi), rng.normal(size=xi.size)):
+                got, expected = grad(f, np.empty_like(f)), np.gradient(f, xi)
+                if (dx == dx[0]).all() and xi.size > 2:
+                    ulp = np.finfo(float).eps * np.max(np.abs(f)) / dx[0]
+                    np.testing.assert_allclose(got, expected, rtol=0, atol=4 * ulp)
+                else:
+                    assert np.array_equal(*bits(got, expected))
 
 
 class TestReconstruct:

@@ -210,6 +210,21 @@ class TestStepViscous:
         with pytest.raises(ValueError, match="CFL"):
             step_viscous(v, rho, 0.0, 0.1, 2.0, bc, grid, None)
 
+    @pytest.mark.parametrize("courant", [1.005, 1.0], ids=["courant-1.005", "courant-1"])
+    def test_courant_bound_is_exact(self, courant):
+        # v = 8 on 1 m cells: |c| dt / dy = 8 dt exactly, so dt = 0.125 is
+        # exactly at the bound, which the step takes, and 1.005 times that
+        # is past it, which the step refuses as hyperbolic.step does
+        grid = road(n=64, right=64.0)
+        v, rho = np.full(65, 8.0), np.full(64, 0.1)
+        args = (v, rho, 0.0, 0.125 * courant, 2.0, const_inflow(8.0, 0.1), grid, None)
+        if courant > 1.0:
+            with pytest.raises(ValueError, match="CFL violated at t = 0.0"):
+                step_viscous(*args)
+        else:
+            v1, rho1, _ = step_viscous(*args)
+            assert np.isfinite(v1).all() and np.isfinite(rho1).all()
+
     def test_rejects_non_positive_dt(self):
         grid = road()
         n = grid.n_cells

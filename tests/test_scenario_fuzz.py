@@ -39,10 +39,10 @@ def seconds(lo, hi):
 
 
 @st.composite
-def scenario_texts(draw) -> str:
+def scenario_texts(draw, v0=st.sampled_from(V0), v_in=st.sampled_from(V_IN)) -> str:
     """A scenario file on a 600 m road; some are valid and some are not
     (t0 <= tau0, a light beyond the road, a red that outlasts t_end, a grid
-    too coarse to split)."""
+    too coarse to split).  v0 and v_in draw the two velocity profiles."""
     t0, tau0, tau1 = draw(seconds(2.0, 15.0)), draw(seconds(0.5, 4.0)), draw(seconds(0.5, 10.0))
     return f"""
 model: {draw(st.sampled_from(["first", "second"]))}
@@ -55,9 +55,9 @@ t_end: {round(t0 + tau1 + draw(seconds(-0.5, 6.0)), 2)}
 numerics: {{cfl: {draw(st.sampled_from([0.1, 0.5, 1.0]))}, snapshot_interval: {tau0 / 2}}}
 profiles:
   rho0: {draw(st.sampled_from(RHO0))}
-  v0: {draw(st.sampled_from(V0))}
+  v0: {draw(v0)}
   rho_in: {draw(st.sampled_from(RHO_IN))}
-  v_in: {draw(st.sampled_from(V_IN))}
+  v_in: {draw(v_in)}
 """
 
 
@@ -89,9 +89,10 @@ def test_a_generated_scenario_is_refused_fails_in_a_phase_or_runs(text):
 
 
 # the fast inflow catches up with the road's traffic before the oracle's
-# horizon, so the reference's density becomes infinite (at t = 0.24 s).  Few
-# generated texts get there: it takes a uniform v0, a positive rho0 and the
-# fast inflow carrying traffic, so this one is always run
+# horizon, so the reference's density becomes infinite (at t = 0.225 s).  It
+# takes a uniform v0, a positive rho0 and the fast inflow carrying traffic,
+# which scenario_texts() draws in ~2 % of texts: the oracle test also draws
+# half its texts with both velocities fixed that way, and always runs this one
 BLOW_UP = """
 model: first
 grid: {x_min: 0.0, x_max: 600.0, n_cells: 35}
@@ -109,7 +110,8 @@ profiles:
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(text=scenario_texts())
+@given(text=st.one_of(scenario_texts(),
+                      scenario_texts(v0=st.just(V0[0]), v_in=st.just(V_IN[-1]))))
 @example(text=BLOW_UP)
 def test_a_generated_scenario_is_refused_breaks_down_or_gives_oracle_errors(text):
     # a ScenarioError from the file or the reference's samples, a horizon
