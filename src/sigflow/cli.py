@@ -27,17 +27,18 @@ log = logging.getLogger("sigflow")
 
 
 def _setup_logging():
-    level = os.environ.get("SIGFLOW_LOG", "WARNING").upper()
+    # getLevelName maps a level name to its number, and anything else to a string
+    level = logging.getLevelName(os.environ.get("SIGFLOW_LOG", "WARNING").upper())
     logging.basicConfig(
-        level=getattr(logging, level, logging.WARNING),
+        level=level if isinstance(level, int) else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
 
 
 def _load_scenario(path: str, nx=None, model=None):
     try:
-        text = Path(path).read_text()
-    except OSError as e:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: cannot read config {path}: {e}", file=sys.stderr)
         return None
     try:

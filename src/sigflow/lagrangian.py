@@ -35,8 +35,7 @@ class MassField:
     """Density/velocity samples as functions of the mass coordinate xi.
 
     xi is strictly increasing, rho_hat strictly positive.  x_origin is the
-    physical position carrying xi's zero (the upstream end of the road);
-    a_integral accumulates the boundary mass influx integral A(t).
+    physical position carrying xi's zero (the upstream end of the road).
     """
 
     xi: np.ndarray
@@ -44,7 +43,6 @@ class MassField:
     v_hat: np.ndarray
     t: float
     x_origin: float
-    a_integral: float = 0.0
 
     def __post_init__(self):
         xi = np.asarray(self.xi, dtype=float)
@@ -179,7 +177,7 @@ def advance_characteristics(
 
     dt = (t_end - field.t) / n_steps
     h = 0.5 * dt
-    t, a_int, pending = field.t, field.a_integral, 0.0
+    t, pending = field.t, 0.0
     # the BreakdownError checks catch what leaves the float range: numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
@@ -203,7 +201,7 @@ def advance_characteristics(
             if not np.isfinite(dA):
                 raise BreakdownError(f"boundary mass influx became non-finite at t = {t}")
             xi += dA
-            a_int, pending = a_int + dA, pending + dA
+            pending += dA
 
             q = np.add(np.multiply(rho0, dtau, out=tmp), 1.0, out=tmp)  # rho0 * tau
             if np.fmin.reduce(q) <= 0.0:  # fmin: a NaN elsewhere hides no crossing
@@ -221,7 +219,7 @@ def advance_characteristics(
                     raise BreakdownError(f"boundary density vanished at entry time t = {t}")
 
     xi, rho0, dtau, v = buf[:4, s:].copy()
-    return MassField(xi, rho0 / (1.0 + rho0 * dtau), v, t, field.x_origin, a_int)
+    return MassField(xi, rho0 / (1.0 + rho0 * dtau), v, t, field.x_origin)
 
 
 def estimate_breakdown_time(state: FlowState) -> float:

@@ -55,20 +55,6 @@ class Trajectory:
     light_shift: float
     handoff_adjustments: dict
 
-    def phase(self, name: str) -> SolveResult:
-        for p in self.phases:
-            if p.name == name:
-                return p
-        raise KeyError(name)
-
-    @property
-    def snapshots(self) -> list:
-        out = []
-        for p in self.phases:
-            out.extend(p.snapshots)
-        out.sort(key=lambda s: s.t)
-        return out
-
     @property
     def final(self) -> FlowState:
         return self.phases[-1].final

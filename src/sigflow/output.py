@@ -33,15 +33,6 @@ def _reprs(values: np.ndarray) -> list:
     return list(map(repr, values.tolist()))
 
 
-def read_snapshot(path) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Read a snapshot CSV of write_outputs; returns (t, x, rho, v)."""
-    path = Path(path)
-    lines = path.read_text().strip().splitlines()
-    t = float(lines[0].split("=", 1)[1])
-    data = np.array([[float(f) for f in ln.split(",")] for ln in lines[2:]])
-    return t, data[:, 0], data[:, 1], data[:, 2]
-
-
 def write_report(
     traj: Optional[Trajectory],
     path,
@@ -87,8 +78,8 @@ def write_outputs(traj: Trajectory, out, plot: Optional[str] = None,
                 columns.append((snap, t, x, rho if plot == "rho" else v))
     write_report(traj, out / "report.json", timings=timings)
     if plot is not None:
-        # the order of traj.snapshots: the red-phase flows share their
-        # snapshot times, and the stable sort keeps them in phase order
+        # by time; the red-phase flows share their snapshot times, and the
+        # stable sort keeps those in phase order
         columns.sort(key=lambda c: c[0].t)
         _write_plot(traj, plot, columns, out / f"plot_{plot}.csv",
                     out / f"plot_{plot}.svg")

@@ -78,6 +78,11 @@ def shipped_scenario(model="first", n_cells=150):
     return dataclasses.replace(s, model=model, grid=grid)
 
 
+def phase_named(traj, name):
+    """The phase of a Trajectory with the given name."""
+    return next(p for p in traj.phases if p.name == name)
+
+
 @pytest.fixture(scope="session")
 def first_model_trajectory():
     from sigflow import run

@@ -31,7 +31,7 @@ from sigflow import (
     split_at,
     to_mass_coordinates,
 )
-from tests.conftest import reference_scenario, stationary_scenario
+from tests.conftest import phase_named, reference_scenario, stationary_scenario
 
 
 def _verdict(k: int, ok: bool, detail: str):
@@ -159,7 +159,7 @@ class TestCriterion4StopGuarantee:
         worst_res = 0.0
         for traj in (first_model_trajectory, second_model_trajectory):
             tm = traj.scenario.timing
-            red = [rec["outflow_cum"] for rec in traj.phase("upstream_braking").ledger
+            red = [rec["outflow_cum"] for rec in phase_named(traj, "upstream_braking").ledger
                    if tm.t0 <= rec["t"] <= tm.t0 + tm.tau1]
             assert len(red) >= 2, "fewer than two ledger records inside the red window"
             worst_flow = max(worst_flow, max(red) - min(red))
@@ -176,7 +176,7 @@ class TestCriterion4StopGuarantee:
 class TestCriterion5VacuumBoundary:
     def test_downstream_mass_non_increasing(self, first_model_trajectory):
         start = time.perf_counter()
-        phase = first_model_trajectory.phase("downstream_release")
+        phase = phase_named(first_model_trajectory, "downstream_release")
         masses = [rec["total_mass"] for rec in phase.ledger]
         rises = [b - a for a, b in zip(masses, masses[1:]) if b > a]
         worst = max(rises, default=0.0)
@@ -285,8 +285,8 @@ class TestCriterion8MergeCorrectness:
         traj = first_model_trajectory
         tm = traj.scenario.timing
         t_green = tm.t0 + tm.tau1
-        up_f = traj.phase("upstream_braking").final
-        down_f = traj.phase("downstream_release").final
+        up_f = phase_named(traj, "upstream_braking").final
+        down_f = phase_named(traj, "downstream_release").final
         merged = merge(up_f, down_f, traj.scenario.grid)
         sel = traj.scenario.grid.centers >= tm.x0
         n_keep = int(np.sum(sel))
@@ -294,7 +294,7 @@ class TestCriterion8MergeCorrectness:
             np.array_equal(merged.rho[sel], down_f.rho[-n_keep:])
             and np.array_equal(merged.v[sel], down_f.v[-n_keep:])
         )
-        resume0 = traj.phase("resume").snapshots[0]
+        resume0 = phase_named(traj, "resume").snapshots[0]
         handoff_bitwise = np.array_equal(resume0.rho, merged.rho)
 
         elapsed = time.perf_counter() - start

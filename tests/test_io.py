@@ -24,7 +24,7 @@ from sigflow import lagrangian
 from sigflow.cli import main
 from sigflow.domain import sample_profile
 from sigflow.lagrangian import BreakdownError, oracle_errors
-from sigflow.output import read_snapshot, write_outputs, write_report
+from sigflow.output import write_outputs, write_report
 from tests.conftest import reference_scenario
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -371,7 +371,10 @@ class TestSnapshotFiles:
         write_outputs(small_trajectory, tmp_path)
         for phase in small_trajectory.phases:
             for i, snap in enumerate(phase.snapshots):
-                t, x, rho, v = read_snapshot(tmp_path / f"{phase.name}_{i:04d}.csv")
+                path = tmp_path / f"{phase.name}_{i:04d}.csv"
+                with path.open() as f:
+                    t = float(f.readline().split("=", 1)[1])
+                x, rho, v = np.loadtxt(path, delimiter=",", skiprows=2, unpack=True)
                 assert t == snap.t
                 for got, want in ((x, snap.grid.centers), (rho, snap.rho), (v, snap.v)):
                     assert got.tobytes() == want.tobytes()
@@ -444,7 +447,7 @@ def reference_write_snapshot(state, path):
 def reference_emit_plot(traj, field, csv_path, svg_path):
     """emit_plot written with one Python call per value, as it was before it
     worked on whole arrays; emit_plot must match its bytes."""
-    snapshots = traj.snapshots
+    snapshots = sorted((s for p in traj.phases for s in p.snapshots), key=lambda s: s.t)
     rows = []
     for snap in snapshots:
         vals = getattr(snap, field)
@@ -630,7 +633,7 @@ class TestReportAndPlot:
 
         lines = csv.read_text().splitlines()
         assert lines[0] == "t,x,value"
-        n_rows = sum(s.grid.n_cells for s in small_trajectory.snapshots)
+        n_rows = sum(s.grid.n_cells for p in small_trajectory.phases for s in p.snapshots)
         assert len(lines) == 1 + n_rows
 
         text = svg.read_text()
@@ -658,6 +661,25 @@ class TestCli:
 
     def test_validate_missing_file(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "absent.yaml")]) == 2
+
+    def test_validate_a_file_that_is_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "latin1.yaml"
+        p.write_bytes(b"model: first\n\xff\xfe bad\n")
+        assert main(["validate", "--config", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config {p}: ")
+
+    @pytest.mark.parametrize("value, stderr", [
+        ("basic_format", ""), ("_styles", ""),
+        ("info", r"INFO sigflow: run finished in \d+\.\d\d s\n")])
+    def test_sigflow_log_takes_only_a_level_name(self, config, tmp_path, value, stderr):
+        # a fresh interpreter: under pytest the root logger has handlers, so
+        # basicConfig ignores the level it is given
+        env = dict(os.environ, PYTHONPATH=str(SRC), SIGFLOW_LOG=value)
+        done = subprocess.run([sys.executable, "-m", "sigflow.cli", "simulate", "--config",
+                               str(config), "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert re.fullmatch(stderr, done.stderr), done.stderr
 
     def test_validate_bad_config(self, tmp_path, capsys):
         p = tmp_path / "bad.yaml"
@@ -743,9 +765,10 @@ class TestCli:
     def test_verify_oracle_breakdown_fails_cleanly_under_warnings_as_errors(
             self, tmp_path, capsys):
         # the shipped scenario with an inflow faster than the road (and a
-        # Courant number the inflow's ghost speed allows): the reference
-        # density overflows at t = 0.15 s, which must end in exit code 1 and
-        # a message, not in numpy's overflow warning raised as an error
+        # Courant number the inflow's ghost speed allows): the reference's
+        # tau reaches 0 at t = 0.08 s (density became infinite), which must
+        # end in exit code 1 and a message, not in a numpy warning raised as
+        # an error
         text = (Path(__file__).resolve().parent.parent / "scenarios"
                 / "intersection.yaml").read_text()
         text = text.replace("  v_in: 10.0", "  v_in: linear_ramp(start=30.0, end=38.0, "

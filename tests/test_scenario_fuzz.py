@@ -18,6 +18,7 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from sigflow import PhaseError, ScenarioError, parse_scenario, run
 from sigflow.lagrangian import BreakdownError, oracle_errors
+from tests.conftest import phase_named
 
 PHASES = {"free_flow", "upstream_braking", "downstream_release", "resume"}
 
@@ -74,11 +75,11 @@ def test_a_generated_scenario_is_refused_fails_in_a_phase_or_runs(text):
     except PhaseError as e:
         assert e.phase in PHASES and repr(e.phase) in str(e)
         return
-    assert all(np.all(snap.rho >= 0.0) for snap in traj.snapshots)
+    assert all(np.all(snap.rho >= 0.0) for p in traj.phases for snap in p.snapshots)
     # during red the braking strip ends at the light, where V = 0: no
     # traffic leaves it between the red onset (a snapshot time, two
     # intervals after the braking onset) and the green light
-    braking = traj.phase("upstream_braking")
+    braking = phase_named(traj, "upstream_braking")
     x_light = s.grid.nearest_face(s.timing.x0)
     red = [(snap, row) for snap, row in zip(braking.snapshots, braking.ledger)
            if snap.t >= s.timing.t0 - 1e-9]
