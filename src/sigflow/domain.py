@@ -244,11 +244,9 @@ def default_braking_profile(timing: SignalTiming, v_handoff: float) -> BrakingPr
     t_start = t0 - tau0
 
     def ease(t: float) -> float:
-        # 1 at t_start, 0 at t0, clamped outside.
+        # 1 up to t_start, falling to 0 at t0; gamma and velocity answer t >= t0 themselves
         if t <= t_start:
             return 1.0
-        if t >= t0:
-            return 0.0
         return (1.0 + math.cos(math.pi * (t - t_start) / tau0)) / 2.0
 
     def gamma(t: float) -> float:

@@ -25,6 +25,10 @@ from .hyperbolic import solve_hyperbolic
 # Densities at or below this are treated as a breakdown of the smooth solution.
 RHO_FLOOR = 1e-12
 
+# The largest rho * dx the reference takes on its samples: every xi-spacing then stays
+# below 2**511, so the xi-difference's products dx1 * (dx1 + dx2) and dx1 * dx2 are finite.
+RHO_DX_MAX = 2.0 ** 510
+
 
 class BreakdownError(RuntimeError):
     """Raised when the smooth mass-coordinate solution stops being valid."""
@@ -243,9 +247,11 @@ def oracle_errors(scenario: Scenario) -> list[tuple[float, float]]:
     against one mass-coordinate reference on 8n samples, at the free-flow
     handoff time.  In order: ScenarioError for a grid whose 8n reference
     passes the cell cap, a refined grid the scenario's other checks refuse
-    or a density not strictly positive on the reference's samples;
-    ValueError for a horizon past the n, then the 2n grid's; BreakdownError
-    while the reference is built; the two runs.
+    or a density on the reference's samples that is not strictly positive,
+    lies at or below RHO_FLOOR, passes RHO_DX_MAX / dx or varies too steeply
+    for its mass coordinate to increase; ValueError for a horizon past the
+    n, then the 2n grid's; BreakdownError while the reference is built; the
+    two runs.
     """
     t_end = scenario.timing.t0 - scenario.timing.tau0
     g, n = scenario.grid, scenario.grid.n_cells
@@ -254,13 +260,24 @@ def oracle_errors(scenario: Scenario) -> list[tuple[float, float]]:
                              f"cells, past the cap of {MAX_CELLS}"])
     *inits, samples = (initial_state(replace(scenario, grid=RoadGrid(g.x_min, g.x_max, k * n)))
                        for k in (1, 2, 8))
-    try:
-        field = to_mass_coordinates(samples)
-    except ValueError as e:  # a FlowState is finite: MassField refused a vacuum
+    rho_lo, rho_hi, dx = float(np.min(samples.rho)), float(np.max(samples.rho)), samples.grid.dx
+    if not rho_lo > 0:
         raise ScenarioError([
             "profiles.rho0: initial density must be strictly positive everywhere when the "
             "mass-coordinate reference solution is requested (the coordinate "
-            "transformation is otherwise not invertible)"]) from e
+            "transformation is otherwise not invertible)"])
+    if rho_lo <= RHO_FLOOR:
+        raise ScenarioError([f"profiles.rho0: initial density {rho_lo:g} lies at or below the "
+                             f"mass-coordinate reference's positivity floor {RHO_FLOOR:g}"])
+    if rho_hi * dx > RHO_DX_MAX:
+        raise ScenarioError([f"profiles.rho0: initial density {rho_hi:g} passes "
+                             f"{RHO_DX_MAX / dx:.6g}, the most the mass-coordinate reference "
+                             f"takes on its cells of {dx:g} m (rho * dx <= 2**510)"])
+    try:
+        field = to_mass_coordinates(samples)
+    except ValueError as e:  # in range, so a sample's xi-spacing rounded away
+        raise ScenarioError([f"profiles.rho0: initial density too steep for the mass-coordinate "
+                             f"reference to resolve ({e})"]) from e
     for init in inits:
         t_star = estimate_breakdown_time(init)
         if t_end >= 0.5 * t_star:

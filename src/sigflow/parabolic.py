@@ -91,11 +91,6 @@ def _braking_end(braking: BrakingProfile, x_min: float, t: float) -> float:
     return r
 
 
-def _mass(rho: np.ndarray, length: float) -> float:
-    """sum(rho) * dx, as FlowState.total_mass forms it."""
-    return float(np.sum(rho) * (length / rho.size))
-
-
 def step_viscous(
     v: np.ndarray,
     rho: np.ndarray,
@@ -233,7 +228,7 @@ def step_viscous(
     clamped = 0.0
     if lo < 0:
         # upwinding with CFL <= 1 keeps density non-negative up to roundoff
-        clamped = -_mass(np.minimum(rho_new, 0.0), L_new)
+        clamped = -float(np.sum(np.minimum(rho_new, 0.0)) * (L_new / n))
         rho_new = np.maximum(rho_new, 0.0)
 
     report = StepReport(inflow=dt * flux_left, outflow=dt * flux_right, clamped=clamped)
@@ -264,11 +259,12 @@ def solve_parabolic(
     interior face starts at the mean velocity of its two cells and an end
     face at its cell's velocity.  Without braking the right end stays at
     initial.grid.x_max under the zero-gradient closure.  With a
-    BrakingProfile it moves along braking.gamma(t), read from gamma also at
-    initial.t, where it must lie within rounding (HANDOVER_RTOL of the
-    length) of initial.grid.x_max or a ValueError naming the time is
-    raised; its face holds braking.V(t), and the run metadata reports
-    the residual between V and the handed-off velocity there.  The
+    BrakingProfile it moves along braking.gamma(t), which at initial.t must
+    lie within rounding (HANDOVER_RTOL of the length) of initial.grid.x_max
+    or a ValueError naming the time is raised; its face holds braking.V(t),
+    and the run metadata reports the residual between V and the handed-off
+    velocity there.  The strip's cells travel in the march state with v and
+    rho: read from gamma once at initial.t and once after each step.  The
     diffusion is implicit, so only the explicit upwind advection limits the
     step: each step is the largest with max|c| dt/dy <= cfl, where c is the
     mesh-relative face speed of step_viscous; no other setting sizes it.
@@ -285,6 +281,7 @@ def solve_parabolic(
 
     if braking is None:
         compat_residual = None
+        grid = initial.grid
     else:
         compat_residual = abs(float(braking.V(t_start)) - float(v[-1]))
         # the cells are laid on [x_min, gamma(t_start)]: an initial state
@@ -295,20 +292,14 @@ def solve_parabolic(
                 f"braking boundary {start_end} at t = {t_start} is not the initial "
                 f"state's right end {x_max}"
             )
-
-    def grid(t: float) -> RoadGrid:
-        """The cells at t; a braking strip's right end is gamma(t), also at
-        t_start."""
-        if braking is None:
-            return initial.grid
-        return RoadGrid(x_min, _braking_end(braking, x_min, t), n)
+        grid = RoadGrid(x_min, start_end, n)
 
     y = _unit_faces(n)
 
     def step_size(state, t: float) -> float:
         """At most the time left, with max|c| h/dy <= cfl."""
-        v = state[0]
-        L_old = grid(t).x_max - x_min
+        v, _, grid = state
+        L_old = grid.x_max - x_min
         c_max = float(np.maximum.reduce(np.abs(v))) / L_old  # mesh at rest
         h = min(t_end - t, _cfl_step(dy, _finite(c_max, t), cfl))
         # on a moving mesh c depends on Ldot over the step itself: h is
@@ -324,17 +315,20 @@ def solve_parabolic(
         return h
 
     def advance(state, t: float, h: float):
-        v, rho, report = step_viscous(*state, t, h, mu, inflow, grid(t), force, braking)
-        return (v, rho), report
+        v, rho, grid = state
+        v, rho, report = step_viscous(v, rho, t, h, mu, inflow, grid, force, braking)
+        if braking is not None:
+            grid = RoadGrid(x_min, _braking_end(braking, x_min, t + h), n)
+        return (v, rho, grid), report
 
     def snapshot(state, t: float) -> FlowState:
-        v = state[0]
+        v, rho, grid = state
         v_cell = v[:-1] + v[1:]
         v_cell *= 0.5
-        return FlowState(grid=grid(t), rho=state[1], v=v_cell, t=t)
+        return FlowState(grid=grid, rho=rho, v=v_cell, t=t)
 
     return march(
-        (v, rho), t_start, t_end, snapshot_interval,
+        (v, rho, grid), t_start, t_end, snapshot_interval,
         max_dt=step_size,
         advance=advance,
         snapshot=snapshot,

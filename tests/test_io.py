@@ -961,6 +961,86 @@ class TestVerifyOracleChild:
             assert np.min(solved[0].rho) == 0.0
 
 
+def shipped_with(**profiles) -> str:
+    """The shipped file's text with the given profiles' lines replaced."""
+    text = SHIPPED.read_text()
+    for key, value in profiles.items():
+        text, count = re.subn(rf"(?m)^  {key}: .*$", f"  {key}: {value}", text)
+        assert count == 1, key
+    return text
+
+
+RAMP = "linear_ramp(start=8.0, end=12.0, x_start=0.0, x_end=600.0)"
+# the shipped file's reference has 8 x 150 cells of 0.5 m
+UPPER_LIMIT = ("profiles.rho0: initial density {} passes 6.7039e+153, the most the "
+               "mass-coordinate reference takes on its cells of 0.5 m (rho * dx <= 2**510)")
+FLOOR = ("profiles.rho0: initial density {} lies at or below the mass-coordinate "
+         "reference's positivity floor 1e-12")
+
+
+class TestOracleDensityRange:
+    """verify-oracle refuses an initial density its mass-coordinate reference
+    cannot carry as profiles.rho0, exit 2, before any reference step or solve.
+    YAML floats are written 1.0e+200: PyYAML reads 1.0e200 as a string."""
+
+    @pytest.fixture()
+    def oracle(self, tmp_path, capsys, monkeypatch):
+        """Run verify-oracle on the shipped file with the given profiles, every
+        warning an error; returns (exit code, stdout, stderr, calls made)."""
+        calls = []
+        for name in ("advance_characteristics", "solve_hyperbolic"):
+            real = getattr(lagrangian, name)
+            monkeypatch.setattr(lagrangian, name, lambda *args, real=real, name=name, **kw:
+                                calls.append(name) or real(*args, **kw))
+
+        def run(**profiles):
+            p = tmp_path / "scenario.yaml"
+            p.write_text(shipped_with(**profiles))
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["verify-oracle", "--config", str(p)])
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err, list(calls)
+        return run
+
+    def test_a_density_in_range_scales_the_density_errors(self, oracle):
+        # rho0 = rho_in = R leaves v alone and scales rho: at R = 1e100 the
+        # comparison prints 1e100 x the R = 1 density errors
+        runs = [oracle(rho0=r, rho_in=r, v0=RAMP, v_in=8.0) for r in ("1.0", "1.0e+100")]
+        assert [(code, err) for code, _, err, _ in runs] == [(0, ""), (0, "")]
+        (rho_one, rest_one), (rho_big, rest_big) = (
+            ([float(x) for x in re.findall(r"L1\(rho\)=(\S+)", out)],
+             re.sub(r"L1\(rho\)=\S+", "", out)) for _, out, _, _ in runs)
+        np.testing.assert_allclose(rho_big, 1e100 * np.array(rho_one), rtol=1e-6)
+        assert rest_big == rest_one  # L1(v) and the refinement ratio
+
+    def test_a_density_whose_xi_weights_overflow_is_refused(self, oracle):
+        # unchecked, the comparison ran with zeroed interior weights and exited 0
+        assert oracle(rho0="1.0e+200", rho_in="1.0e+200", v0=RAMP, v_in=8.0) == (
+            2, "", f"error: {UPPER_LIMIT.format('1e+200')}\n", [])
+
+    def test_a_density_whose_mass_coordinate_overflows_is_refused(self, oracle):
+        # not the vacuum message: the density is positive
+        assert oracle(rho0="1.0e+306") == (
+            2, "", f"error: {UPPER_LIMIT.format('1e+306')}\n", [])
+
+    @pytest.mark.parametrize("rho0", ["1.0e-13", "1.0e-300"])
+    def test_a_density_below_the_floor_is_refused(self, oracle, rho0):
+        # not a breakdown: the density starts below the floor
+        assert oracle(rho0=rho0) == (
+            2, "", f"error: {FLOOR.format(f'{float(rho0):g}')}\n", [])
+
+    def test_a_density_too_steep_for_the_mass_coordinate_is_refused(self, oracle):
+        # in range everywhere, but 2e-12 veh/m over the last 9 m, after 590 m
+        # of 1e5 veh/m, adds less to xi than its rounding there
+        table = ("{table: {x: [0.0, 590.0, 591.0, 600.0], "
+                 "values: [1.0e+5, 1.0e+5, 2.0e-12, 2.0e-12]}}")
+        assert oracle(rho0=table) == (
+            2, "", "error: profiles.rho0: initial density too steep for the mass-coordinate "
+                   "reference to resolve (xi must be strictly increasing)\n", [])
+
+
 def without_timings(report: Path) -> dict:
     doc = json.loads(report.read_text())
     doc.pop("phase_timings_s")

@@ -299,7 +299,8 @@ class TestAdvance:
 
     def test_density_blow_up_raises_no_numpy_warning(self):
         # with RuntimeWarning raised as an error (as CI's smoke step runs),
-        # the overflow in the blow-up step must not pre-empt BreakdownError
+        # the blow-up must end in BreakdownError, not in a numpy warning
+        # raised first; tau reaches 0 there without overflowing
         s = shipped_scenario(n_cells=600)
         field = to_mass_coordinates(initial_state(s))
         inflow = BoundaryData(rho_in=lambda t: 0.1, v_in=lambda t: 30.0 + t)
@@ -307,6 +308,21 @@ class TestAdvance:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(BreakdownError, match=r"became infinite at t = 0\.\d+:"):
                 advance_characteristics(field, inflow, s.force, 8.0, 800)
+
+    def test_overflowing_inflow_raises_no_numpy_warning(self):
+        # the shipped file's reference (8 x 150 samples, 400 steps to the
+        # handoff) with rho_in = 1e200: each step's influx of 2e199 rounds
+        # every sample's xi to one value, and an entering sample's stencil
+        # d * (d + d0) overflows inside the loop.  The loop's np.errstate keeps
+        # that silent under warnings-as-errors, and the collapsed xi is
+        # refused when the result is built
+        s = shipped_scenario(n_cells=1200)
+        field = to_mass_coordinates(initial_state(s))
+        inflow = BoundaryData(rho_in=lambda t: 1e200, v_in=s.inflow.v_in)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="^xi must be strictly increasing$"):
+                advance_characteristics(field, inflow, s.force, 8.0, 400)
 
 
 def parity_case(case):
