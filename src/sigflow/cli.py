@@ -36,35 +36,28 @@ def _setup_logging():
 
 
 def _load_scenario(path: str, nx=None, model=None):
+    """The scenario in the file at path, with the overrides; ScenarioError if unusable."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
-        print(f"error: cannot read config {path}: {e}", file=sys.stderr)
-        return None
+        raise ScenarioError([f"cannot read config {path}: {e}"]) from None
+    scenario = parse_scenario(text)
+    g = scenario.grid
     try:
-        scenario = parse_scenario(text)
-        g = scenario.grid
-        try:
-            grid = g if nx is None else RoadGrid(g.x_min, g.x_max, nx)
-        except ValueError as e:
-            raise ScenarioError([f"--nx: {e}"]) from None
-        try:
-            # the overridden scenario is checked as it is built
-            return replace(scenario, grid=grid, model=model or scenario.model)
-        except ScenarioError as e:
-            # the file's own cell count was checked as it was parsed
-            raise ScenarioError([violation.replace("grid.n_cells:", "--nx:", 1)
-                                 for violation in e.violations]) from None
+        grid = g if nx is None else RoadGrid(g.x_min, g.x_max, nx)
+    except ValueError as e:
+        raise ScenarioError([f"--nx: {e}"]) from None
+    try:
+        # the overridden scenario is checked as it is built
+        return replace(scenario, grid=grid, model=model or scenario.model)
     except ScenarioError as e:
-        for violation in e.violations:
-            print(f"error: {violation}", file=sys.stderr)
-        return None
+        # the file's own cell count was checked as it was parsed
+        raise ScenarioError([violation.replace("grid.n_cells:", "--nx:", 1)
+                             for violation in e.violations]) from None
 
 
 def cmd_simulate(args) -> int:
     scenario = _load_scenario(args.config, nx=args.nx, model=args.model)
-    if scenario is None:
-        return 2
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -94,14 +87,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify_oracle(args) -> int:
     scenario = _load_scenario(args.config)
-    if scenario is None:
-        return 2
     try:
         coarse, fine = lag.oracle_errors(scenario)
-    except ScenarioError as e:
-        for violation in e.violations:
-            print(f"error: {violation}", file=sys.stderr)
-        return 2
+    except ScenarioError:  # a ValueError, reported by main
+        raise
     except (ValueError, lag.BreakdownError) as e:
         print(f"error: oracle comparison failed: {e}", file=sys.stderr)
         return 1
@@ -114,9 +103,8 @@ def cmd_verify_oracle(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    # parsing validates the scenario and reports every violation
-    if _load_scenario(args.config) is None:
-        return 2
+    # parsing validates the scenario; main reports every violation
+    _load_scenario(args.config)
     print("scenario is valid")
     return 0
 
@@ -152,7 +140,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ScenarioError as e:
+        for violation in e.violations:
+            print(f"error: {violation}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

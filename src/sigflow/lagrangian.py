@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .domain import (MAX_CELLS, BoundaryData, FlowState, ForceLaw, RoadGrid, Scenario,
-                     ScenarioError, initial_state)
+                     ScenarioError, initial_state, sample_profile)
 from .hyperbolic import solve_hyperbolic
 
 # Densities at or below this are treated as a breakdown of the smooth solution.
@@ -161,7 +161,8 @@ def advance_characteristics(
     density when seeded and D its increment of tau.  Characteristics enter at
     xi = 0 with the boundary values, at the initial samples' spacing.
     BreakdownError stops the step in which the mass influx is not finite, tau
-    reaches 0 or a density reaches RHO_FLOOR.
+    reaches 0 or a density reaches RHO_FLOOR, and the run whose influx has
+    rounded away the xi-spacing of its samples.
     """
     if not t_end > field.t:
         raise ValueError(f"t_end = {t_end} must exceed field time {field.t}")
@@ -223,6 +224,10 @@ def advance_characteristics(
                     raise BreakdownError(f"boundary density vanished at entry time t = {t}")
 
     xi, rho0, dtau, v = buf[:4, s:].copy()
+    # xi += dA rounds: an influx far above the samples' masses leaves no spacing between them
+    if not np.minimum.reduce(np.diff(xi)) > 0:
+        raise BreakdownError("profiles.rho_in: the mass influx rho_in * v_in is too large for "
+                             "the reference's mass coordinate: it rounds away the samples' spacing")
     return MassField(xi, rho0 / (1.0 + rho0 * dtau), v, t, field.x_origin)
 
 
@@ -246,12 +251,14 @@ def oracle_errors(scenario: Scenario) -> list[tuple[float, float]]:
     """[(L1(rho), L1(v)) at n cells, the same at 2n]: the finite-volume run
     against one mass-coordinate reference on 8n samples, at the free-flow
     handoff time.  In order: ScenarioError for a grid whose 8n reference
-    passes the cell cap, a refined grid the scenario's other checks refuse
-    or a density on the reference's samples that is not strictly positive,
+    passes the cell cap, a refined grid the scenario's other checks refuse,
+    a density on the reference's samples that is not strictly positive,
     lies at or below RHO_FLOOR, passes RHO_DX_MAX / dx or varies too steeply
-    for its mass coordinate to increase; ValueError for a horizon past the
-    n, then the 2n grid's; BreakdownError while the reference is built; the
-    two runs.
+    for its mass coordinate to increase, or an inflow density at or below
+    RHO_FLOOR or inflow velocity at or below 0 at a time the reference reads
+    the inflow (no traffic would enter it then); ValueError for a horizon
+    past the n, then the 2n grid's; BreakdownError while the reference is
+    built; the two runs.
     """
     t_end = scenario.timing.t0 - scenario.timing.tau0
     g, n = scenario.grid, scenario.grid.n_cells
@@ -278,6 +285,21 @@ def oracle_errors(scenario: Scenario) -> list[tuple[float, float]]:
     except ValueError as e:  # in range, so a sample's xi-spacing rounded away
         raise ScenarioError([f"profiles.rho0: initial density too steep for the mass-coordinate "
                              f"reference to resolve ({e})"]) from e
+    n_steps = max(200, int(t_end / 0.02))
+    # the times advance_characteristics reads the inflow at, summed as it sums them
+    ts = np.cumsum(np.concatenate(([field.t], np.full(n_steps, (t_end - field.t) / n_steps))))
+    with np.errstate(all="ignore"):  # a non-finite influx is the reference's BreakdownError
+        rho_in = sample_profile(scenario.inflow.rho_in, ts)
+        v_in = sample_profile(scenario.inflow.v_in, ts)
+    # each names the first such time: no traffic enters the reference then
+    no_entry = [f"profiles.rho_in: inflow density {rho_in[i]:g} at t = {ts[i]:g} lies at or below "
+                f"the mass-coordinate reference's positivity floor {RHO_FLOOR:g}"
+                for i in np.flatnonzero(rho_in <= RHO_FLOOR)[:1]]
+    no_entry += [f"profiles.v_in: inflow velocity {v_in[i]:g} at t = {ts[i]:g} is not positive, "
+                 "so no traffic enters the mass-coordinate reference"
+                 for i in np.flatnonzero(v_in <= 0.0)[:1]]
+    if no_entry:
+        raise ScenarioError(no_entry)
     for init in inits:
         t_star = estimate_breakdown_time(init)
         if t_end >= 0.5 * t_star:
@@ -286,7 +308,6 @@ def oracle_errors(scenario: Scenario) -> list[tuple[float, float]]:
                 f"{t_star}; the smooth reference solution is not valid there"
             )
 
-    n_steps = max(200, int(t_end / 0.02))
     field = advance_characteristics(field, scenario.inflow, scenario.force, t_end, n_steps)
 
     errors = []

@@ -123,21 +123,14 @@ def step_viscous(
         L_new = L_old
     else:
         L_new = _braking_end(braking, grid.x_min, t + dt) - grid.x_min
-    Ldot = (L_new - L_old) / dt
-    # On a fixed interval (and on the braking strip once it has stopped)
-    # Ldot is +0.0, every mesh-velocity term y * Ldot is +0.0 and x - 0.0
-    # is x, so those terms are skipped without changing a bit.
-    moving = L_new != L_old
+    # the faces' mesh velocity y * Ldot, taken from every face speed below; on a
+    # fixed strip (and on a stopped braking strip) it is +0.0, and x - 0.0 is x
+    w_mesh = _unit_faces(n) * ((L_new - L_old) / dt)
 
     # --- velocity: explicit upwind advection + force, implicit diffusion ---
     # advective speed relative to the mesh, in y units
-    if moving:
-        y = _unit_faces(n)
-        c = y * Ldot
-        np.subtract(v, c, out=c)
-        c /= L_new
-    else:
-        c = v / L_new
+    c = v - w_mesh
+    c /= L_new
     # a NaN in v[-1] reaches no finite result under the zero-gradient
     # closure with positive speeds, so it is caught here
     _check_courant(float(np.maximum.reduce(np.abs(c))) * dt / dy, t)
@@ -199,11 +192,7 @@ def step_viscous(
     # face speeds relative to the mesh; the upwind density of face j is
     # rho_ext[j] or rho_ext[j + 1], with the inflow density left of the first
     # cell and the last cell copied right of the last one
-    if moving:
-        w = y * Ldot
-        np.subtract(v_new, w, out=w)
-    else:
-        w = v_new
+    w = v_new - w_mesh
     rho_ext = np.empty(n + 2)
     rho_ext[0] = float(inflow.rho_in(t + dt))
     rho_ext[1:-1] = rho

@@ -978,31 +978,32 @@ FLOOR = ("profiles.rho0: initial density {} lies at or below the mass-coordinate
          "reference's positivity floor 1e-12")
 
 
+@pytest.fixture()
+def oracle(tmp_path, capsys, monkeypatch):
+    """Run verify-oracle on the shipped file with the given profiles, every
+    warning an error; returns (exit code, stdout, stderr, calls made)."""
+    calls = []
+    for name in ("advance_characteristics", "solve_hyperbolic"):
+        real = getattr(lagrangian, name)
+        monkeypatch.setattr(lagrangian, name, lambda *args, real=real, name=name, **kw:
+                            calls.append(name) or real(*args, **kw))
+
+    def run(**profiles):
+        p = tmp_path / "scenario.yaml"
+        p.write_text(shipped_with(**profiles))
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify-oracle", "--config", str(p)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, list(calls)
+    return run
+
+
 class TestOracleDensityRange:
     """verify-oracle refuses an initial density its mass-coordinate reference
     cannot carry as profiles.rho0, exit 2, before any reference step or solve.
     YAML floats are written 1.0e+200: PyYAML reads 1.0e200 as a string."""
-
-    @pytest.fixture()
-    def oracle(self, tmp_path, capsys, monkeypatch):
-        """Run verify-oracle on the shipped file with the given profiles, every
-        warning an error; returns (exit code, stdout, stderr, calls made)."""
-        calls = []
-        for name in ("advance_characteristics", "solve_hyperbolic"):
-            real = getattr(lagrangian, name)
-            monkeypatch.setattr(lagrangian, name, lambda *args, real=real, name=name, **kw:
-                                calls.append(name) or real(*args, **kw))
-
-        def run(**profiles):
-            p = tmp_path / "scenario.yaml"
-            p.write_text(shipped_with(**profiles))
-            calls.clear()
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                code = main(["verify-oracle", "--config", str(p)])
-            captured = capsys.readouterr()
-            return code, captured.out, captured.err, list(calls)
-        return run
 
     def test_a_density_in_range_scales_the_density_errors(self, oracle):
         # rho0 = rho_in = R leaves v alone and scales rho: at R = 1e100 the
@@ -1039,6 +1040,46 @@ class TestOracleDensityRange:
         assert oracle(rho0=table) == (
             2, "", "error: profiles.rho0: initial density too steep for the mass-coordinate "
                    "reference to resolve (xi must be strictly increasing)\n", [])
+
+
+NO_INFLOW_DENSITY = ("profiles.rho_in: inflow density {} at t = {} lies at or below the "
+                     "mass-coordinate reference's positivity floor 1e-12")
+NO_INFLOW_SPEED = ("profiles.v_in: inflow velocity 0 at t = {} is not positive, so no traffic "
+                   "enters the mass-coordinate reference")
+INFLUX_TOO_LARGE = ("error: oracle comparison failed: profiles.rho_in: the mass influx "
+                    "rho_in * v_in is too large for the reference's mass coordinate: it "
+                    "rounds away the samples' spacing\n")
+
+
+class TestOracleInflow:
+    """verify-oracle refuses an inflow that lets no traffic into its reference
+    (exit 2, before any reference step or solve), and names the inflow when
+    its influx is too large for the reference's mass coordinate (exit 1)."""
+
+    @pytest.mark.parametrize("profiles, violations", [
+        ({"rho_in": "0.0"}, [NO_INFLOW_DENSITY.format(0, 0)]),
+        ({"rho_in": "1.0e-13"}, [NO_INFLOW_DENSITY.format("1e-13", 0)]),
+        ({"v_in": "0.0"}, [NO_INFLOW_SPEED.format(0)]),
+        ({"rho_in": "0.0", "v_in": "0.0"},
+         [NO_INFLOW_DENSITY.format(0, 0), NO_INFLOW_SPEED.format(0)]),
+        # zero from t = 4.02 on, the 201st of the reference's 0.02 s steps to the handoff
+        ({"rho_in": "{table: {x: [0.0, 4.0, 4.02, 25.0], values: [0.08, 0.08, 0.0, 0.0]}}"},
+         [NO_INFLOW_DENSITY.format(0, 4.02)]),
+    ], ids=["rho_in_zero", "rho_in_below_floor", "v_in_zero", "both_zero", "rho_in_zero_later"])
+    def test_an_inflow_that_lets_no_traffic_in_is_refused(self, oracle, profiles, violations):
+        # unchecked, the zero inflows exited 0 with a comparison that does not converge
+        assert oracle(**profiles) == (
+            2, "", "".join(f"error: {v}\n" for v in violations), [])
+
+    @pytest.mark.parametrize("rho_in", ["1.0e+20", "1.0e+200"])
+    def test_an_influx_that_rounds_away_xi_names_the_inflow(self, oracle, rho_in):
+        # was "oracle comparison failed: xi must be strictly increasing"
+        assert oracle(rho_in=rho_in) == (1, "", INFLUX_TOO_LARGE, ["advance_characteristics"])
+
+    def test_a_dense_inflow_that_keeps_xi_runs(self, oracle):
+        code, out, err, calls = oracle(rho_in="1.0e+12")
+        assert (code, err, len(out.splitlines())) == (0, "", 3)
+        assert calls == ["advance_characteristics", "solve_hyperbolic", "solve_hyperbolic"]
 
 
 def without_timings(report: Path) -> dict:

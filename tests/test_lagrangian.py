@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,19 +11,22 @@ from sigflow import (
     ForceLaw,
     MassField,
     RoadGrid,
+    ScenarioError,
     advance_characteristics,
     estimate_breakdown_time,
     initial_state,
     reconstruct_physical,
     to_mass_coordinates,
 )
+from sigflow import lagrangian
 from sigflow.lagrangian import (
     RHO_FLOOR,
     BreakdownError,
     _XiDifference,
     _positions,
+    oracle_errors,
 )
-from tests.conftest import shipped_scenario
+from tests.conftest import reference_scenario, shipped_scenario
 
 
 def xi_difference(f, dx):
@@ -315,13 +319,13 @@ class TestAdvance:
         # every sample's xi to one value, and an entering sample's stencil
         # d * (d + d0) overflows inside the loop.  The loop's np.errstate keeps
         # that silent under warnings-as-errors, and the collapsed xi is
-        # refused when the result is built
+        # refused when the result is built, as a breakdown naming the inflow
         s = shipped_scenario(n_cells=1200)
         field = to_mass_coordinates(initial_state(s))
         inflow = BoundaryData(rho_in=lambda t: 1e200, v_in=s.inflow.v_in)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ValueError, match="^xi must be strictly increasing$"):
+            with pytest.raises(BreakdownError, match=r"^profiles\.rho_in: the mass influx "):
                 advance_characteristics(field, inflow, s.force, 8.0, 400)
 
 
@@ -508,3 +512,76 @@ class TestMassFieldValidation:
     def test_rejects_non_positive_density(self):
         with pytest.raises(ValueError, match="rho_hat must be strictly positive: a vacuum"):
             MassField(np.arange(3.0), np.array([0.1, 0.0, 0.1]), np.zeros(3), 0.0, 0.0)
+
+
+def reference_read_times(t_end: float, n_steps: int) -> list[float]:
+    """The times advance_characteristics reads the inflow at, from 0 to t_end."""
+    dt, t = t_end / n_steps, 0.0
+    times = [t]
+    for _ in range(n_steps):
+        t = t + dt
+        times.append(t)
+    return times
+
+
+class TestOracleInflow:
+    """oracle_errors refuses an inflow density at or below RHO_FLOOR, or an
+    inflow velocity at or below 0, at any time the reference reads the inflow:
+    no traffic would enter the reference then.  The refusal names the first
+    such time and comes before any reference step or solve."""
+
+    @pytest.fixture()
+    def unsolved(self, monkeypatch):
+        """The shipped scenario with the given inflow, whose reference steps and
+        solves raise AssertionError."""
+        def never(*args, **kwargs):
+            raise AssertionError("the reference was stepped or a run solved")
+        monkeypatch.setattr(lagrangian, "advance_characteristics", never)
+        monkeypatch.setattr(lagrangian, "solve_hyperbolic", never)
+        s = shipped_scenario()
+        return lambda **inflow: replace(s, inflow=replace(s.inflow, **inflow))
+
+    def refused(self, scenario) -> list[str]:
+        with pytest.raises(ScenarioError) as exc:
+            oracle_errors(scenario)
+        return exc.value.violations
+
+    @pytest.mark.parametrize("rho", [0.0, RHO_FLOOR])
+    def test_an_inflow_density_at_or_below_the_floor_is_refused(self, unsolved, rho):
+        assert self.refused(unsolved(rho_in=lambda t: rho)) == [
+            f"profiles.rho_in: inflow density {rho:g} at t = 0 lies at or below the "
+            "mass-coordinate reference's positivity floor 1e-12"]
+
+    def test_an_inflow_density_above_the_floor_is_not_refused(self, unsolved):
+        with pytest.raises(AssertionError, match="stepped or a run solved"):
+            oracle_errors(unsolved(rho_in=lambda t: 2.0 * RHO_FLOOR))
+
+    def test_both_refusals_are_reported_together(self, unsolved):
+        assert self.refused(unsolved(rho_in=lambda t: 0.0, v_in=lambda t: 0.0)) == [
+            "profiles.rho_in: inflow density 0 at t = 0 lies at or below the "
+            "mass-coordinate reference's positivity floor 1e-12",
+            "profiles.v_in: inflow velocity 0 at t = 0 is not positive, so no traffic "
+            "enters the mass-coordinate reference"]
+
+    def test_the_inflow_is_checked_at_the_times_the_reference_reads_it(self, unsolved):
+        # the shipped reference takes 400 steps to its handoff at t = 8; v_in
+        # stops at one instant: the 137th step's end, or the float after it
+        stop = reference_read_times(8.0, 400)[137]
+
+        def stopping_at(instant):
+            return unsolved(v_in=lambda t: 0.0 if t == instant else 10.0)
+
+        assert self.refused(stopping_at(stop)) == [
+            f"profiles.v_in: inflow velocity 0 at t = {stop:g} is not positive, so no "
+            "traffic enters the mass-coordinate reference"]
+        with pytest.raises(AssertionError, match="stepped or a run solved"):
+            oracle_errors(stopping_at(np.nextafter(stop, np.inf)))
+
+    def test_the_initial_density_is_judged_first_and_the_horizon_after(self, unsolved):
+        vacuum = replace(unsolved(rho_in=lambda t: 0.0),
+                         rho0=lambda x: np.zeros_like(np.asarray(x, float)))
+        assert [v.split(":")[0] for v in self.refused(vacuum)] == ["profiles.rho0"]
+        # this velocity puts the horizon past half the crossing estimate
+        past = replace(reference_scenario(v0_amp=8.0), inflow=BoundaryData(
+            rho_in=lambda t: 0.08, v_in=lambda t: 0.0))
+        assert [v.split(":")[0] for v in self.refused(past)] == ["profiles.v_in"]
