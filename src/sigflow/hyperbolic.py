@@ -182,10 +182,13 @@ def numerical_flux(rho_l, v_l, rho_r, v_r):
     return f_mass, f_mom
 
 
-def _cfl_step(dx: float, vmax: float, cfl: float) -> float:
-    """cfl * dx / vmax, with vmax raised to the speed floor."""
+def _cfl_step(dx: float, vmax: float, cfl: float, t: float) -> float:
+    """cfl * dx / vmax, with vmax raised to the speed floor; a non-finite
+    vmax raises ValueError naming t."""
     if not 0 < cfl <= 1:
         raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
+    if not math.isfinite(vmax):
+        raise ValueError(f"non-finite velocity at t = {t}")
     return cfl * dx / max(vmax, SPEED_FLOOR)
 
 
@@ -209,26 +212,25 @@ def step(
     then force source.
 
     The left ghost cell carries the inflow data; the right ghost copies the
-    last cell (zero-gradient outflow).
+    last cell (zero-gradient outflow).  A Courant number past 1 in any cell
+    or ghost, or a non-finite speed or boundary flux, raises ValueError naming t.
     """
     grid, v = state.grid, state.v
     dx = grid.dx
     # Sampled at the step start: the interior data also represents time t
     # (the force source has already been applied), so this keeps spatially
     # uniform accelerating states exactly uniform.
-    rho_lg, v_lg = float(inflow.rho_in(t)), float(inflow.v_in(t))
-    rho_rg, v_rg = float(state.m[-1]), float(v[-1])
-
-    _check_courant(max(float(np.maximum.reduce(np.abs(v))), abs(v_lg)) * dt / dx, t)
-
-    rho_ext = np.concatenate(([rho_lg], state.m, [rho_rg]))
-    v_ext = np.concatenate(([v_lg], v, [v_rg]))
+    rho_ext = np.concatenate(([float(inflow.rho_in(t))], state.m, state.m[-1:]))
+    v_ext = np.concatenate(([float(inflow.v_in(t))], v, v[-1:]))
+    _check_courant(float(np.maximum.reduce(np.abs(v_ext))) * dt / dx, t)
     f_mass, f_mom = numerical_flux(rho_ext[:-1], v_ext[:-1], rho_ext[1:], v_ext[1:])
 
     m_new = state.m - (dt / dx) * (f_mass[1:] - f_mass[:-1])
     q_new = state.q - (dt / dx) * (f_mom[1:] - f_mom[:-1])
 
     report = StepReport(inflow=dt * float(f_mass[0]), outflow=dt * float(f_mass[-1]))
+    if not (math.isfinite(report.inflow) and math.isfinite(report.outflow)):
+        raise ValueError(f"non-finite density or boundary flux at t = {t}")
 
     neg = m_new < 0
     if np.logical_or.reduce(neg):
@@ -267,7 +269,7 @@ def solve_hyperbolic(
         # step's CFL check also sees the inflow ghost's speed
         max_dt=lambda state, t: _cfl_step(
             grid.dx, max(check_flow_fields(state.m, state.v),
-                         abs(float(inflow.v_in(t)))), cfl),
+                         abs(float(inflow.v_in(t)))), cfl, t),
         advance=lambda state, t, dt: step(state, t, dt, inflow, force),
         snapshot=lambda state, t: state.to_flow_state(t),
         metadata={"solver": "hyperbolic", "cfl": cfl},

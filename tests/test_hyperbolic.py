@@ -57,17 +57,24 @@ class TestNumericalFlux:
 
 class TestCflDt:
     def test_nominal(self):
-        assert _cfl_step(1.0, 10.0, 0.5) == pytest.approx(0.05)
+        assert _cfl_step(1.0, 10.0, 0.5, 0.0) == pytest.approx(0.05)
 
     def test_speed_floor_when_stopped(self):
-        dt = _cfl_step(1.0, 0.0, 0.5)
+        dt = _cfl_step(1.0, 0.0, 0.5, 0.0)
         assert dt == pytest.approx(0.5 * 1.0 / 1e-8)
 
     def test_rejects_bad_cfl(self):
         with pytest.raises(ValueError):
-            _cfl_step(1.0, 10.0, 0.0)
+            _cfl_step(1.0, 10.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            _cfl_step(1.0, 10.0, 1.5)
+            _cfl_step(1.0, 10.0, 1.5, 0.0)
+
+    @pytest.mark.parametrize("vmax", [np.nan, np.inf])
+    def test_rejects_a_non_finite_speed(self, vmax):
+        # an infinite speed would give a step of 0.0, which the march refuses
+        # without naming the speed
+        with pytest.raises(ValueError, match="non-finite velocity at t = 2.5"):
+            _cfl_step(1.0, vmax, 0.5, 2.5)
 
 
 class TestStep:
@@ -92,11 +99,13 @@ class TestStep:
         with pytest.raises(ValueError):
             step(state, 0.0, 1.0, bc, None)  # dx/smax = 0.1
 
-    @pytest.mark.parametrize("v_last, match", [
-        (10.0, "CFL violated at t = 0.0"),
-        (np.nan, "non-finite velocity at t = 0.0"),
-    ], ids=["courant-1.005", "nan-velocity"])
-    def test_rejects_a_step_just_past_the_bound(self, v_last, match):
+    @pytest.mark.parametrize("v_last, inflow, match", [
+        (10.0, CLOSED, "CFL violated at t = 0.0"),
+        (np.nan, CLOSED, "non-finite velocity at t = 0.0"),
+        # a NaN inflow speed that max(10, nan) would drop
+        (10.0, inflow_const(0.1, np.nan), "non-finite velocity at t = 0.0"),
+    ], ids=["courant-1.005", "nan-velocity", "nan-inflow-velocity"])
+    def test_rejects_a_step_just_past_the_bound(self, v_last, inflow, match):
         # v = 10 on 1 m cells: dt = 0.1005 is a Courant number of 1.005,
         # which step_viscous refuses too
         m = np.full(100, 0.1)
@@ -104,7 +113,33 @@ class TestStep:
         q[-1] = m[-1] * v_last
         state = ConservedState(RoadGrid(0.0, 100.0, 100), m, q)
         with pytest.raises(ValueError, match=match):
-            step(state, 0.0, 0.1005, CLOSED, None)
+            step(state, 0.0, 0.1005, inflow, None)
+
+    @pytest.mark.parametrize("rho_last, inflow", [
+        (0.1, inflow_const(np.nan, 10.0)),
+        (0.1, inflow_const(np.inf, 10.0)),
+        # a NaN density has velocity 0, so only the outflow flux sees it
+        (np.nan, inflow_const(0.1, 10.0)),
+    ], ids=["nan-inflow-density", "inf-inflow-density", "nan-last-density"])
+    def test_rejects_a_non_finite_boundary_flux(self, rho_last, inflow):
+        m = np.full(100, 0.1)
+        m[-1] = rho_last
+        state = ConservedState(RoadGrid(0.0, 100.0, 100), m, m * 10.0)
+        with pytest.raises(ValueError, match="non-finite density or boundary flux at t = 0.0"):
+            step(state, 0.0, 0.05, inflow, None)
+
+    def test_clamps_an_overdrained_cell(self, monkeypatch):
+        # Rusanov fluxes within the CFL bound never drain a cell below zero;
+        # a flux tripled on the faces right of cell 49 drains it to -0.1 veh/m
+        def overdraining(rho_l, v_l, rho_r, v_r):
+            f_mass, f_mom = numerical_flux(rho_l, v_l, rho_r, v_r)
+            f_mass[50:] *= 3.0
+            return f_mass, f_mom
+        monkeypatch.setattr(sigflow.hyperbolic, "numerical_flux", overdraining)
+        state = ConservedState.from_flow_state(uniform_state(n=100, rho=0.1, v=10.0))
+        out, rep = step(state, 0.0, 0.1, inflow_const(0.1, 10.0), None)
+        assert rep.clamped == pytest.approx(0.1)  # veh, on 1 m cells
+        assert out.m[49] == 0.0 and np.all(out.m >= 0.0)
 
     def test_vacuum_stays_at_rest(self):
         g = RoadGrid(0.0, 100.0, 50)

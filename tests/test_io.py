@@ -743,6 +743,31 @@ class TestCli:
                      "--plot", "rho"]) == 1
         assert f"error: cannot write {what} to {out / name}: " in capsys.readouterr().err
 
+    # the shipped scenario with a NaN or infinite inflow value on 5.2 < t < 5.4 s,
+    # between two of the 64 inflow times validate_scenario samples (5.159 and
+    # 5.556 s), so the file is valid and the run meets the value in its first phase
+    @pytest.mark.parametrize("key, value, model, error", [
+        ("v_in", ".nan", "first", "non-finite velocity at t = 5.28"),
+        ("v_in", ".inf", "first", "non-finite velocity at t = 5.28"),
+        ("rho_in", ".nan", "first", "non-finite density or boundary flux at t = 5.28"),
+        ("rho_in", ".nan", "second", "non-finite density or boundary flux at t = 5.28"),
+    ], ids=["nan-v_in", "inf-v_in", "nan-rho_in-first", "nan-rho_in-second"])
+    def test_simulate_reports_the_phase_a_run_fails_in(self, tmp_path, key, value, model, error):
+        base = {"rho_in": "0.08", "v_in": "10.0"}[key]
+        window = (f"  {key}: {{table: {{x: [0.0, 5.2, 5.3, 5.4, 25.0], "
+                  f"values: [{base}, {base}, {value}, {base}, {base}]}}}}")
+        text = SHIPPED.read_text().replace(f"  {key}: {base}", window)
+        assert window in text
+        config, out = tmp_path / "window.yaml", tmp_path / "out"
+        config.write_text(text)
+        assert main(["simulate", "--config", str(config), "--model", model,
+                     "--out", str(out)]) == 1
+        # the report names the phase and the error, and no snapshot is written
+        assert [p.name for p in out.iterdir()] == ["report.json"]
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["failed_phase"] == "free_flow"
+        assert doc["error"].startswith(error), doc["error"]
+
     def test_simulate_out_is_a_file(self, config, tmp_path, capsys):
         out = tmp_path / "taken"
         out.write_text("")

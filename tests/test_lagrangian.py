@@ -290,6 +290,17 @@ class TestAdvance:
         with pytest.raises(BreakdownError, match=r"at t = 0\.6"):
             advance_characteristics(to_mass_coordinates(s), inflow, None, 1.0, 10)
 
+    def test_an_entering_density_at_the_floor_stops_the_step(self):
+        # rho_in * v_in = 0.1 veh/s lets a sample enter every 0.5 veh (5 s),
+        # but at a density of 1e-13, below RHO_FLOOR.  oracle_errors refuses
+        # such an inflow before it builds the reference, so only a direct
+        # call reaches this check
+        s = state_from(lambda x: np.full_like(x, 0.1), lambda x: np.full_like(x, 10.0),
+                       n=20)
+        inflow = BoundaryData(rho_in=lambda t: 1e-13, v_in=lambda t: 1e12)
+        with pytest.raises(BreakdownError, match=r"vanished at entry time t = 5\.0$"):
+            advance_characteristics(to_mass_coordinates(s), inflow, None, 10.0, 10)
+
     def test_density_blow_up_stops_the_step_it_happens_in(self):
         # an inflow faster than the road compresses the first samples until
         # their tau reaches 0 (density became infinite), at t = 0.1 of the 8 s
