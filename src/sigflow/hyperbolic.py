@@ -168,17 +168,20 @@ def march(
     )
 
 
-def numerical_flux(rho_l, v_l, rho_r, v_r):
-    """Rusanov flux for the pressureless system; vectorized over faces.
+def numerical_flux(rho, v):
+    """Rusanov flux for the pressureless system on the faces between
+    consecutive entries of rho and v.
 
-    Returns (mass_flux, momentum_flux).  Consistent with the exact flux
-    (rho*v, rho*v^2) and identically zero on vacuum-vacuum faces.
+    Returns (mass_flux, momentum_flux), one entry shorter than rho.
+    Consistent with the exact flux (rho*v, rho*v^2) and identically zero on
+    vacuum-vacuum faces.
     """
-    s = np.maximum(np.abs(v_l), np.abs(v_r))
-    q_l = rho_l * v_l
-    q_r = rho_r * v_r
-    f_mass = 0.5 * (q_l + q_r) - 0.5 * s * (rho_r - rho_l)
-    f_mom = 0.5 * (q_l * v_l + q_r * v_r) - 0.5 * s * (q_r - q_l)
+    speed = np.abs(v)
+    half_s = 0.5 * np.maximum(speed[:-1], speed[1:])
+    q = rho * v
+    qv = q * v
+    f_mass = 0.5 * (q[:-1] + q[1:]) - half_s * (rho[1:] - rho[:-1])
+    f_mom = 0.5 * (qv[:-1] + qv[1:]) - half_s * (q[1:] - q[:-1])
     return f_mass, f_mom
 
 
@@ -223,7 +226,7 @@ def step(
     rho_ext = np.concatenate(([float(inflow.rho_in(t))], state.m, state.m[-1:]))
     v_ext = np.concatenate(([float(inflow.v_in(t))], v, v[-1:]))
     _check_courant(float(np.maximum.reduce(np.abs(v_ext))) * dt / dx, t)
-    f_mass, f_mom = numerical_flux(rho_ext[:-1], v_ext[:-1], rho_ext[1:], v_ext[1:])
+    f_mass, f_mom = numerical_flux(rho_ext, v_ext)
 
     m_new = state.m - (dt / dx) * (f_mass[1:] - f_mass[:-1])
     q_new = state.q - (dt / dx) * (f_mom[1:] - f_mom[:-1])

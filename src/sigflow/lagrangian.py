@@ -6,7 +6,7 @@ velocity obeys dv/dt = F(v) along each characteristic and the specific
 volume tau = 1/rho obeys dtau/dt = dv/dxi, linear in v.  Every characteristic
 moves at the same speed, so the sample set translates rigidly in xi, its
 xi-spacing never changes and the xi-difference is built once; only v needs
-RK4.  Used as an independent oracle for the finite-volume solver
+RK4, once per distinct velocity trajectory.  Used as an independent oracle for the finite-volume solver
 (``oracle_errors``); valid only while the characteristics have not crossed
 and the density stays positive.
 """
@@ -158,8 +158,9 @@ def advance_characteristics(
 
     v takes classical RK4 steps, tau the step dt/6 G(v1 + 2 v2 + 2 v3 + v4) of
     its stage velocities; rho = rho0 / (1 + rho0 D), with rho0 a sample's
-    density when seeded and D its increment of tau.  Characteristics enter at
-    xi = 0 with the boundary values, at the initial samples' spacing.
+    density when seeded and D its increment of tau.  v is stepped once per
+    distinct initial velocity and once per entering sample.  Characteristics
+    enter at xi = 0 with the boundary values, at the initial samples' spacing.
     BreakdownError stops the step in which the mass influx is not finite, tau
     reaches 0 or a density reaches RHO_FLOOR, and the run whose influx has
     rounded away the xi-spacing of its samples.
@@ -173,10 +174,20 @@ def advance_characteristics(
         return float(inflow.rho_in(t)) * float(inflow.v_in(t))
 
     rate = np.zeros_like if force is None else force
-    # Rows: xi, rho0, D, v, stage velocity, their sum, scratch; samples grow left from s
+    # dv/dt = F(v) acts on each sample alone, with one dt for all: samples whose velocities
+    # share their bits share their RK4 trajectory, so v is stepped once per slot, a distinct
+    # initial velocity (keyed on the bits, so -0.0 and +0.0 stay apart) or an entering sample
+    # Sample rows: xi, rho0, D, the stage sum, scratch, then each sample's slot;
+    # samples grow left from s
     s = n_steps + 1
-    buf = np.zeros((7, s + field.xi.size))
-    buf[[0, 1, 3], s:] = field.xi, field.rho_hat, field.v_hat
+    buf = np.zeros((5, s + field.xi.size))
+    buf[:2, s:] = field.xi, field.rho_hat
+    slot = np.zeros(buf.shape[1], dtype=np.intp)
+    keys, slot[s:] = np.unique(field.v_hat.view(np.int64), return_inverse=True)
+    # Slot rows: v, stage velocity, their sum, scratch; slots grow right to n_slots
+    n_slots = keys.size
+    slots = np.zeros((4, n_slots + n_steps))
+    slots[0, :n_slots] = keys.view(float)
     grad = _XiDifference(np.diff(field.xi), n_steps)
     spacing = float(np.median(np.diff(field.xi)))
 
@@ -186,7 +197,7 @@ def advance_characteristics(
     # the BreakdownError checks catch what leaves the float range: numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
-            xi, rho0, dtau, v, vs, vsum, tmp = buf[:, s:]
+            v, vs, vsum, tmp = slots[:, :n_slots]
             # v + dt/6 (k1 + 2 k2 + 2 k3 + k4) and vsum = v1 + 2 v2 + 2 v3 + v4,
             # every sum and product in the order those expressions take them
             acc = rate(v)
@@ -199,7 +210,10 @@ def advance_characteristics(
                 vsum += np.multiply(vs, weight, out=tmp)
             acc += rate(vs)
             v += np.multiply(acc, dt / 6.0, out=acc)
-            dtau += np.multiply(grad(vsum, tmp), dt / 6.0, out=tmp)
+
+            xi, rho0, dtau, g, tmp = buf[:, s:]
+            np.take(vsum, slot[s:], out=g)
+            dtau += np.multiply(grad(g, tmp), dt / 6.0, out=tmp)
 
             dA = h * (a(t) + a(t + dt))
             t = t + dt
@@ -216,14 +230,17 @@ def advance_characteristics(
                 raise BreakdownError(f"density reached the positivity floor at t = {t}: "
                                      "characteristics have crossed in physical space")
             if pending >= spacing:
-                grad.prepend(xi[0])  # the entering sample sits at xi = 0
+                grad.prepend(xi[0])  # the entering sample sits at xi = 0, on a new slot
                 s -= 1
-                buf[:4, s] = 0.0, float(inflow.rho_in(t)), 0.0, float(inflow.v_in(t))
+                buf[:3, s] = 0.0, float(inflow.rho_in(t)), 0.0
+                slots[0, n_slots], slot[s] = float(inflow.v_in(t)), n_slots
+                n_slots += 1
                 pending = 0.0
                 if buf[1, s] <= RHO_FLOOR:
                     raise BreakdownError(f"boundary density vanished at entry time t = {t}")
 
-    xi, rho0, dtau, v = buf[:4, s:].copy()
+    xi, rho0, dtau = buf[:3, s:].copy()
+    v = slots[0].take(slot[s:])
     # xi += dA rounds: an influx far above the samples' masses leaves no spacing between them
     if not np.minimum.reduce(np.diff(xi)) > 0:
         raise BreakdownError("profiles.rho_in: the mass influx rho_in * v_in is too large for "

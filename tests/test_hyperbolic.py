@@ -32,27 +32,50 @@ def inflow_const(rho, v):
 
 class TestNumericalFlux:
     def test_consistency_with_exact_flux(self):
-        f_mass, f_mom = numerical_flux(0.1, 10.0, 0.1, 10.0)
+        f_mass, f_mom = numerical_flux(np.array([0.1, 0.1]), np.array([10.0, 10.0]))
         assert f_mass == pytest.approx(1.0)
         assert f_mom == pytest.approx(10.0)
 
     def test_vacuum_face_is_exactly_zero(self):
-        f_mass, f_mom = numerical_flux(0.0, 0.0, 0.0, 0.0)
+        f_mass, f_mom = numerical_flux(np.array([0.0, 0.0]), np.array([0.0, 0.0]))
         assert f_mass == 0.0 and f_mom == 0.0
 
     def test_hand_derived_jump(self):
         # left (0.2, 4), right (0.1, 2): s = 4
         # mass: 0.5*(0.8 + 0.2) - 0.5*4*(-0.1) = 0.7
         # momentum: 0.5*(3.2 + 0.4) - 0.5*4*(0.2 - 0.8) = 3.0
-        f_mass, f_mom = numerical_flux(0.2, 4.0, 0.1, 2.0)
+        f_mass, f_mom = numerical_flux(np.array([0.2, 0.1]), np.array([4.0, 2.0]))
         assert f_mass == pytest.approx(0.7)
         assert f_mom == pytest.approx(3.0)
 
     def test_vacuum_left_of_forward_flow_receives_nothing(self):
         # face between an empty cell and a forward-moving right neighbor:
         # the mass flux cancels exactly, so the vacuum cell stays empty
-        f_mass, _ = numerical_flux(0.0, 0.0, 0.15, 7.0)
+        f_mass, _ = numerical_flux(np.array([0.0, 0.15]), np.array([0.0, 7.0]))
         assert f_mass == 0.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bitwise_equal_to_the_face_pair_formula(self, seed):
+        # the Rusanov formula on separate left and right face values, each
+        # sum and product in the order it takes them
+        def face_pairs(rho_l, v_l, rho_r, v_r):
+            s = np.maximum(np.abs(v_l), np.abs(v_r))
+            q_l = rho_l * v_l
+            q_r = rho_r * v_r
+            return (0.5 * (q_l + q_r) - 0.5 * s * (rho_r - rho_l),
+                    0.5 * (q_l * v_l + q_r * v_r) - 0.5 * s * (q_r - q_l))
+
+        rng = np.random.default_rng(seed)
+        n = 300
+        rho = rng.uniform(0.0, 0.2, n) * rng.integers(1, 1000, n) / 997.0
+        v = rng.normal(8.0, 6.0, n)
+        vacuum = rng.random(n) < 0.3  # isolated vacuum cells and runs of them
+        rho[vacuum], v[vacuum] = 0.0, 0.0
+        got = numerical_flux(rho, v)
+        want = face_pairs(rho[:-1], v[:-1], rho[1:], v[1:])
+        for g, w in zip(got, want):
+            assert g.shape == (n - 1,)
+            np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
 
 
 class TestCflDt:
@@ -131,8 +154,8 @@ class TestStep:
     def test_clamps_an_overdrained_cell(self, monkeypatch):
         # Rusanov fluxes within the CFL bound never drain a cell below zero;
         # a flux tripled on the faces right of cell 49 drains it to -0.1 veh/m
-        def overdraining(rho_l, v_l, rho_r, v_r):
-            f_mass, f_mom = numerical_flux(rho_l, v_l, rho_r, v_r)
+        def overdraining(rho, v):
+            f_mass, f_mom = numerical_flux(rho, v)
             f_mass[50:] *= 3.0
             return f_mass, f_mom
         monkeypatch.setattr(sigflow.hyperbolic, "numerical_flux", overdraining)

@@ -909,6 +909,18 @@ class TestVerifyOracleChild:
         captured = capsys.readouterr()
         assert (captured.out.splitlines(), captured.err) == (lines, "")
 
+    def test_a_non_uniform_v0_prints_the_recorded_lines(self, tmp_path, capsys):
+        # every reference sample on its own velocity trajectory: the lines the
+        # file printed while the reference stepped each sample's velocity alone
+        p = tmp_path / "scenario.yaml"
+        p.write_text(shipped_with(v0="sine(base=10.0, amp=0.5, wavelength=600)"))
+        assert main(["verify-oracle", "--config", str(p)]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out.splitlines(), captured.err) == (
+            ["oracle check, n=150:   L1(rho)=1.077771e-03  L1(v)=2.873884e-02",
+             "oracle check, n=300: L1(rho)=6.443194e-04  L1(v)=1.442904e-02",
+             "refinement ratio (rho): 1.67"], "")
+
     def test_fresh_process_warns_of_nothing(self):
         # every warning an error, in a fresh interpreter: Python reports some
         # warnings (a ResourceWarning, one raised during shutdown) on stderr

@@ -443,6 +443,147 @@ class TestAdvanceParity:
                     assert np.array_equal(*bits(got, expected))
 
 
+def per_sample_advance(field, inflow, force, t_end, n_steps):
+    """advance_characteristics with v stepped on every sample's own row: the
+    same buffers, operations and checks, in the same order, with no sharing
+    between samples of one velocity."""
+    if not t_end > field.t:
+        raise ValueError(f"t_end = {t_end} must exceed field time {field.t}")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+
+    def a(t):
+        return float(inflow.rho_in(t)) * float(inflow.v_in(t))
+
+    rate = np.zeros_like if force is None else force
+    s = n_steps + 1  # rows: xi, rho0, D, v, stage velocity, their sum, scratch
+    buf = np.zeros((7, s + field.xi.size))
+    buf[[0, 1, 3], s:] = field.xi, field.rho_hat, field.v_hat
+    grad = _XiDifference(np.diff(field.xi), n_steps)
+    spacing = float(np.median(np.diff(field.xi)))
+    dt = (t_end - field.t) / n_steps
+    h = 0.5 * dt
+    t, pending = field.t, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            xi, rho0, dtau, v, vs, vsum, tmp = buf[:, s:]
+            acc = rate(v)
+            np.add(v, np.multiply(acc, h, out=vs), out=vs)
+            np.add(v, np.multiply(vs, 2.0, out=vsum), out=vsum)
+            for c, weight in ((h, 2.0), (dt, 1.0)):
+                k = rate(vs)
+                np.add(v, np.multiply(k, c, out=vs), out=vs)
+                acc += np.multiply(k, 2.0, out=k)
+                vsum += np.multiply(vs, weight, out=tmp)
+            acc += rate(vs)
+            v += np.multiply(acc, dt / 6.0, out=acc)
+            dtau += np.multiply(grad(vsum, tmp), dt / 6.0, out=tmp)
+
+            dA = h * (a(t) + a(t + dt))
+            t = t + dt
+            if not np.isfinite(dA):
+                raise BreakdownError(f"boundary mass influx became non-finite at t = {t}")
+            xi += dA
+            pending += dA
+
+            q = np.add(np.multiply(rho0, dtau, out=tmp), 1.0, out=tmp)
+            if np.fmin.reduce(q) <= 0.0:
+                raise BreakdownError(f"density became infinite at t = {t}: faster vehicles "
+                                     "have caught up with slower ones and formed a point mass")
+            if not np.minimum.reduce(np.divide(rho0, q, out=tmp)) > RHO_FLOOR:
+                raise BreakdownError(f"density reached the positivity floor at t = {t}: "
+                                     "characteristics have crossed in physical space")
+            if pending >= spacing:
+                grad.prepend(xi[0])
+                s -= 1
+                buf[:4, s] = 0.0, float(inflow.rho_in(t)), 0.0, float(inflow.v_in(t))
+                pending = 0.0
+                if buf[1, s] <= RHO_FLOOR:
+                    raise BreakdownError(f"boundary density vanished at entry time t = {t}")
+
+    xi, rho0, dtau, v = buf[:4, s:].copy()
+    if not np.minimum.reduce(np.diff(xi)) > 0:
+        raise BreakdownError("profiles.rho_in: the mass influx rho_in * v_in is too large for "
+                             "the reference's mass coordinate: it rounds away the samples' spacing")
+    return MassField(xi, rho0 / (1.0 + rho0 * dtau), v, t, field.x_origin)
+
+
+def bitwise_case(case):
+    """(field, inflow, force, t_end, n_steps) of one TestAdvanceBitwise case."""
+    s = shipped_scenario(n_cells=600)
+    field = to_mass_coordinates(initial_state(s))
+    inflow, force, t_end, n_steps = s.inflow, s.force, 8.0, 400
+    k = field.xi.size
+    # slower upstream, so no characteristics cross: a sample enters on every
+    # step, each at its own velocity
+    varying = BoundaryData(rho_in=lambda t: 0.5, v_in=lambda t: 10.0 - 0.1 * t)
+    if case == "signed_zeros":
+        # a rate that reads the sign of zero: -0.0 and +0.0 must not share a slot
+        field = replace(field, v_hat=np.where(np.arange(k) < k // 2, -0.0, 0.0))
+        force, inflow = (lambda v: np.copysign(0.25, v)), CLOSED
+    elif case == "one_ulp_apart":
+        # three blocks of velocities, one float apart
+        field = replace(field, v_hat=10.0 + np.spacing(10.0) * (np.arange(k) * 3 // k))
+        inflow = varying
+    elif case == "all_distinct":
+        field = replace(field, v_hat=10.0 + 0.5 * np.sin(np.arange(k) / 500.0))
+    elif case == "varying_inflow":
+        inflow = varying
+    elif case == "no_force":
+        force, inflow = None, varying
+    return field, inflow, force, t_end, n_steps
+
+
+def breakdown_case(case):
+    """(field, inflow, force, t_end, n_steps, message) of one BreakdownError case."""
+    k = 200
+    field = MassField(np.linspace(0.0, 10.0, k), np.full(k, 0.1), np.full(k, 10.0), 0.0, 0.0)
+    force = ForceLaw(1.0, 16.0, 4.0)
+    if case == "influx":
+        inflow = BoundaryData(rho_in=lambda t: 0.1, v_in=lambda t: np.nan if t > 0.55 else 10.0)
+        return field, inflow, force, 1.0, 10, "mass influx became non-finite at t = 0.6"
+    if case == "infinite":
+        inflow = BoundaryData(rho_in=lambda t: 0.1, v_in=lambda t: 30.0 + t)
+        return field, inflow, force, 8.0, 800, "density became infinite at t = 0.07:"
+    if case == "floor":
+        field = MassField(np.linspace(0.0, 1e-9, 50), np.full(50, 2e-12),
+                          np.linspace(0.0, 10.0, 50), 0.0, 0.0)
+        return field, CLOSED, None, 100.0, 10, "positivity floor at t = 50.0:"
+    if case == "entry":
+        inflow = BoundaryData(rho_in=lambda t: 1e-13, v_in=lambda t: 1e12)
+        return field, inflow, force, 10.0, 10, "vanished at entry time t = 1.0"
+    inflow = BoundaryData(rho_in=lambda t: 1e200, v_in=lambda t: 10.0)
+    return field, inflow, force, 8.0, 400, "profiles.rho_in: the mass influx"
+
+
+class TestAdvanceBitwise:
+    """v is stepped once per distinct initial velocity and entering sample:
+    every output bit and every breakdown equals stepping each sample alone."""
+
+    @pytest.mark.parametrize("case", ["uniform", "signed_zeros", "one_ulp_apart",
+                                      "all_distinct", "varying_inflow", "no_force"])
+    def test_bitwise_equal_to_stepping_each_sample(self, case):
+        args = bitwise_case(case)
+        got = advance_characteristics(*args)
+        expected = per_sample_advance(*args)
+        for name in ("xi", "rho_hat", "v_hat", "t"):
+            g, e = bits(getattr(got, name), getattr(expected, name))
+            assert np.array_equal(g, e), name
+        assert got.xi.size > args[0].xi.size or args[1] is CLOSED
+        if case == "signed_zeros":  # the rate reads the signs apart
+            assert np.unique(got.v_hat).size == 2
+
+    @pytest.mark.parametrize("case", ["influx", "infinite", "floor", "entry", "rounded_xi"])
+    def test_each_breakdown_is_raised_alike(self, case):
+        *args, message = breakdown_case(case)
+        with pytest.raises(BreakdownError) as got:
+            advance_characteristics(*args)
+        with pytest.raises(BreakdownError) as expected:
+            per_sample_advance(*args)
+        assert str(got.value) == str(expected.value)
+        assert message in str(got.value)
+
+
 class TestReconstruct:
     def test_round_trip_at_grid_points(self):
         rng = np.random.default_rng(21)

@@ -46,16 +46,29 @@ def seldom_zero(profiles):
 
 @st.composite
 def scenario_texts(draw, v0=st.sampled_from(V0), rho_in=st.sampled_from(RHO_IN),
-                   v_in=st.sampled_from(V_IN)) -> str:
+                   v_in=st.sampled_from(V_IN), valid_signal=False) -> str:
     """A scenario file on a 600 m road; some are valid and some are not
     (t0 <= tau0, a light beyond the road, a red that outlasts t_end, a grid
-    too coarse to split).  v0, rho_in and v_in draw three of the profiles."""
-    t0, tau0, tau1 = draw(seconds(2.0, 15.0)), draw(seconds(0.5, 4.0)), draw(seconds(0.5, 10.0))
+    too coarse to split).  v0, rho_in and v_in draw three of the profiles.
+    valid_signal draws only a t0 > tau0 and a braking zone [x0 - h, x0] that
+    the grid splits with at least 4 cells on each side."""
+    t0 = draw(seconds(2.0, 15.0))
+    tau0 = draw(seconds(0.5, min(4.0, t0 - 0.5) if valid_signal else 4.0))
+    tau1 = draw(seconds(0.5, 10.0))
+    model = draw(st.sampled_from(["first", "second"]))
+    n_cells = draw(st.integers(10, 200))
+    if valid_signal:
+        dx = 600.0 / n_cells
+        split = draw(st.integers(4, n_cells - 4)) * dx  # a face: x0 - h snaps to it
+        h = draw(seconds(max(dx, 5.0), min(150.0, 600.0 - split - 0.5)))
+        x0 = round(split + h, 2)
+    else:
+        x0, h = draw(seconds(150.0, 620.0)), draw(seconds(5.0, 150.0))
     return f"""
-model: {draw(st.sampled_from(["first", "second"]))}
-grid: {{x_min: 0.0, x_max: 600.0, n_cells: {draw(st.integers(10, 200))}}}
-signal: {{x0: {draw(seconds(150.0, 620.0))}, t0: {t0}, tau0: {tau0}, tau1: {tau1},
-         h: {draw(seconds(5.0, 150.0))}}}
+model: {model}
+grid: {{x_min: 0.0, x_max: 600.0, n_cells: {n_cells}}}
+signal: {{x0: {x0}, t0: {t0}, tau0: {tau0}, tau1: {tau1},
+         h: {h}}}
 force: {draw(st.sampled_from(FORCE))}
 mu: {draw(st.sampled_from([0.125, 0.5, 2.0, 8.0]))}
 t_end: {round(t0 + tau1 + draw(seconds(-0.5, 6.0)), 2)}
@@ -101,7 +114,8 @@ def test_a_generated_scenario_is_refused_fails_in_a_phase_or_runs(text):
 # which scenario_texts() draws in ~2 % of texts: the oracle test also draws
 # half its texts with both velocities fixed that way, and always runs this one.
 # The oracle refuses a zero inflow density or speed (no traffic enters its
-# reference), so its texts draw those less often
+# reference), so its texts draw those less often; it reads only the free-flow
+# window, so its texts draw only a signal timing the file check accepts
 BLOW_UP = """
 model: first
 grid: {x_min: 0.0, x_max: 600.0, n_cells: 35}
@@ -119,9 +133,10 @@ profiles:
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(text=st.one_of(scenario_texts(rho_in=seldom_zero(RHO_IN), v_in=seldom_zero(V_IN)),
+@given(text=st.one_of(scenario_texts(rho_in=seldom_zero(RHO_IN), v_in=seldom_zero(V_IN),
+                                     valid_signal=True),
                       scenario_texts(v0=st.just(V0[0]), rho_in=seldom_zero(RHO_IN),
-                                     v_in=st.just(V_IN[-1]))))
+                                     v_in=st.just(V_IN[-1]), valid_signal=True)))
 @example(text=BLOW_UP)
 def test_a_generated_scenario_is_refused_breaks_down_or_gives_oracle_errors(text):
     # a ScenarioError from the file or the reference's samples, a horizon
