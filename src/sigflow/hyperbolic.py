@@ -23,6 +23,14 @@ from .domain import (
 # Wave-speed floor used for the CFL step when everything is stopped.
 SPEED_FLOOR = 1e-8
 
+
+def _velocity(m: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """q/m where m > VACUUM_RHO, and 0 in vacuum cells."""
+    v = np.zeros_like(m)
+    np.divide(q, m, out=v, where=m > VACUUM_RHO)
+    return v
+
+
 @dataclass(frozen=True)
 class ConservedState:
     """Cell-averaged mass and momentum at one time instant, with the
@@ -34,9 +42,7 @@ class ConservedState:
     v: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = np.zeros_like(self.m)
-        np.divide(self.q, self.m, out=v, where=self.m > VACUUM_RHO)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "v", _velocity(self.m, self.q))
 
     @staticmethod
     def from_flow_state(state: FlowState) -> "ConservedState":
@@ -204,6 +210,17 @@ def _check_courant(number: float, t: float) -> None:
         raise ValueError(f"non-finite velocity at t = {t}")
 
 
+def _inflow(inflow: BoundaryData, t: float) -> tuple[float, float]:
+    """The inflow density and speed at t; a negative one raises ValueError
+    naming it and t (a NaN passes, for the checks that meet it later)."""
+    rho_in, v_in = float(inflow.rho_in(t)), float(inflow.v_in(t))
+    if rho_in < 0:
+        raise ValueError(f"negative inflow density {rho_in} at t = {t}")
+    if v_in < 0:
+        raise ValueError(f"negative inflow velocity {v_in} at t = {t}")
+    return rho_in, v_in
+
+
 def step(
     state: ConservedState,
     t: float,
@@ -215,16 +232,18 @@ def step(
     then force source.
 
     The left ghost cell carries the inflow data; the right ghost copies the
-    last cell (zero-gradient outflow).  A Courant number past 1 in any cell
-    or ghost, or a non-finite speed or boundary flux, raises ValueError naming t.
+    last cell (zero-gradient outflow).  A negative inflow density or speed,
+    a Courant number past 1 in any cell or ghost, or a non-finite speed or
+    boundary flux raises ValueError naming t.
     """
     grid, v = state.grid, state.v
     dx = grid.dx
     # Sampled at the step start: the interior data also represents time t
     # (the force source has already been applied), so this keeps spatially
     # uniform accelerating states exactly uniform.
-    rho_ext = np.concatenate(([float(inflow.rho_in(t))], state.m, state.m[-1:]))
-    v_ext = np.concatenate(([float(inflow.v_in(t))], v, v[-1:]))
+    rho_in, v_in = _inflow(inflow, t)
+    rho_ext = np.concatenate(([rho_in], state.m, state.m[-1:]))
+    v_ext = np.concatenate(([v_in], v, v[-1:]))
     _check_courant(float(np.maximum.reduce(np.abs(v_ext))) * dt / dx, t)
     f_mass, f_mom = numerical_flux(rho_ext, v_ext)
 
@@ -239,13 +258,10 @@ def step(
     if np.logical_or.reduce(neg):
         report.clamped = float(-np.sum(m_new[neg]) * dx)
         m_new[neg] = 0.0
-    vac = m_new <= VACUUM_RHO
-    q_new[vac] = 0.0
+    q_new[m_new <= VACUUM_RHO] = 0.0
 
     if force is not None:
-        v_mid = np.zeros_like(m_new)
-        np.divide(q_new, m_new, out=v_mid, where=~vac)
-        q_new = q_new + dt * m_new * force(v_mid)
+        q_new = q_new + dt * m_new * force(_velocity(m_new, q_new))
 
     return ConservedState(grid, m_new, q_new), report
 
@@ -275,5 +291,5 @@ def solve_hyperbolic(
                          abs(float(inflow.v_in(t)))), cfl, t),
         advance=lambda state, t, dt: step(state, t, dt, inflow, force),
         snapshot=lambda state, t: state.to_flow_state(t),
-        metadata={"solver": "hyperbolic", "cfl": cfl},
+        metadata={"solver": "hyperbolic"},
     )

@@ -90,8 +90,6 @@ def _write_plot(traj: Trajectory, field: str, columns: list, csv_path, svg_path)
     cell) and a self-contained SVG rendering, one rect per snapshot cell,
     with axis labels and the signal timeline marked.  columns holds each
     snapshot, in time order, with the text of its t, x and field."""
-    if not columns:
-        raise ValueError("trajectory has no snapshots to plot")
     snapshots = [snap for snap, *_ in columns]
 
     def csv_chunks():

@@ -35,7 +35,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .domain import BoundaryData, BrakingProfile, FlowState, ForceLaw, RoadGrid
-from .hyperbolic import SolveResult, StepReport, _cfl_step, _check_courant, march
+from .hyperbolic import SolveResult, StepReport, _cfl_step, _check_courant, _inflow, march
 
 # Floor applied to the density in the diffusion coefficient mu/rho only;
 # a numerical guard, not a modeling choice.
@@ -111,8 +111,9 @@ def step_viscous(
     face takes a zero-gradient closure; with it the right end moves to
     braking.gamma(t + dt) and the downstream face takes braking.V(t + dt).
     The inflow density is the upwind density of the upstream face; the
-    downstream face's ghost density copies the last cell.  A step past the
-    CFL bound, or a non-finite density or boundary flux, raises ValueError.
+    downstream face's ghost density copies the last cell.  A negative
+    inflow density or speed at t + dt, a step past the CFL bound, or a
+    non-finite density or boundary flux raises ValueError.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -168,7 +169,7 @@ def step_viscous(
     sup[0] = 0.0
     sub = -lam[1:]
 
-    v_left = float(inflow.v_in(t + dt))
+    rho_left, v_left = _inflow(inflow, t + dt)
     b[0] = v_left
     if braking is not None:
         v_right = float(braking.V(t + dt))
@@ -194,14 +195,10 @@ def step_viscous(
     # cell and the last cell copied right of the last one
     w = v_new - w_mesh
     rho_ext = np.empty(n + 2)
-    rho_ext[0] = float(inflow.rho_in(t + dt))
+    rho_ext[0] = rho_left
     rho_ext[1:-1] = rho
     rho_ext[-1] = rho_ext[-2]
-    if np.minimum.reduce(w) > 0:
-        rho_up = rho_ext[:-1]
-    else:
-        rho_up = np.where(w > 0, rho_ext[:-1], rho_ext[1:])
-    flux = rho_up * w
+    flux = np.where(w > 0, rho_ext[:-1], rho_ext[1:]) * w
 
     rho_new = flux[1:] - flux[:-1]
     np.multiply(dt / dy, rho_new, out=rho_new)
@@ -314,9 +311,5 @@ def solve_parabolic(
         max_dt=step_size,
         advance=advance,
         snapshot=snapshot,
-        metadata={
-            "solver": "parabolic",
-            "cfl": cfl,
-            "compatibility_residual": compat_residual,
-        },
+        metadata={"solver": "parabolic", "compatibility_residual": compat_residual},
     )

@@ -15,6 +15,14 @@ from sigflow import (
 )
 
 
+def assert_bitwise(a, b):
+    """Equal bit patterns: tells -0.0 from +0.0 and NaN payloads apart."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def reference_scenario(model="first", n_cells=150, mu=2.0, force=ForceLaw(1.0, 16.0, 4.0),
                        v0_amp=0.0, t_end=25.0):
     """Smooth sine-density scenario used across the suite."""

@@ -17,8 +17,9 @@ from sigflow import (
     solve_hyperbolic,
     solve_parabolic,
 )
-from sigflow.hyperbolic import _cfl_step, step
-from tests.conftest import reference_scenario
+from sigflow.domain import VACUUM_RHO
+from sigflow.hyperbolic import StepReport, _cfl_step, step
+from tests.conftest import assert_bitwise, reference_scenario
 
 
 def uniform_state(n=50, rho=0.1, v=10.0, x_max=100.0, t=0.0):
@@ -28,6 +29,47 @@ def uniform_state(n=50, rho=0.1, v=10.0, x_max=100.0, t=0.0):
 
 def inflow_const(rho, v):
     return BoundaryData(rho_in=lambda t: rho, v_in=lambda t: v)
+
+
+def reference_step(m, q, t, dt, grid, inflow, force):
+    """The finite-volume step written one formula at a time: returns
+    (m, q, report).  Velocities are q/m where m > VACUUM_RHO and 0
+    elsewhere; the force sees q/m outside the cells the step leaves in
+    vacuum.  step, which shares one velocity rule between its state and
+    its force and forms each flux product once, must match it bit for bit."""
+    dx = grid.dx
+    v = np.zeros_like(m)
+    np.divide(q, m, out=v, where=m > VACUUM_RHO)
+    # ghosts: the inflow left of the first cell, the last cell copied right
+    # of the last one; face j has (rho_l[j], v_l[j]) left of it and
+    # (rho_r[j], v_r[j]) right of it
+    rho_l = np.concatenate(([float(inflow.rho_in(t))], m))
+    v_l = np.concatenate(([float(inflow.v_in(t))], v))
+    rho_r = np.concatenate((m, m[-1:]))
+    v_r = np.concatenate((v, v[-1:]))
+    s = np.maximum(np.abs(v_l), np.abs(v_r))
+    if s.max() * dt / dx > 1.0 + 1e-12:
+        raise RuntimeError("CFL violated")
+    q_l = rho_l * v_l
+    q_r = rho_r * v_r
+    f_mass = 0.5 * (q_l + q_r) - 0.5 * s * (rho_r - rho_l)
+    f_mom = 0.5 * (q_l * v_l + q_r * v_r) - 0.5 * s * (q_r - q_l)
+
+    m_new = m - (dt / dx) * (f_mass[1:] - f_mass[:-1])
+    q_new = q - (dt / dx) * (f_mom[1:] - f_mom[:-1])
+    report = StepReport(inflow=dt * float(f_mass[0]), outflow=dt * float(f_mass[-1]))
+
+    neg = m_new < 0
+    if neg.any():
+        report.clamped = float(-np.sum(m_new[neg]) * dx)
+        m_new[neg] = 0.0
+    vac = m_new <= VACUUM_RHO
+    q_new[vac] = 0.0
+    if force is not None:
+        v_mid = np.zeros_like(m_new)
+        np.divide(q_new, m_new, out=v_mid, where=~vac)
+        q_new = q_new + dt * m_new * force(v_mid)
+    return m_new, q_new, report
 
 
 class TestNumericalFlux:
@@ -151,6 +193,16 @@ class TestStep:
         with pytest.raises(ValueError, match="non-finite density or boundary flux at t = 0.0"):
             step(state, 0.0, 0.05, inflow, None)
 
+    @pytest.mark.parametrize("inflow, message", [
+        (inflow_const(-0.5, 10.0), "negative inflow density -0.5 at t = 2.0"),
+        (inflow_const(0.1, -5.0), "negative inflow velocity -5.0 at t = 2.0"),
+    ], ids=["density", "velocity"])
+    def test_rejects_a_negative_inflow(self, inflow, message):
+        # read at the step's start; a NaN is left to the checks above
+        state = ConservedState.from_flow_state(uniform_state(t=2.0))
+        with pytest.raises(ValueError, match=message):
+            step(state, 2.0, 0.05, inflow, None)
+
     def test_clamps_an_overdrained_cell(self, monkeypatch):
         # Rusanov fluxes within the CFL bound never drain a cell below zero;
         # a flux tripled on the faces right of cell 49 drains it to -0.1 veh/m
@@ -176,6 +228,46 @@ class TestStep:
         assert np.all(out.m[:30] == 0.0)
         assert np.all(out.q[:30] == 0.0)
         assert rep.inflow == 0.0
+
+
+class TestStepBitwise:
+    @pytest.mark.parametrize("force", [None, ForceLaw(1.0, 16.0, 4.0)], ids=["noforce", "force"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_reference_bit_for_bit(self, seed, force):
+        rng = np.random.default_rng(seed)
+        n = 300
+        grid = RoadGrid(0.0, 600.0, n)
+        m = rng.uniform(0.0, 0.2, n) * rng.integers(1, 1000, n) / 997.0
+        q = m * rng.normal(8.0, 6.0, n)
+        vacuum = rng.random(n) < 0.3  # isolated vacuum cells and runs of them
+        m[vacuum], q[vacuum] = 0.0, 0.0
+        # an overdrained cell, which the first step clamps; a cell at the
+        # vacuum threshold and one below it, both with momentum
+        k_drained, k_threshold, k_below = rng.choice(n, 3, replace=False)
+        m[k_drained], q[k_drained] = -0.05, 0.0
+        m[k_threshold], q[k_threshold] = VACUUM_RHO, 7.0 * VACUUM_RHO
+        m[k_below], q[k_below] = 0.1 * VACUUM_RHO, 7.0 * VACUUM_RHO
+        inflow = BoundaryData(rho_in=lambda t: 0.1 + 0.05 * np.sin(t),
+                              v_in=lambda t: 9.0 + np.sin(3.0 * t))
+        state, ref, t = ConservedState(grid, m, q), (m.copy(), q.copy()), 0.0
+        for k in range(20):
+            v_ext = np.concatenate(([inflow.v_in(t)], state.v))
+            dt = 0.5 * grid.dx / np.abs(v_ext).max()
+            state, rep = step(state, t, dt, inflow, force)
+            m_ref, q_ref, rep_ref = reference_step(*ref, t, dt, grid, inflow, force)
+            assert_bitwise(state.m, m_ref)
+            assert_bitwise(state.q, q_ref)
+            v_ref = np.zeros_like(m_ref)
+            np.divide(q_ref, m_ref, out=v_ref, where=m_ref > VACUUM_RHO)
+            assert_bitwise(state.v, v_ref)
+            for name in ("inflow", "outflow", "clamped"):
+                assert_bitwise(getattr(rep, name), getattr(rep_ref, name))
+            # the first step clamps the overdrained cell and leaves vacuum
+            # cells, which the later steps fill
+            assert (rep.clamped > 0.0) == (k == 0)
+            if k == 0:
+                assert np.count_nonzero(m_ref <= VACUUM_RHO) > 0.05 * n
+            ref, t = (m_ref, q_ref), t + dt
 
 
 class TestSolve:

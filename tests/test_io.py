@@ -172,6 +172,13 @@ REFUSED = [
     ("x0: 200.0", "x0: 700.0", "signal.x0: light position 700.0 must lie below x_max = 300.0"),
     ("v_in: 10.0", "v_in: -1.0",
      "profiles.v_in: boundary velocity must be finite and non-negative for all t"),
+    (RHO0, "linear_ramp(start=0.1, end=0.2, x_start=100, x_end=50)",
+     "profiles.rho0: linear_ramp needs x_end > x_start, got 100.0..50.0"),
+    (RHO0, "plateau(inside=0.2, outside=0.1, x_left=100, x_right=100)",
+     "profiles.rho0: plateau needs x_right > x_left, got 100.0..100.0"),
+    ("numerics: {snapshot_interval: 1.0}", "numerics: 5", "numerics: expected a mapping"),
+    ("grid: {x_min: 0.0, x_max: 300.0, n_cells: 60}", "grid: 5",
+     "grid: expected a mapping, got 5"),
 ]
 
 
@@ -181,7 +188,9 @@ REFUSED = [
                               "small-interval", "infinite-x0", "huge-mu", "huge-n_cells", "many-n_cells",
                               "too-many-digits", "too-many-digits-n_cells",
                               "too-many-hex-digits-model", "too-many-hex-digits-n_cells",
-                              "light-beyond-road", "negative-v_in"])
+                              "light-beyond-road", "negative-v_in", "reversed-ramp",
+                              "empty-plateau", "numerics-not-a-mapping",
+                              "section-not-a-mapping"])
 def test_refused_input_is_located(old, new, error, tmp_path, capsys):
     doc = GOOD_DOC.replace(old, new)
     assert new in doc
@@ -743,15 +752,22 @@ class TestCli:
                      "--plot", "rho"]) == 1
         assert f"error: cannot write {what} to {out / name}: " in capsys.readouterr().err
 
-    # the shipped scenario with a NaN or infinite inflow value on 5.2 < t < 5.4 s,
-    # between two of the 64 inflow times validate_scenario samples (5.159 and
-    # 5.556 s), so the file is valid and the run meets the value in its first phase
+    # the shipped scenario with a NaN, infinite or negative inflow value on
+    # 5.2 < t < 5.4 s, between two of the 64 inflow times validate_scenario
+    # samples (5.159 and 5.556 s), so the file is valid and the run meets the
+    # value in its first phase
     @pytest.mark.parametrize("key, value, model, error", [
         ("v_in", ".nan", "first", "non-finite velocity at t = 5.28"),
         ("v_in", ".inf", "first", "non-finite velocity at t = 5.28"),
         ("rho_in", ".nan", "first", "non-finite density or boundary flux at t = 5.28"),
         ("rho_in", ".nan", "second", "non-finite density or boundary flux at t = 5.28"),
-    ], ids=["nan-v_in", "inf-v_in", "nan-rho_in-first", "nan-rho_in-second"])
+        ("rho_in", "-0.5", "first", "negative inflow density -0.39723098922325534 at t = 5.28"),
+        ("rho_in", "-0.5", "second", "negative inflow density -0.39723098922325534 at t = 5.28"),
+        ("v_in", "-5.0", "first", "negative inflow velocity -2.342180755773846 at t = 5.28"),
+        ("v_in", "-5.0", "second", "negative inflow velocity -2.342180755773846 at t = 5.28"),
+    ], ids=["nan-v_in", "inf-v_in", "nan-rho_in-first", "nan-rho_in-second",
+            "negative-rho_in-first", "negative-rho_in-second",
+            "negative-v_in-first", "negative-v_in-second"])
     def test_simulate_reports_the_phase_a_run_fails_in(self, tmp_path, key, value, model, error):
         base = {"rho_in": "0.08", "v_in": "10.0"}[key]
         window = (f"  {key}: {{table: {{x: [0.0, 5.2, 5.3, 5.4, 25.0], "

@@ -15,6 +15,7 @@ from sigflow import (
 )
 from sigflow.hyperbolic import StepReport
 from sigflow.parabolic import RHO_COEFF_FLOOR, solve_banded
+from tests.conftest import assert_bitwise
 
 
 def road(n=40, left=0.0, right=100.0):
@@ -109,14 +110,6 @@ def reference_step_viscous(v, rho, t, dt, mu, inflow, grid, force, braking=None)
         inflow=dt * float(flux[0]), outflow=dt * float(flux[-1]), clamped=clamped
     )
     return v_new, rho_new, report
-
-
-def assert_bitwise(a, b):
-    """Equal bit patterns: tells -0.0 from +0.0 and NaN payloads apart."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    assert a.shape == b.shape
-    assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestGeometry:
@@ -256,6 +249,18 @@ class TestStepViscous:
         bad_v[n // 2] = np.inf
         with pytest.raises(ValueError, match="CFL"):
             step_viscous(bad_v, rho, 0.0, 1e-3, 2.0, bc, grid, None)
+
+    @pytest.mark.parametrize("inflow, message", [
+        (const_inflow(8.0, -0.5), "negative inflow density -0.5 at t = 0.001"),
+        (const_inflow(-5.0, 0.1), "negative inflow velocity -5.0 at t = 0.001"),
+    ], ids=["density", "velocity"])
+    def test_rejects_a_negative_inflow(self, inflow, message):
+        # read at the step's end, t + dt; a NaN is left to the checks above
+        grid = road()
+        n = grid.n_cells
+        with pytest.raises(ValueError, match=message):
+            step_viscous(np.full(n + 1, 8.0), np.full(n, 0.1), 0.0, 1e-3, 2.0, inflow,
+                         grid, None)
 
     @pytest.mark.parametrize("node", ["interior_inf", "first_nan", "last_nan"])
     def test_rejects_non_finite_density_in_the_same_step(self, node):
