@@ -50,7 +50,7 @@ class Trajectory:
 
     scenario: Scenario
     phases: list
-    compatibility_residual: Optional[float]
+    compatibility_residual: Optional[float]  # |V - v| at braking onset, 0.0 by construction
     split_shift: float
     light_shift: float
     handoff_adjustments: dict
@@ -177,7 +177,7 @@ def run(s: Scenario) -> Trajectory:
     return Trajectory(
         scenario=s,
         phases=[free, upstream, downstream, resume],
-        compatibility_residual=upstream.metadata.get("compatibility_residual"),
+        compatibility_residual=abs(float(braking.V(t_brake)) - float(source.v[-1])),
         split_shift=split_shift,
         light_shift=x_light - tm.x0,
         handoff_adjustments=_adjustments(free, upstream, downstream, resume),

@@ -80,9 +80,9 @@ def _unit_faces(n: int) -> np.ndarray:
     return y
 
 
-def _braking_end(braking: BrakingProfile, x_min: float, t: float) -> float:
-    """gamma(t), which must be a finite position above x_min."""
-    r = float(braking.gamma(t))
+def _braking_end(x_right: float, x_min: float, t: float) -> float:
+    """The strip's right end at t, which must be a finite position above x_min."""
+    r = float(x_right)
     if not x_min < r < math.inf:
         raise ValueError(
             f"braking boundary {r} at t = {t} is not a finite position above "
@@ -100,30 +100,30 @@ def step_viscous(
     inflow: BoundaryData,
     grid: RoadGrid,
     force: Optional[ForceLaw],
-    braking: Optional[BrakingProfile] = None,
+    end: Optional[tuple[float, float]] = None,
 ) -> tuple[np.ndarray, np.ndarray, StepReport]:
     """One semi-implicit update from t to t + dt; returns (v, rho, report).
 
     v holds the n+1 face velocities (the benchmark's `parabolic.node_steps`
     counts len(v), so faces), rho the n cell densities, and grid is the
     state's RoadGrid at t.  The upstream face takes the inflow velocity.
-    Without braking the right end stays at grid.x_max and the downstream
-    face takes a zero-gradient closure; with it the right end moves to
-    braking.gamma(t + dt) and the downstream face takes braking.V(t + dt).
-    The inflow density is the upwind density of the upstream face; the
-    downstream face's ghost density copies the last cell.  A negative
-    inflow density or speed at t + dt, a step past the CFL bound, or a
-    non-finite density or boundary flux raises ValueError.
+    With end None the right end stays at grid.x_max under a zero-gradient
+    closure; end = (x_right, v_right) moves it to x_right and holds v_right
+    on the downstream face, both values at t + dt.  The inflow density is
+    the upwind density of the upstream face; the downstream face's ghost
+    density copies the last cell.  A negative inflow density or speed at
+    t + dt, an x_right not finite or not above x_min, a step past the CFL
+    bound, or a non-finite density or boundary flux raises ValueError.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     n = grid.n_cells
     dy = 1.0 / n
     L_old = grid.x_max - grid.x_min
-    if braking is None:
+    if end is None:
         L_new = L_old
     else:
-        L_new = _braking_end(braking, grid.x_min, t + dt) - grid.x_min
+        L_new = _braking_end(end[0], grid.x_min, t + dt) - grid.x_min
     # the faces' mesh velocity y * Ldot, taken from every face speed below; on a
     # fixed strip (and on a stopped braking strip) it is +0.0, and x - 0.0 is x
     w_mesh = _unit_faces(n) * ((L_new - L_old) / dt)
@@ -171,10 +171,9 @@ def step_viscous(
 
     rho_left, v_left = _inflow(inflow, t + dt)
     b[0] = v_left
-    if braking is not None:
-        v_right = float(braking.V(t + dt))
+    if end is not None:
         sub[-1] = 0.0
-        b[-1] = v_right
+        b[-1] = end[1]
     else:
         # zero-gradient closure: v_n - v_{n-1} = 0
         sub[-1] = -1.0
@@ -185,8 +184,8 @@ def step_viscous(
     if not np.logical_and.reduce(np.isfinite(b)):
         raise ValueError(f"non-finite velocity or boundary data at t = {t + dt}")
     v_new = solve_banded(sub, diag, sup, b)
-    if braking is not None:
-        v_new[-1] = v_right  # keep the Dirichlet value exact
+    if end is not None:
+        v_new[-1] = end[1]  # keep the Dirichlet value exact
     v_new[0] = v_left
 
     # --- density: conservative upwind advection with the new velocity ---
@@ -240,12 +239,12 @@ def solve_parabolic(
     initial.grid.x_max under the zero-gradient closure.  With a
     BrakingProfile it moves along braking.gamma(t), which at initial.t must
     lie within rounding (HANDOVER_RTOL of the length) of initial.grid.x_max
-    or a ValueError naming the time is raised; its face holds braking.V(t),
-    and the run metadata reports the residual between V and the handed-off
-    velocity there.  The strip's cells travel in the march state with v and
-    rho: read from gamma once at initial.t and once after each step.  The
-    diffusion is implicit, so only the explicit upwind advection limits the
-    step: each step is the largest with max|c| dt/dy <= cfl, where c is the
+    or a ValueError naming the time is raised; its face holds braking.V(t).
+    Each step reads gamma and V once, at its end t + h, and hands both to
+    step_viscous as its end; the strip's cells travel in the march state
+    with v and rho, laid on that same gamma(t + h).  The diffusion is
+    implicit, so only the explicit upwind advection limits the step: each
+    step is the largest with max|c| dt/dy <= cfl, where c is the
     mesh-relative face speed of step_viscous; no other setting sizes it.
     Snapshots are cell FlowStates on the cells at their time.
     """
@@ -259,13 +258,12 @@ def solve_parabolic(
     t_start = initial.t
 
     if braking is None:
-        compat_residual = None
         grid = initial.grid
     else:
-        compat_residual = abs(float(braking.V(t_start)) - float(v[-1]))
         # the cells are laid on [x_min, gamma(t_start)]: an initial state
         # ending elsewhere would change its mass before the first step
-        start_end, x_max = _braking_end(braking, x_min, t_start), initial.grid.x_max
+        start_end = _braking_end(braking.gamma(t_start), x_min, t_start)
+        x_max = initial.grid.x_max
         if abs(start_end - x_max) > HANDOVER_RTOL * (x_max - x_min):
             raise ValueError(
                 f"braking boundary {start_end} at t = {t_start} is not the initial "
@@ -285,7 +283,7 @@ def solve_parabolic(
         # accepted once it meets the bound at its own Ldot, and a rejected h
         # is retried 1 % below the bound so that the search ends
         while braking is not None:
-            L_new = _braking_end(braking, x_min, t + h) - x_min
+            L_new = _braking_end(braking.gamma(t + h), x_min, t + h) - x_min
             c = np.abs(v - y * ((L_new - L_old) / h))
             h_cfl = _cfl_step(dy, float(np.maximum.reduce(c)) / L_new, cfl, t)
             if h <= h_cfl:
@@ -295,9 +293,10 @@ def solve_parabolic(
 
     def advance(state, t: float, h: float):
         v, rho, grid = state
-        v, rho, report = step_viscous(v, rho, t, h, mu, inflow, grid, force, braking)
-        if braking is not None:
-            grid = RoadGrid(x_min, _braking_end(braking, x_min, t + h), n)
+        end = None if braking is None else (float(braking.gamma(t + h)), float(braking.V(t + h)))
+        v, rho, report = step_viscous(v, rho, t, h, mu, inflow, grid, force, end)
+        if end is not None:
+            grid = RoadGrid(x_min, end[0], n)
         return (v, rho, grid), report
 
     def snapshot(state, t: float) -> FlowState:
@@ -311,5 +310,5 @@ def solve_parabolic(
         max_dt=step_size,
         advance=advance,
         snapshot=snapshot,
-        metadata={"solver": "parabolic", "compatibility_residual": compat_residual},
+        metadata={"solver": "parabolic"},
     )

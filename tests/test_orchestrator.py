@@ -3,14 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
+import sigflow.orchestrator
 import sigflow.parabolic
 from sigflow import (
     CLOSED,
     BoundaryData,
+    BrakingProfile,
     FlowState,
     PhaseError,
     RoadGrid,
     ScenarioError,
+    default_braking_profile,
     mass_balance_report,
     merge,
     run,
@@ -173,6 +176,19 @@ class TestRunFirstModel:
         self, first_model_trajectory
     ):
         assert first_model_trajectory.compatibility_residual == 0.0
+
+    def test_compatibility_residual_is_the_gap_at_the_braking_onset(self, monkeypatch):
+        # run builds the profile from the handed-off velocity; a profile whose
+        # V starts 0.75 m/s above it is reported with that gap
+        def offset(timing, v_handoff):
+            profile = default_braking_profile(timing, v_handoff)
+            return BrakingProfile(gamma=profile.gamma, V=lambda t: profile.V(t) + 0.75)
+
+        monkeypatch.setattr(sigflow.orchestrator, "default_braking_profile", offset)
+        traj = run(reference_scenario("first"))
+        assert traj.compatibility_residual == pytest.approx(0.75, rel=1e-12)
+        assert mass_balance_report(traj)["compatibility_residual"] \
+            == traj.compatibility_residual
 
     def test_snapshots_time_ordered(self, first_model_trajectory, tmp_path):
         write_outputs(first_model_trajectory, tmp_path, "rho")

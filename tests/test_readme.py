@@ -27,7 +27,7 @@ def test_library_example_runs(monkeypatch, capsys):
     assert abs(float(capsys.readouterr().out)) < 1e-9  # the printed global residual
 
 
-@pytest.mark.parametrize("name", ["solve_hyperbolic", "solve_parabolic"])
+@pytest.mark.parametrize("name", ["solve_hyperbolic", "solve_parabolic", "step_viscous"])
 def test_signature_line_matches_the_code(name):
     listed = " ".join(library_blocks()[1].split())
     line = re.search(rf"\b{name}(\([^)]*\))", listed)
