@@ -3,7 +3,6 @@
 from .domain import (
     CLOSED,
     BoundaryData,
-    BrakingProfile,
     FlowState,
     ForceLaw,
     RoadGrid,

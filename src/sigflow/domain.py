@@ -1,9 +1,9 @@
 """Core value types for the signalized-intersection traffic model.
 
 Everything here is an immutable value object: grids, flow states, the
-driver acceleration law, signal timing, the braking boundary, and the
-full scenario description consumed by the solvers.  Units are SI
-throughout (m, s, veh/m).
+driver acceleration law, signal timing, and the full scenario description
+consumed by the solvers; default_braking_profile builds the braking
+boundary's law.  Units are SI throughout (m, s, veh/m).
 """
 
 from __future__ import annotations
@@ -209,15 +209,6 @@ class SignalTiming:
 
 
 @dataclass(frozen=True)
-class BrakingProfile:
-    """Moving braking boundary gamma(t) with prescribed velocity V(t),
-    both defined on [t0 - tau0, infinity)."""
-
-    gamma: Callable[[float], float]
-    V: Callable[[float], float]
-
-
-@dataclass(frozen=True)
 class BoundaryData:
     """Upstream inflow data: density and velocity as functions of time."""
 
@@ -230,8 +221,10 @@ class BoundaryData:
 CLOSED = BoundaryData(rho_in=lambda t: 0.0, v_in=lambda t: 0.0)
 
 
-def default_braking_profile(timing: SignalTiming, v_handoff: float) -> BrakingProfile:
-    """Cosine-ease braking boundary.
+def default_braking_profile(
+    timing: SignalTiming, v_handoff: float
+) -> Callable[[float], tuple[float, float]]:
+    """Cosine-ease braking boundary, as the law braking(t) = (gamma(t), V(t)).
 
     gamma rises from x0 - h to x0 over the flashing-green interval and
     stays at x0 afterwards; V eases from v_handoff down to 0 on the same
@@ -243,23 +236,14 @@ def default_braking_profile(timing: SignalTiming, v_handoff: float) -> BrakingPr
     x0, h, t0, tau0 = timing.x0, timing.h, timing.t0, timing.tau0
     t_start = t0 - tau0
 
-    def ease(t: float) -> float:
-        # 1 up to t_start, falling to 0 at t0; gamma and velocity answer t >= t0 themselves
-        if t <= t_start:
-            return 1.0
-        return (1.0 + math.cos(math.pi * (t - t_start) / tau0)) / 2.0
-
-    def gamma(t: float) -> float:
+    def braking(t: float) -> tuple[float, float]:
         if t >= t0:
-            return x0
-        return x0 - h * ease(t)
+            return x0, 0.0
+        # the ease: 1 up to t_start, falling to 0 at t0
+        e = 1.0 if t <= t_start else (1.0 + math.cos(math.pi * (t - t_start) / tau0)) / 2.0
+        return x0 - h * e, v_handoff * e
 
-    def velocity(t: float) -> float:
-        if t >= t0:
-            return 0.0
-        return v_handoff * ease(t)
-
-    return BrakingProfile(gamma=gamma, V=velocity)
+    return braking
 
 
 @dataclass(frozen=True)

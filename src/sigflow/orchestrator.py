@@ -65,17 +65,13 @@ def split_at(state: FlowState, x_split: float) -> tuple[FlowState, FlowState, fl
 
     Returns (upstream, downstream, shift), where shift is the snap distance
     to the nearest cell face.  The two halves partition the cells, so their
-    masses sum to the original total exactly.
+    masses sum to the original total exactly.  A half with fewer than 4
+    cells, or none, raises the ValueError of its RoadGrid.
     """
     grid = state.grid
     i = grid.face_index(x_split)
     face = grid.nearest_face(x_split)
     shift = face - x_split
-    if i < 4 or grid.n_cells - i < 4:
-        raise ValueError(
-            f"split at {x_split} leaves fewer than 4 cells on one side "
-            f"(face index {i} of {grid.n_cells})"
-        )
     up = FlowState(
         grid=RoadGrid(grid.x_min, face, i),
         rho=state.rho[:i].copy(),
@@ -177,7 +173,7 @@ def run(s: Scenario) -> Trajectory:
     return Trajectory(
         scenario=s,
         phases=[free, upstream, downstream, resume],
-        compatibility_residual=abs(float(braking.V(t_brake)) - float(source.v[-1])),
+        compatibility_residual=abs(float(braking(t_brake)[1]) - float(source.v[-1])),
         split_shift=split_shift,
         light_shift=x_light - tm.x0,
         handoff_adjustments=_adjustments(free, upstream, downstream, resume),

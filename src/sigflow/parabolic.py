@@ -1,21 +1,21 @@
 """Semi-implicit solver for the viscous flow on the road or the braking strip.
 
 The domain [x_min, right(t)] is mapped to the unit interval; the right end
-stays at the grid's x_max on the open road and follows the braking boundary
-gamma(t) of a BrakingProfile on the braking strip.  The mesh motion enters
-the advection terms as a relative velocity, so the discrete system keeps a
-fixed size.  The layout is staggered (Harlow and Welch 1965): density is a
-cell average on n cells, velocity lives on the n+1 faces.  Velocity is
-updated with explicit upwind advection plus implicit diffusion (one
-tridiagonal solve, a direct call of LAPACK gtsv on the three diagonals);
-the inflow velocity is the Dirichlet value of the upstream face, and the
-downstream face holds the braking velocity V(t) or, on the open road, a
-zero-gradient closure.  Density follows with conservative upwind
-advection: every face flux is the upwind density times the face velocity
-relative to the mesh, so the mass sum(rho) * dx changes by exactly the two
-boundary fluxes of the ledger.  The diffusion being implicit, only the
-explicit advection limits the step, and solve_parabolic sizes every step
-from the advective CFL number alone.
+stays at the grid's x_max on the open road and, on the braking strip,
+follows gamma(t) of a braking law braking(t) = (gamma(t), V(t)).  The mesh
+motion enters the advection terms as a relative velocity, so the discrete
+system keeps a fixed size.  The layout is staggered (Harlow and Welch
+1965): density is a cell average on n cells, velocity lives on the n+1
+faces.  Velocity is updated with explicit upwind advection plus implicit
+diffusion (one tridiagonal solve, a direct call of LAPACK gtsv on the three
+diagonals); the inflow velocity is the Dirichlet value of the upstream
+face, and the downstream face holds the braking velocity V(t) or, on the
+open road, a zero-gradient closure.  Density follows with conservative
+upwind advection: every face flux is the upwind density times the face
+velocity relative to the mesh, so the mass sum(rho) * dx changes by exactly
+the two boundary fluxes of the ledger.  The diffusion being implicit, only
+the explicit advection limits the step, and solve_parabolic sizes every
+step from the advective CFL number alone.
 
 scipy supplies gtsv and is imported at the first solve, not with this
 module, so a process that takes no viscous step (`sigflow validate`,
@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import math
 from functools import cache, lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .domain import BoundaryData, BrakingProfile, FlowState, ForceLaw, RoadGrid
+from .domain import BoundaryData, FlowState, ForceLaw, RoadGrid
 from .hyperbolic import SolveResult, StepReport, _cfl_step, _check_courant, _inflow, march
 
 # Floor applied to the density in the diffusion coefficient mu/rho only;
@@ -227,7 +227,7 @@ def solve_parabolic(
     force: Optional[ForceLaw],
     t_end: float,
     snapshot_interval: Optional[float] = None,
-    braking: Optional[BrakingProfile] = None,
+    braking: Optional[Callable[[float], tuple[float, float]]] = None,
     cfl: float = 0.5,
 ) -> SolveResult:
     """Advance the viscous system from initial.t to t_end with steps from
@@ -236,13 +236,15 @@ def solve_parabolic(
     The solver runs on initial.grid's cells, from initial's densities; an
     interior face starts at the mean velocity of its two cells and an end
     face at its cell's velocity.  Without braking the right end stays at
-    initial.grid.x_max under the zero-gradient closure.  With a
-    BrakingProfile it moves along braking.gamma(t), which at initial.t must
-    lie within rounding (HANDOVER_RTOL of the length) of initial.grid.x_max
-    or a ValueError naming the time is raised; its face holds braking.V(t).
-    Each step reads gamma and V once, at its end t + h, and hands both to
-    step_viscous as its end; the strip's cells travel in the march state
-    with v and rho, laid on that same gamma(t + h).  The diffusion is
+    initial.grid.x_max under the zero-gradient closure.  With braking, a
+    law braking(t) = (gamma(t), V(t)), it moves along gamma(t), which at
+    initial.t must lie within rounding (HANDOVER_RTOL of the length) of
+    initial.grid.x_max or a ValueError naming the time is raised, and its
+    face holds V(t); a fixed end with a prescribed velocity is a law whose
+    gamma is constant.  Each step calls braking once at its end t + h and
+    hands the pair to step_viscous as its end; the strip's cells travel in
+    the march state with v and rho, laid on that same gamma(t + h).  The
+    step-size search reads gamma from further calls.  The diffusion is
     implicit, so only the explicit upwind advection limits the step: each
     step is the largest with max|c| dt/dy <= cfl, where c is the
     mesh-relative face speed of step_viscous; no other setting sizes it.
@@ -262,7 +264,7 @@ def solve_parabolic(
     else:
         # the cells are laid on [x_min, gamma(t_start)]: an initial state
         # ending elsewhere would change its mass before the first step
-        start_end = _braking_end(braking.gamma(t_start), x_min, t_start)
+        start_end = _braking_end(braking(t_start)[0], x_min, t_start)
         x_max = initial.grid.x_max
         if abs(start_end - x_max) > HANDOVER_RTOL * (x_max - x_min):
             raise ValueError(
@@ -283,7 +285,7 @@ def solve_parabolic(
         # accepted once it meets the bound at its own Ldot, and a rejected h
         # is retried 1 % below the bound so that the search ends
         while braking is not None:
-            L_new = _braking_end(braking.gamma(t + h), x_min, t + h) - x_min
+            L_new = _braking_end(braking(t + h)[0], x_min, t + h) - x_min
             c = np.abs(v - y * ((L_new - L_old) / h))
             h_cfl = _cfl_step(dy, float(np.maximum.reduce(c)) / L_new, cfl, t)
             if h <= h_cfl:
@@ -293,7 +295,7 @@ def solve_parabolic(
 
     def advance(state, t: float, h: float):
         v, rho, grid = state
-        end = None if braking is None else (float(braking.gamma(t + h)), float(braking.V(t + h)))
+        end = None if braking is None else tuple(map(float, braking(t + h)))
         v, rho, report = step_viscous(v, rho, t, h, mu, inflow, grid, force, end)
         if end is not None:
             grid = RoadGrid(x_min, end[0], n)

@@ -13,7 +13,8 @@ A profile (``rho0``, ``v0``, ``rho_in``, ``v_in``) takes one of three forms:
 - a preset call ``name(key=value, ...)`` naming one of ``PRESETS``, each
   key at most once, e.g. ``sine(base=0.1, amp=0.05, wavelength=200)``;
 - a table ``{table: {x: [...], values: [...]}}`` with exactly the keys
-  ``x`` and ``values``, interpolated linearly and constant beyond its ends.
+  ``x`` and ``values``, all finite, interpolated linearly and constant
+  beyond its ends.
 
 Every profile builds a vectorized callable.
 """
@@ -85,7 +86,8 @@ def table(x: list, values: list) -> Callable:
     vs = np.asarray(values, dtype=float)
     if xs.ndim != 1 or xs.shape != vs.shape or len(xs) < 2:
         raise ValueError("table needs matching 1-D x/values lists of length >= 2")
-    # also false for a NaN in x
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
+        raise ValueError("table x and values must be finite")
     if not np.all(np.diff(xs) > 0):
         raise ValueError("table x values must be strictly increasing")
     return lambda q: np.interp(np.asarray(q, dtype=float), xs, vs)

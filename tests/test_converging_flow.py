@@ -38,7 +38,6 @@ import pytest
 from sigflow import (
     CLOSED,
     BoundaryData,
-    BrakingProfile,
     FlowState,
     ForceLaw,
     RoadGrid,
@@ -98,7 +97,7 @@ def l1_rho(state: FlowState, f0=0.0) -> float:
     return float(np.sum(err) * state.grid.dx)
 
 
-def _viscous(end: BrakingProfile):
+def _viscous(end):
     return lambda init, force: solve_parabolic(init, exact_inflow(f0_of(force)), MU, force,
                                                T_CHECK, braking=end)
 
@@ -107,9 +106,9 @@ def _finite_volume(init, force):
     return solve_hyperbolic(init, exact_inflow(f0_of(force)), force, T_CHECK)
 
 
-def open_end_at(f0=0.0) -> BrakingProfile:
+def open_end_at(f0=0.0):
     """A fixed end at OPEN_END holding the exact exit velocity."""
-    return BrakingProfile(gamma=lambda t: OPEN_END, V=lambda t: float(exact_v(OPEN_END, t, f0)))
+    return lambda t: (OPEN_END, float(exact_v(OPEN_END, t, f0)))
 
 
 # name: (right end at t = 0, force, solver, smallest ratio per doubling,
@@ -122,11 +121,11 @@ CASES = {
     # a fixed end holding the exact exit velocity; measured 0.112
     "viscous-open": (OPEN_END, None, _viscous(open_end_at()), 1.80, 0.14),
     # measured 0.180
-    "viscous-sealed": (X, None, _viscous(BrakingProfile(gamma=lambda t: X, V=lambda t: 0.0)),
+    "viscous-sealed": (X, None, _viscous(lambda t: (X, 0.0)),
                        1.80, 0.22),
     # measured 0.149
     "viscous-material-end": (material_end(0.0), None,
-                             _viscous(BrakingProfile(gamma=material_end, V=lambda t: 60.0 / T)),
+                             _viscous(lambda t: (material_end(t), 60.0 / T)),
                              1.80, 0.18),
     # with the force, traffic leaves through X too; measured 0.392
     "finite-volume-to-X-force": (X, FORCE, _finite_volume, 1.80, 0.47),
@@ -193,7 +192,7 @@ def point_mass_w1(state: FlowState) -> float:
 
 
 POINT_MASS_INFLOW = BoundaryData(rho_in=lambda t: 0.0, v_in=lambda t: X / (T - t))
-SEALED_AT_X = BrakingProfile(gamma=lambda t: X, V=lambda t: 0.0)
+SEALED_AT_X = lambda t: (X, 0.0)
 
 
 @cache

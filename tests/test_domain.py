@@ -198,26 +198,23 @@ class TestDefaultBrakingProfile:
 
     def test_endpoints(self):
         b = default_braking_profile(self.tm, v_handoff=12.0)
-        assert b.gamma(6.0) == 340.0
-        assert b.gamma(10.0) == 400.0
-        assert b.gamma(8.0) == pytest.approx(370.0)
-        assert b.V(6.0) == 12.0
-        assert b.V(10.0) == 0.0
-        assert b.V(8.0) == pytest.approx(6.0)
-        gamma = [b.gamma(t) for t in np.linspace(6.0, 15.0, 128)]
+        assert b(6.0) == (340.0, 12.0)
+        assert b(10.0) == (400.0, 0.0)
+        assert b(8.0) == pytest.approx((370.0, 6.0))
+        gamma = [b(t)[0] for t in np.linspace(6.0, 15.0, 128)]
         assert np.all(np.diff(gamma) >= 0.0)
 
     def test_stopped_after_red_onset(self):
         b = default_braking_profile(self.tm, v_handoff=12.0)
         for t in (10.0, 11.0, 100.0):
-            assert b.V(t) == 0.0
-            assert b.gamma(t) == 400.0
+            assert b(t) == (400.0, 0.0)
 
     @given(t=st.floats(0.0, 20.0))
     def test_monotone_and_bounded(self, t):
         b = default_braking_profile(self.tm, v_handoff=12.0)
-        assert 340.0 <= b.gamma(t) <= 400.0
-        assert 0.0 <= b.V(t) <= 12.0
+        gamma, V = b(t)
+        assert 340.0 <= gamma <= 400.0
+        assert 0.0 <= V <= 12.0
 
     def test_rejects_negative_handoff(self):
         with pytest.raises(ValueError):

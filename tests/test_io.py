@@ -25,6 +25,7 @@ from sigflow.cli import main
 from sigflow.domain import sample_profile
 from sigflow.lagrangian import BreakdownError, oracle_errors
 from sigflow.output import write_outputs, write_report
+from sigflow.scenario_io import table
 from tests.conftest import reference_scenario
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -97,6 +98,14 @@ class TestPresets:
         fn = rho0_of("{table: {x: [0.0, 10.0], values: [1.0, 3.0]}}")
         assert fn(5.0) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("x, values", [
+        ([0.0, np.inf], [1.0, 3.0]), ([0.0, 10.0], [1.0, np.nan]), ([0.0, 10.0], [None, 3.0]),
+    ], ids=["inf-x", "nan-value", "none-value"])
+    def test_table_refuses_a_non_finite_entry(self, x, values):
+        # a NaN would be interpolated into every time or place near it
+        with pytest.raises(ValueError, match="table x and values must be finite"):
+            table(x, values)
+
     def test_errors(self):
         for spec, error in [
             ("nope(a=1)", "unknown preset 'nope'"),
@@ -111,6 +120,8 @@ class TestPresets:
             ("true", "profiles.rho0: expected a number, got True"),
             ("{table: {x: [0.0], values: [1.0]}}", "table needs matching 1-D"),
             ("{table: {x: [0.0, 10.0, 5.0], values: [1, 2, 3]}}", "strictly increasing"),
+            ("{table: {x: [0.0, 10.0], values: [1.0, .nan]}}",
+             "profiles.rho0: table x and values must be finite"),
             ("{table: 5}", "profiles.rho0: table needs the form"),
             ("{table: {x: [a, 10.0], values: [1, 2]}}",
              "profiles.rho0.table.x[0]: expected a number, got 'a'"),
@@ -754,21 +765,26 @@ class TestCli:
 
     # the shipped scenario with a NaN, infinite or negative inflow value on
     # 5.2 < t < 5.4 s, between two of the 64 inflow times validate_scenario
-    # samples (5.159 and 5.556 s), so the file is valid and the run meets the
-    # value in its first phase
-    @pytest.mark.parametrize("key, value, model, error", [
-        ("v_in", ".nan", "first", "non-finite velocity at t = 5.28"),
-        ("v_in", ".inf", "first", "non-finite velocity at t = 5.28"),
-        ("rho_in", ".nan", "first", "non-finite density or boundary flux at t = 5.28"),
-        ("rho_in", ".nan", "second", "non-finite density or boundary flux at t = 5.28"),
-        ("rho_in", "-0.5", "first", "negative inflow density -0.39723098922325534 at t = 5.28"),
-        ("rho_in", "-0.5", "second", "negative inflow density -0.39723098922325534 at t = 5.28"),
-        ("v_in", "-5.0", "first", "negative inflow velocity -2.342180755773846 at t = 5.28"),
-        ("v_in", "-5.0", "second", "negative inflow velocity -2.342180755773846 at t = 5.28"),
+    # samples (5.159 and 5.556 s).  A non-finite table value is refused where
+    # the file is read (exit 2); a negative one leaves the file valid, and
+    # the run meets it in its first phase (exit 1).  TestRun's
+    # test_non_finite_inflow_fails_the_first_phase runs the non-finite ones
+    @pytest.mark.parametrize("key, value, model, code, error", [
+        ("v_in", ".nan", "first", 2, "profiles.v_in: table x and values must be finite"),
+        ("v_in", ".inf", "first", 2, "profiles.v_in: table x and values must be finite"),
+        ("rho_in", ".nan", "first", 2, "profiles.rho_in: table x and values must be finite"),
+        ("rho_in", ".nan", "second", 2, "profiles.rho_in: table x and values must be finite"),
+        ("rho_in", "-0.5", "first", 1,
+         "negative inflow density -0.39723098922325534 at t = 5.28"),
+        ("rho_in", "-0.5", "second", 1,
+         "negative inflow density -0.39723098922325534 at t = 5.28"),
+        ("v_in", "-5.0", "first", 1, "negative inflow velocity -2.342180755773846 at t = 5.28"),
+        ("v_in", "-5.0", "second", 1, "negative inflow velocity -2.342180755773846 at t = 5.28"),
     ], ids=["nan-v_in", "inf-v_in", "nan-rho_in-first", "nan-rho_in-second",
             "negative-rho_in-first", "negative-rho_in-second",
             "negative-v_in-first", "negative-v_in-second"])
-    def test_simulate_reports_the_phase_a_run_fails_in(self, tmp_path, key, value, model, error):
+    def test_simulate_reports_the_phase_a_run_fails_in(self, tmp_path, capsys, key, value,
+                                                       model, code, error):
         base = {"rho_in": "0.08", "v_in": "10.0"}[key]
         window = (f"  {key}: {{table: {{x: [0.0, 5.2, 5.3, 5.4, 25.0], "
                   f"values: [{base}, {base}, {value}, {base}, {base}]}}}}")
@@ -777,7 +793,11 @@ class TestCli:
         config, out = tmp_path / "window.yaml", tmp_path / "out"
         config.write_text(text)
         assert main(["simulate", "--config", str(config), "--model", model,
-                     "--out", str(out)]) == 1
+                     "--out", str(out)]) == code
+        if code == 2:  # refused before any output
+            assert capsys.readouterr().err == f"error: {error}\n"
+            assert not out.exists()
+            return
         # the report names the phase and the error, and no snapshot is written
         assert [p.name for p in out.iterdir()] == ["report.json"]
         doc = json.loads((out / "report.json").read_text())

@@ -8,7 +8,6 @@ import sigflow.parabolic
 from sigflow import (
     CLOSED,
     BoundaryData,
-    BrakingProfile,
     FlowState,
     PhaseError,
     RoadGrid,
@@ -182,7 +181,7 @@ class TestRunFirstModel:
         # V starts 0.75 m/s above it is reported with that gap
         def offset(timing, v_handoff):
             profile = default_braking_profile(timing, v_handoff)
-            return BrakingProfile(gamma=profile.gamma, V=lambda t: profile.V(t) + 0.75)
+            return lambda t: (profile(t)[0], profile(t)[1] + 0.75)
 
         monkeypatch.setattr(sigflow.orchestrator, "default_braking_profile", offset)
         traj = run(reference_scenario("first"))
@@ -245,6 +244,28 @@ class TestRun:
             run(s)
         assert exc.value.phase == phase
         assert isinstance(exc.value.cause, ValueError)
+
+    # a NaN or infinite inflow value on 5.2 < t < 5.4 s, between two of the
+    # 64 inflow times validate_scenario samples (5.159 and 5.556 s): a file
+    # cannot hold it (its table is refused where it is read), but a
+    # scenario built in code can, and the first phase's step that reads it
+    # fails, naming the time
+    @pytest.mark.parametrize("key, value, model, error", [
+        ("v_in", np.nan, "first", "non-finite velocity at t = 5.28"),
+        ("v_in", np.inf, "first", "non-finite velocity at t = 5.28"),
+        ("rho_in", np.nan, "first", "non-finite density or boundary flux at t = 5.28"),
+        ("rho_in", np.nan, "second", "non-finite density or boundary flux at t = 5.28"),
+    ], ids=["nan-v_in", "inf-v_in", "nan-rho_in-first", "nan-rho_in-second"])
+    def test_non_finite_inflow_fails_the_first_phase(self, key, value, model, error):
+        s = shipped_scenario(model)
+        base = {"rho_in": 0.08, "v_in": 10.0}[key]
+        xs, vs = [0.0, 5.2, 5.3, 5.4, 25.0], [base, base, value, base, base]
+        window = lambda t: np.interp(np.asarray(t, dtype=float), xs, vs)
+        s = dataclasses.replace(s, inflow=dataclasses.replace(s.inflow, **{key: window}))
+        with pytest.raises(PhaseError) as exc:
+            run(s)
+        assert exc.value.phase == "free_flow"
+        assert str(exc.value.cause).startswith(error), str(exc.value.cause)
 
     @pytest.mark.parametrize("model", ["first", "second"])
     @pytest.mark.parametrize("x0, h", [(70.0, 65.0), (598.0, 2.0)])

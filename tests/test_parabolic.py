@@ -6,7 +6,6 @@ import scipy.linalg
 
 from sigflow import (
     BoundaryData,
-    BrakingProfile,
     FlowState,
     ForceLaw,
     RoadGrid,
@@ -24,12 +23,12 @@ def road(n=40, left=0.0, right=100.0):
 
 def fixed_end(V, right=100.0):
     """A prescribed downstream velocity V(t) on an end that stays at right."""
-    return BrakingProfile(gamma=lambda t: right, V=V)
+    return lambda t: (right, V(t))
 
 
-def growing(speed, length=100.0):
-    """A braking boundary that starts at length and moves at speed."""
-    return lambda t: length + speed * t
+def growing(speed, V=lambda t: 0.0, length=100.0):
+    """A braking law whose end starts at length, moves at speed and holds V(t)."""
+    return lambda t: (length + speed * t, V(t))
 
 
 def const_inflow(v, rho):
@@ -44,17 +43,13 @@ def cells(grid, rho, v, t=0.0):
 
 
 def end_at(braking, t):
-    """step_viscous's end for a step ending at t: braking's gamma(t) and V(t)."""
-    if braking is None:
-        return None
-    return float(braking.gamma(t)), float(braking.V(t))
+    """step_viscous's end for a step ending at t: braking(t), or None."""
+    return None if braking is None else braking(t)
 
 
 def grid_at(grid, braking, t):
     """The cells at t: grid, with its right end at gamma(t) under braking."""
-    if braking is None:
-        return grid
-    return RoadGrid(grid.x_min, float(braking.gamma(t)), grid.n_cells)
+    return grid if braking is None else RoadGrid(grid.x_min, braking(t)[0], grid.n_cells)
 
 
 def reference_step_viscous(v, rho, t, dt, mu, inflow, grid, force, end=None):
@@ -120,7 +115,7 @@ class TestGeometry:
         # the braking boundary reaches x_min = 50 at t = 0.5; the one step
         # (v = 0 sets no CFL bound) ends at t = 1
         grid = road(n=10, left=50.0, right=60.0)
-        braking = BrakingProfile(gamma=lambda t: 60.0 - 20.0 * t, V=lambda t: 0.0)
+        braking = lambda t: (60.0 - 20.0 * t, 0.0)
         with pytest.raises(ValueError, match="at t = 1.0 is not a finite position"):
             solve_parabolic(cells(grid, 0.1, 0.0), const_inflow(0.0, 0.1), 2.0, None,
                             1.0, braking=braking)
@@ -184,7 +179,7 @@ class TestStepViscous:
         assert (rep.inflow, rep.outflow) == pytest.approx((dt * flux[0], dt * flux[-1]))
 
     def test_moving_mesh_preserves_uniform_density(self):
-        braking = BrakingProfile(gamma=growing(20.0), V=lambda t: 0.0)
+        braking = growing(20.0)
         grid = road()
         n = grid.n_cells
         v = np.zeros(n + 1)
@@ -283,7 +278,7 @@ class TestStepViscous:
     def test_leaves_its_arguments_unchanged(self, V):
         # V = None: the fixed end under the zero-gradient closure; otherwise
         # a moving end that holds V
-        braking = None if V is None else BrakingProfile(gamma=growing(15.0), V=V)
+        braking = None if V is None else growing(15.0, V)
         grid = road(n=30)
         n = grid.n_cells
         rng = np.random.default_rng(3)
@@ -310,11 +305,11 @@ def _bitwise_cases():
     # moves for half of the 20 steps and then stands, as the braking
     # boundary does at the red onset
     fixed = lambda t: 100.0
-    moving = growing(15.0)
+    moving = lambda t: 100.0 + 15.0 * t
     stopping = lambda t: min(100.0 + 15.0 * t, 100.15)
 
     def end(gamma, v_right):
-        return BrakingProfile(gamma=gamma, V=lambda t: v_right)
+        return lambda t: (gamma(t), v_right)
 
     # a Dirichlet speed far above the state's pulls more out of the last
     # cell than it holds, so the step clamps
@@ -420,7 +415,7 @@ class TestSolveParabolic:
         rho = 0.1 + rng.uniform(0.0, 0.05, n)
         v = 8.0 + rng.uniform(-1.0, 1.0, n)
         bc = BoundaryData(rho_in=lambda t: float(rho[0]), v_in=lambda t: float(v[0]))
-        braking = BrakingProfile(gamma=growing(15.0), V=lambda t: float(v[-1]))
+        braking = growing(15.0, lambda t: float(v[-1]))
         res = solve_parabolic(cells(grid, rho, v), bc, 2.0, None, 2.0,
                               snapshot_interval=0.5, braking=braking)
         m0 = res.ledger[0]["total_mass"]
@@ -434,7 +429,7 @@ class TestSolveParabolic:
         # the cells follow gamma from the first snapshot on, even where
         # initial.grid ends a bit off it (the braking strip's split face and
         # gamma at the braking onset can differ in the last bit)
-        braking = BrakingProfile(gamma=growing(10.0), V=lambda t: 0.0)
+        braking = growing(10.0)
         res = solve_parabolic(cells(road(n=20, right=np.nextafter(100.0, 0.0)), 0.1, 0.0),
                               const_inflow(0.0, 0.1), 2.0, None, 2.0,
                               snapshot_interval=1.0, braking=braking)
@@ -446,7 +441,7 @@ class TestSolveParabolic:
     def test_initial_state_must_end_at_gamma(self, right):
         # laid on [0, gamma(0.5)] = [0, 105], 0.1 veh/m on [0, right] would
         # silently start the ledger at 10.5 veh
-        braking = BrakingProfile(gamma=growing(10.0), V=lambda t: 0.0)
+        braking = growing(10.0)
         with pytest.raises(ValueError, match=r"braking boundary 105\.0 at t = 0\.5 is not "
                            rf"the initial state's right end {right}"):
             solve_parabolic(cells(road(n=20, right=right), 0.1, 0.0, t=0.5),
@@ -465,7 +460,7 @@ class TestSolveParabolic:
     def test_snapshots_share_no_memory(self, V):
         # the snapshots hold the step's arrays without copying them, so a
         # buffer reused across steps would rewrite earlier snapshots
-        braking = None if V is None else BrakingProfile(gamma=growing(10.0), V=V)
+        braking = None if V is None else growing(10.0, V)
         res = solve_parabolic(cells(road(n=20), 0.1, 5.0), const_inflow(5.0, 0.1), 2.0,
                               ForceLaw(1.0, 16.0, 4.0), 0.02,
                               snapshot_interval=2e-3, braking=braking)
@@ -491,7 +486,7 @@ class TestStepSize:
     def test_moving_mesh_speed_limits_the_step(self, viscous_steps):
         # the right end moves at 40 m/s against fluid at 2 m/s: a step sized
         # with the mesh at rest (0.625 s) would break the CFL bound ~9 times
-        braking = BrakingProfile(gamma=growing(40.0), V=lambda t: 2.0)
+        braking = growing(40.0, lambda t: 2.0)
         res = solve_parabolic(cells(road(n=40), 0.1, 2.0), const_inflow(2.0, 0.1), 2.0,
                               None, 1.0, snapshot_interval=0.5, braking=braking)
         ratios = [r for _, _, r, _ in viscous_steps]
@@ -521,8 +516,7 @@ class TestStepSize:
     def test_non_finite_domain_length_ends_the_step_search(self):
         # the search for a step on a moving mesh must not spin on an
         # infinite end: the end is refused, naming the time it was read at
-        braking = BrakingProfile(gamma=lambda t: 100.0 if t == 0.0 else np.inf,
-                                 V=lambda t: 8.0)
+        braking = lambda t: (100.0 if t == 0.0 else np.inf, 8.0)
         with pytest.raises(ValueError, match=r"braking boundary inf at t = 0\.\d+ is not"):
             solve_parabolic(cells(road(n=10), 0.1, 8.0), const_inflow(8.0, 0.1), 2.0,
                             None, 1.0, braking=braking)

@@ -24,7 +24,7 @@ margin, given in the comment beside it.
 import numpy as np
 import pytest
 
-from sigflow import BoundaryData, BrakingProfile, FlowState, RoadGrid, solve_parabolic
+from sigflow import BoundaryData, FlowState, RoadGrid, solve_parabolic
 
 A, B, S, MU, J = 10.0, -4.0, 12.0, 8.0, -0.16
 T_CHECK = 3.0
@@ -53,7 +53,7 @@ def retreating_end(t):
     return 250.0 - 5.0 * t
 
 
-# name: (right end at t = 0, braking profile or None for the open road's
+# name: (right end at t = 0, braking law or None for the open road's
 # zero-gradient closure, smallest ratio per doubling of either L1 error,
 # largest L1(v) at n = 1600 in m^2/s)
 CASES = {
@@ -65,8 +65,7 @@ CASES = {
     # ratios measured 2.02 / 2.01 / 2.00 / 2.00 for rho and 2.07 / 2.03 /
     # 2.02 / 2.01 for v.  L1(v) measured 0.132
     "retreating-end": (retreating_end(0.0),
-                       BrakingProfile(gamma=retreating_end,
-                                      V=lambda t: float(exact_v(retreating_end(t), t))),
+                       lambda t: (retreating_end(t), float(exact_v(retreating_end(t), t))),
                        1.90, 0.16),
 }
 
